@@ -246,15 +246,15 @@ def bench_cache_mark_dirty(repeats: int) -> dict:
 
 
 def bench_cache_hit_lookup(repeats: int) -> dict:
+    """One read's range lookup over resident pages (every page a hit)."""
     lookups = 4096
     env = Environment()
     cache = PageCache(env, TagManager(), memory_bytes=64 * MB)
-    for i in range(lookups):
-        cache.insert_clean(PageKey(1, i))
+    block_map = {i: i for i in range(lookups)}
+    cache.insert_clean_run(1, list(block_map.items()))
 
     def run():
-        for i in range(lookups):
-            cache.lookup(PageKey(1, i))
+        cache.lookup_range(1, 0, lookups, block_map)
 
     run()
     best = _best_of(run, repeats)

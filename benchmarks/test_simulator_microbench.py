@@ -79,14 +79,11 @@ def test_cache_mark_dirty_hot_path(benchmark):
 def test_cache_hit_lookup_hot_path(benchmark):
     env = Environment()
     cache = PageCache(env, TagManager(), memory_bytes=64 * MB)
-    for i in range(4096):
-        cache.insert_clean(PageKey(1, i))
+    block_map = {i: i for i in range(4096)}
+    cache.insert_clean_run(1, list(block_map.items()))
 
     def lookup_batch():
-        hits = 0
-        for i in range(4096):
-            if cache.lookup(PageKey(1, i)) is not None:
-                hits += 1
-        return hits
+        return cache.lookup_range(1, 0, 4096, block_map)
 
-    assert benchmark(lookup_batch) == 4096
+    assert benchmark(lookup_batch) == []
+    assert cache.misses == 0

@@ -19,12 +19,15 @@ class PageKey(NamedTuple):
 
 
 class Page:
-    """One 4 KiB cached page of a file.
+    """One 4 KiB dirty page of a file.
 
     State machine: *clean* ⇄ *dirty* → *under writeback* → *clean*.
     A page re-dirtied while under writeback stays dirty after the write
     completes.  The page carries the split framework's cause tag and the
-    (possibly delayed) disk block assignment.
+    (possibly delayed) disk block assignment.  The cache keeps a clean
+    page as a bare key and disk block, so a ``Page`` exists only from
+    its clean->dirty transition until its writeback completes; only
+    these states carry tags, bus events and block-request references.
     """
 
     __slots__ = (
@@ -36,10 +39,9 @@ class Page:
         "causes",
         "dirtied_at",
         "disk_block",
-        "last_access",
     )
 
-    def __init__(self, key: PageKey, cache: "PageCache"):
+    def __init__(self, key: PageKey, cache: "PageCache", disk_block: Optional[int] = None):
         self.key = key
         self.cache = cache
         self.dirty = False
@@ -49,8 +51,7 @@ class Page:
         self.causes: CauseSet = EMPTY_CAUSES
         self.dirtied_at: Optional[float] = None
         #: Disk block backing this page; None while allocation is delayed.
-        self.disk_block: Optional[int] = None
-        self.last_access = 0.0
+        self.disk_block = disk_block
 
     @property
     def size(self) -> int:

@@ -161,7 +161,7 @@ class WritebackDaemon:
     def _flush_expired(self):
         cutoff = self.env.now - self.config.dirty_expire
         expired = []
-        for page in self.cache.dirty_pages_by_age():
+        for page in self.cache.iter_dirty_by_age():
             if page.dirtied_at > cutoff:
                 break  # age-ordered: the rest are younger
             expired.append(page)

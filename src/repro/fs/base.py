@@ -9,6 +9,7 @@ integration.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.block.request import READ, WRITE, BlockRequest
@@ -33,6 +34,27 @@ def raise_on_failed(events) -> None:
         request = event.value
         if getattr(request, "failed", False):
             raise EIO(request.error or request)
+
+
+def _block_runs(pairs: List[Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
+    """Split ``(index, disk block)`` pairs into runs of consecutive blocks.
+
+    Sorts *pairs* by block in place.  The blocks are distinct (one per
+    page), so a sorted list spanning exactly ``len(pairs)`` blocks is a
+    single run — the common case of a sequential read.
+    """
+    pairs.sort(key=itemgetter(1))
+    if pairs[-1][1] - pairs[0][1] == len(pairs) - 1:
+        return [pairs]
+    runs = []
+    start = 0
+    for i in range(1, len(pairs)):
+        if pairs[i][1] != pairs[i - 1][1] + 1:
+            runs.append(pairs[start:i])
+            start = i
+    runs.append(pairs[start:])
+    return runs
+
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.block.queue import BlockQueue
@@ -274,33 +296,17 @@ class FileSystem:
         sequential = self._last_read_end.get(inode.id) == first_page
         self._last_read_end[inode.id] = last_page + 1
 
-        missing: List[Tuple[int, int]] = []  # (page index, disk block)
-        for index in range(first_page, last_page + 1):
-            key = PageKey(inode.id, index)
-            if self.cache.contains(key):
-                self.cache.lookup(key)  # LRU touch
-                self.cache.hits += 1
-                continue
-            block = inode.block_of(index)
-            if block is None:
-                # Sparse / not-yet-flushed region: zero fill, no I/O.
-                self.cache.insert_clean(key)
-                self.cache.hits += 1
-                continue
-            self.cache.misses += 1
-            missing.append((index, block))
+        cache = self.cache
+        missing = cache.lookup_range(inode.id, first_page, last_page + 1, inode.block_map)
 
         # Readahead: when a sequential read goes to disk anyway, fetch
         # a window beyond it (Linux-style sequential detection).
         if missing and sequential and self.readahead_pages:
             max_page = max(inode.size_pages - 1, last_page)
-            for index in range(last_page + 1, min(last_page + self.readahead_pages, max_page) + 1):
-                key = PageKey(inode.id, index)
-                if self.cache.contains(key):
-                    continue
-                block = inode.block_of(index)
-                if block is not None:
-                    missing.append((index, block))
+            missing += cache.lookup_range(
+                inode.id, last_page + 1, min(last_page + self.readahead_pages, max_page) + 1,
+                inode.block_map, readahead=True,
+            )
 
         if missing:
             events = self._read_blocks(task, inode, missing)
@@ -309,21 +315,17 @@ class FileSystem:
                 raise_on_failed(events)
         return nbytes
 
-    def _read_blocks(self, task: "Task", inode: Inode, missing: List[Tuple[int, int]]):
-        """Submit block reads for contiguous runs of missing pages."""
+    def _read_blocks(
+        self, task: "Task", inode: Inode, missing: List[Tuple[int, int]], cached: bool = True
+    ):
+        """Submit one block read per run of consecutive missing blocks.
+
+        With *cached*, each run's pages join the page cache as soon as
+        its request is submitted.
+        """
         causes = self.tags.current_causes(task)
-        missing.sort(key=lambda pair: pair[1])
         events = []
-        run_start = 0
-        for i in range(1, len(missing) + 1):
-            end_of_run = (
-                i == len(missing)
-                or missing[i][1] != missing[i - 1][1] + 1
-            )
-            if not end_of_run:
-                continue
-            run = missing[run_start:i]
-            run_start = i
+        for run in _block_runs(missing):
             request = BlockRequest(
                 READ,
                 block=run[0][1],
@@ -332,10 +334,9 @@ class FileSystem:
                 causes=causes,
                 sync=True,
             )
-            done = self.block_queue.submit(request)
-            events.append(done)
-            for index, block in run:
-                self.cache.insert_clean(PageKey(inode.id, index), disk_block=block)
+            events.append(self.block_queue.submit(request))
+            if cached:
+                self.cache.insert_clean_run(inode.id, run)
         return events
 
     # -- direct I/O (O_DIRECT) -------------------------------------------------------
@@ -359,7 +360,7 @@ class FileSystem:
             if block is not None:
                 missing.append((index, block))
         if missing:
-            events = self._read_blocks_nocache(task, missing)
+            events = self._read_blocks(task, inode, missing, cached=False)
             if events:
                 yield AllOf(self.env, events)
                 raise_on_failed(events)
@@ -402,23 +403,6 @@ class FileSystem:
             yield AllOf(self.env, events)
             raise_on_failed(events)
         return nbytes
-
-    def _read_blocks_nocache(self, task: "Task", missing: List[Tuple[int, int]]):
-        causes = self.tags.current_causes(task)
-        missing.sort(key=lambda pair: pair[1])
-        events = []
-        run_start = 0
-        for i in range(1, len(missing) + 1):
-            if i != len(missing) and missing[i][1] == missing[i - 1][1] + 1:
-                continue
-            run = missing[run_start:i]
-            run_start = i
-            request = BlockRequest(
-                READ, block=run[0][1], nblocks=len(run), submitter=task,
-                causes=causes, sync=True,
-            )
-            events.append(self.block_queue.submit(request))
-        return events
 
     # -- writeback path ------------------------------------------------------------
 

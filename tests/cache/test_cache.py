@@ -69,7 +69,7 @@ def test_buffer_free_hook_fires_for_dirty_page_only():
     cache.buffer_free_hook = lambda page: freed.append(page.key)
     dirty_key, clean_key = PageKey(1, 0), PageKey(1, 1)
     cache.mark_dirty(dirty_key, task)
-    cache.insert_clean(clean_key)
+    cache.insert_clean_run(1, [(1, 500)])
     cache.free(dirty_key)
     cache.free(clean_key)
     assert freed == [dirty_key]
@@ -132,11 +132,12 @@ def test_eviction_drops_clean_lru_pages_only():
     env, tags, cache = make_cache(memory=4 * PAGE_SIZE)
     task = Task("t")
     cache.mark_dirty(PageKey(1, 0), task)
-    for index in range(1, 8):
-        cache.insert_clean(PageKey(1, index))
-    assert len(cache) <= 4
+    cache.insert_clean_run(1, [(index, 100 + index) for index in range(1, 8)])
+    assert len(cache) == 4
     assert cache.contains(PageKey(1, 0))  # dirty page survived
-    assert cache.evictions > 0
+    # The oldest clean pages went first; the newest three stayed.
+    assert [cache.contains(PageKey(1, i)) for i in range(1, 8)] == [False] * 4 + [True] * 3
+    assert cache.evictions == 4
 
 
 def test_free_file_drops_all_pages():
@@ -144,7 +145,7 @@ def test_free_file_drops_all_pages():
     task = Task("t")
     for index in range(5):
         cache.mark_dirty(PageKey(3, index), task)
-    cache.insert_clean(PageKey(4, 0))
+    cache.insert_clean_run(4, [(0, 900)])
     assert cache.free_file(3) == 5
     assert cache.dirty_bytes == 0
     assert cache.contains(PageKey(4, 0))
@@ -158,3 +159,51 @@ def test_tag_memory_tracked_for_dirty_pages():
     page.write_submitted()
     page.write_completed()
     assert tags.bytes_allocated == 0
+
+
+def test_stale_writeback_completion_is_ignored():
+    """A write completing for a freed page must not touch its successor."""
+    env, tags, cache = make_cache()
+    task = Task("t")
+    key = PageKey(1, 0)
+    stale = cache.mark_dirty(key, task)
+    stale.write_submitted()
+    cache.free(key)  # e.g. truncate while the write is in flight
+    fresh = cache.mark_dirty(key, task)
+    stale.write_completed()
+    assert fresh.dirty
+    assert cache.dirty_bytes == PAGE_SIZE
+    assert cache.dirty_pages_by_age() == [fresh]
+    assert cache.dirty_pages_of(1) == [fresh]
+    assert tags.bytes_allocated > 0  # the fresh page's tag survives
+
+
+def test_lookup_range_counts_hits_zero_fills_holes_and_returns_misses():
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(0, 10), (1, 11)])
+    cache.mark_dirty(PageKey(1, 2), Task("t"))
+    missing = cache.lookup_range(1, 0, 5, {0: 10, 1: 11, 2: 12, 4: 14})
+    assert missing == [(4, 14)]
+    assert (cache.hits, cache.misses) == (4, 1)  # pages 0-2 plus hole 3
+    assert cache.contains(PageKey(1, 3))  # the hole is now a clean page
+    assert not cache.contains(PageKey(1, 4))  # the caller fetches misses
+
+
+def test_readahead_probe_has_no_side_effects():
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(1, 11)])
+    found = cache.lookup_range(1, 0, 4, {0: 10, 1: 11, 3: 13}, readahead=True)
+    assert found == [(0, 10), (3, 13)]
+    assert (cache.hits, cache.misses, len(cache)) == (0, 0, 1)
+
+
+def test_cleaned_page_keeps_its_disk_block():
+    env, tags, cache = make_cache()
+    task = Task("t")
+    key = PageKey(1, 0)
+    page = cache.mark_dirty(key, task)
+    page.disk_block = 77
+    page.write_submitted()
+    page.write_completed()
+    assert cache.dirty_pages == 0 and len(cache) == 1
+    assert cache.mark_dirty(key, task).disk_block == 77

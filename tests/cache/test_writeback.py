@@ -142,3 +142,25 @@ def test_writeback_submits_as_proxy_with_true_causes():
     assert a.pid in all_causes
     assert b.pid in all_causes
     assert machine.writeback.task.pid not in all_causes
+
+
+def test_expiry_flush_stops_at_the_first_young_page():
+    config = WritebackConfig(dirty_expire=2.0, wakeup_interval=1.0)
+    env, machine = make_os(memory=1024 * MB, config=config)
+    task = machine.spawn("w")
+
+    def proc():
+        old = yield from machine.creat(task, "/old")
+        young = yield from machine.creat(task, "/young")
+        yield from old.append(64 * KB)  # dirtied at t=0
+        yield env.timeout(1.5)
+        yield from young.append(64 * KB)  # dirtied at t=1.5
+        # The t=2 and t=3 wakeups expire /old only; /young expires at t=4.
+        yield env.timeout(2.0)
+        return old.inode.id, young.inode.id
+
+    p = env.process(proc())
+    env.run(until=p)
+    old_id, young_id = p.value
+    assert machine.cache.dirty_bytes_of(old_id) == 0
+    assert machine.cache.dirty_bytes_of(young_id) == 64 * KB

@@ -13,6 +13,7 @@ each stage:
   in arrears.
 """
 
+from repro.config import StackConfig
 from repro.experiments.common import build_stack, drive, run_for
 from repro.schedulers.split_token import SplitToken
 from repro.units import KB, MB
@@ -29,7 +30,9 @@ def _run(variant: str, duration: float = 15.0):
     scheduler = SplitToken(**flags)
     # Small memory so writeback (and thus the block-level revision)
     # happens *during* the measurement window.
-    env, machine = build_stack(scheduler=scheduler, device="hdd", memory_bytes=64 * MB)
+    env, machine = build_stack(
+        StackConfig(scheduler=scheduler, device="hdd", memory_bytes=64 * MB)
+    )
     setup = machine.spawn("setup")
 
     def setup_proc():

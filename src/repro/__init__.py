@@ -18,7 +18,7 @@ Quickstart::
 """
 
 from repro.sim import Environment
-from repro.syscall import OS, FileHandle, OpenFile
+from repro.syscall import OS, OpenFile
 from repro.devices import HDD, SSD
 from repro.proc import Task
 from repro.units import GB, KB, MB, PAGE_SIZE
@@ -27,7 +27,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "Environment",
-    "FileHandle",
     "GB",
     "HDD",
     "KB",

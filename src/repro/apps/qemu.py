@@ -20,7 +20,7 @@ from repro.devices.base import Device
 from repro.units import GB, MB, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.syscall.os import OS, FileHandle
+    from repro.syscall.os import OS, OpenFile
 
 
 class FileBackedDevice(Device):
@@ -32,7 +32,7 @@ class FileBackedDevice(Device):
     free; misses pay the host's disk and scheduler).
     """
 
-    def __init__(self, host_os: "OS", host_task, image: "FileHandle", name: str = "vda"):
+    def __init__(self, host_os: "OS", host_task, image: "OpenFile", name: str = "vda"):
         capacity = image.inode.size // PAGE_SIZE
         super().__init__(capacity_blocks=capacity, name=name)
         self.host_os = host_os
@@ -86,7 +86,7 @@ class QemuVM:
         self.guest_scheduler = guest_scheduler
         #: The host-side identity of this whole VM (throttle this).
         self.host_task = host_os.spawn(f"qemu-{name}")
-        self.image: Optional["FileHandle"] = None
+        self.image: Optional["OpenFile"] = None
         self.guest: Optional["OS"] = None
 
     def boot(self):

@@ -44,7 +44,7 @@ whichever attempt finished it.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Deque, List, Optional
 
 from repro.block.request import BlockRequest
 from repro.devices.base import DeviceError
@@ -68,44 +68,6 @@ class RequestTimeout(DeviceError):
     """An attempt exceeded the block layer's per-request timeout."""
 
     retryable = True
-
-
-class _CompletionListeners:
-    """List-like shim mapping the legacy ``completion_listeners`` API
-    onto :class:`~repro.obs.bus.BlockComplete` subscriptions.
-
-    Callers historically did ``queue.completion_listeners.append(fn)``
-    with ``fn(request)``; each append now subscribes an adapter on the
-    stack bus, so legacy observers and new bus subscribers share one
-    dispatch path (and one ordering).
-    """
-
-    __slots__ = ("_bus", "_entries")
-
-    def __init__(self, bus: StackBus):
-        self._bus = bus
-        self._entries: List[tuple] = []  # (fn, unsubscribe)
-
-    def append(self, fn: Callable[[BlockRequest], None]) -> None:
-        unsub = self._bus.subscribe(BlockComplete, lambda event: fn(event.request))
-        self._entries.append((fn, unsub))
-
-    def remove(self, fn: Callable[[BlockRequest], None]) -> None:
-        for i, (listener, unsub) in enumerate(self._entries):
-            if listener == fn:
-                unsub()
-                del self._entries[i]
-                return
-        raise ValueError(f"{fn!r} is not a registered completion listener")
-
-    def __iter__(self):
-        return iter(fn for fn, _ in self._entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __bool__(self) -> bool:
-        return bool(self._entries)
 
 
 class _HedgeState:
@@ -295,10 +257,6 @@ class BlockQueue:
             )
             for slot in self.slots
         ]
-        #: Observers called with each completed request (metrics etc.),
-        #: including permanently-failed ones (check ``request.failed``).
-        #: A legacy shim over BlockComplete bus subscriptions.
-        self.completion_listeners = _CompletionListeners(self.bus)
         #: BlockTracers attached to this queue (for drop reporting in
         #: fault_summary; tracers register themselves).
         self.tracers: List = []
@@ -310,16 +268,6 @@ class BlockQueue:
         self.retries = 0  # retry attempts issued
         self.timeouts = 0  # attempts aborted by the request timeout
         self.failed = 0  # requests failed permanently
-
-    @property
-    def in_flight(self) -> Optional[BlockRequest]:
-        """The oldest outstanding request (legacy single-slot view).
-
-        With one slot this is exactly the classic ``in_flight``
-        attribute; with several it is the longest-dispatched request —
-        callers needing the full set should read :attr:`outstanding`.
-        """
-        return self.outstanding[0] if self.outstanding else None
 
     @property
     def inflight_count(self) -> int:

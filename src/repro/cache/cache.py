@@ -27,12 +27,9 @@ class PageCache:
     `buffer-free`, Table 2) fire from here — published as
     :class:`~repro.obs.bus.PageDirtied` / :class:`PageFreed` events on
     the stack bus, so any number of subscribers (the installed split
-    scheduler, span builders, tests) observe them.  The legacy
-    single-slot ``buffer_dirty_hook`` / ``buffer_free_hook`` attributes
-    remain as properties layered over one bus subscription each.  A
-    stack running a pure block-level scheduler has no memory
-    subscribers, which is exactly the information gap the paper
-    describes.
+    scheduler, span builders, tests) observe them.  A stack running a
+    pure block-level scheduler has no memory subscribers, which is
+    exactly the information gap the paper describes.
     """
 
     def __init__(
@@ -67,56 +64,11 @@ class PageCache:
         self._sub_dirtied = self.bus.listeners(PageDirtied)
         self._sub_cleaned = self.bus.listeners(PageCleaned)
         self._sub_freed = self.bus.listeners(PageFreed)
-        # Legacy single-slot hook state (see the properties below).
-        self._buffer_dirty_hook = None
-        self._buffer_dirty_unsub = None
-        self._buffer_free_hook = None
-        self._buffer_free_unsub = None
         # Counters
         self.hits = 0
         self.misses = 0
         self.overwrites = 0
         self.evictions = 0
-
-    # -- legacy hook compatibility ------------------------------------------
-
-    @property
-    def buffer_dirty_hook(self):
-        """Single-slot ``f(page, old_causes)`` shim over the bus.
-
-        Assigning subscribes the callable to :class:`PageDirtied`
-        events (replacing a previously assigned hook, preserving the
-        historical one-slot semantics); other subscribers attached
-        directly to the bus are unaffected.
-        """
-        return self._buffer_dirty_hook
-
-    @buffer_dirty_hook.setter
-    def buffer_dirty_hook(self, fn) -> None:
-        if self._buffer_dirty_unsub is not None:
-            self._buffer_dirty_unsub()
-            self._buffer_dirty_unsub = None
-        self._buffer_dirty_hook = fn
-        if fn is not None:
-            self._buffer_dirty_unsub = self.bus.subscribe(
-                PageDirtied, lambda event: fn(event.page, event.old_causes)
-            )
-
-    @property
-    def buffer_free_hook(self):
-        """Single-slot ``f(page)`` shim over :class:`PageFreed` events."""
-        return self._buffer_free_hook
-
-    @buffer_free_hook.setter
-    def buffer_free_hook(self, fn) -> None:
-        if self._buffer_free_unsub is not None:
-            self._buffer_free_unsub()
-            self._buffer_free_unsub = None
-        self._buffer_free_hook = fn
-        if fn is not None:
-            self._buffer_free_unsub = self.bus.subscribe(
-                PageFreed, lambda event: fn(event.page)
-            )
 
     # -- queries ----------------------------------------------------------
 

@@ -144,7 +144,8 @@ class StackConfig:
     Fields accepting both names and instances:
 
     - ``scheduler``: a :data:`repro.schedulers.REGISTRY` name, a live
-      scheduler object, or None (Noop);
+      scheduler object (in-process only: it does not serialize), or
+      None (Noop);
     - ``fs``: ``"ext4"``, ``"xfs"``, a filesystem class, or None
       (the OS default, ext4);
     - ``writeback``: a ``WritebackConfig``, its kwargs as a dict, or
@@ -195,18 +196,17 @@ class StackConfig:
     # -- field coercion ----------------------------------------------------
 
     def scheduler_name(self) -> Optional[str]:
-        """The registry name of the scheduler field (for serialization)."""
+        """The registry name of the scheduler field (for serialization).
+
+        A live scheduler object may carry tuned parameters that its
+        registry name cannot express, so it does not serialize.
+        """
         if self.scheduler is None or isinstance(self.scheduler, str):
             return self.scheduler
-        name = getattr(self.scheduler, "name", None)
-        from repro.schedulers import REGISTRY
-
-        if name not in REGISTRY:
-            raise ValueError(
-                f"scheduler {self.scheduler!r} is not registry-nameable; "
-                "pass its REGISTRY name to serialize this config"
-            )
-        return name
+        raise ValueError(
+            f"scheduler {self.scheduler!r} is a live object; pass its "
+            "REGISTRY name to serialize this config"
+        )
 
     def make_scheduler(self):
         """Instantiate (or pass through) the scheduler field."""
@@ -234,9 +234,10 @@ class StackConfig:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-friendly payload; :meth:`from_dict` round-trips it.
 
-        Scheduler and filesystem fields must be registry-nameable —
-        the contract that lets the parallel runner ship a cell's config
-        to a worker process and rebuild the identical stack there.
+        The scheduler field must be a registry name (or None) and the
+        filesystem field registry-nameable — the contract that lets the
+        parallel runner ship a cell's config to a worker process and
+        rebuild the identical stack there.
         """
         return {
             "device": self.device,
@@ -259,17 +260,6 @@ class StackConfig:
     def from_dict(cls, payload: Dict[str, Any]) -> "StackConfig":
         """Rebuild a config from a :meth:`to_dict` payload."""
         return cls(**payload)
-
-    #: Legacy build_stack kwarg spellings -> config field names.
-    _LEGACY_KWARGS = {"fs_class": "fs", "writeback_config": "writeback"}
-
-    @classmethod
-    def from_kwargs(cls, **kwargs) -> "StackConfig":
-        """A config from ``build_stack``'s historical keyword surface."""
-        mapped = {
-            cls._LEGACY_KWARGS.get(key, key): value for key, value in kwargs.items()
-        }
-        return cls(**mapped)
 
 
 # ---------------------------------------------------------------------------

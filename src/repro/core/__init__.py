@@ -6,15 +6,14 @@
   the work they carry out on others' behalf.
 - :mod:`repro.core.hooks` — the split hook table (Table 2): system-call
   entry/return hooks, memory (page-cache) hooks, and block hooks.
-- :mod:`repro.core.framework` — wiring that attaches a scheduler's
-  handlers to all three layers of the simulated stack.
+- :mod:`repro.core.framework` — the Table 1 capability matrix of the
+  block, syscall and split frameworks.
 - :mod:`repro.core.costmodel` — the two-stage cost estimation of §3.2
   (prompt memory-level guess, later block-level revision).
 """
 
 from repro.core.tags import CauseSet, TagManager
 from repro.core.hooks import SPLIT_HOOK_TABLE, SchedulerHooks, SplitScheduler
-from repro.core.framework import SplitFramework
 from repro.core.costmodel import MemoryCostModel, DiskCostModel
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "MemoryCostModel",
     "SPLIT_HOOK_TABLE",
     "SchedulerHooks",
-    "SplitFramework",
     "SplitScheduler",
     "TagManager",
 ]

@@ -1,11 +1,8 @@
-"""Framework wiring and the Table 1 capability matrix."""
+"""The Table 1 capability matrix of the three scheduling frameworks."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.hooks import SchedulerHooks
+from typing import Dict
 
 
 #: Table 1 of the paper: which scheduler needs each framework can meet.
@@ -14,33 +11,3 @@ FRAMEWORK_PROPERTIES: Dict[str, Dict[str, bool]] = {
     "syscall": {"cause_mapping": True, "cost_estimation": False, "reordering": True},
     "split": {"cause_mapping": True, "cost_estimation": True, "reordering": True},
 }
-
-
-class SplitFramework:
-    """Attaches a scheduler's handlers to all three stack layers.
-
-    The OS constructs one of these per stack; installing a
-    :class:`~repro.core.hooks.SchedulerHooks` scheduler connects its
-    memory hooks to the page cache (the elevator connection is made by
-    the block queue, and syscall hooks are invoked by the OS facade).
-    """
-
-    def __init__(self, os):
-        self.os = os
-        self.scheduler: Optional["SchedulerHooks"] = None
-
-    def install(self, scheduler: "SchedulerHooks") -> None:
-        if self.scheduler is not None:
-            raise RuntimeError("a scheduler is already installed")
-        self.scheduler = scheduler
-        self.os.cache.buffer_dirty_hook = scheduler.on_buffer_dirty
-        self.os.cache.buffer_free_hook = scheduler.on_buffer_free
-        scheduler.attach_stack(self.os)
-
-    @staticmethod
-    def properties(framework: str) -> Dict[str, bool]:
-        """Capability row of Table 1 for *framework*."""
-        try:
-            return dict(FRAMEWORK_PROPERTIES[framework])
-        except KeyError:
-            raise ValueError(f"unknown framework {framework!r}") from None

@@ -267,15 +267,12 @@ def reset_id_counters() -> None:
     Transaction._tids = itertools.count(1)
 
 
-def build_stack(config: Optional[StackConfig] = None, **kwargs):
+def build_stack(config: StackConfig):
     """A fresh (env, OS) pair for one experimental run.
 
-    Preferred form: ``build_stack(StackConfig(device="ssd",
-    scheduler="cfq"))`` — one declarative object naming the whole
-    machine, serializable for the parallel runner's workers.  The
-    historical keyword surface (``scheduler=...``, ``device=...``,
-    ``fs_class=...``) still works and is folded into a StackConfig via
-    :meth:`~repro.config.StackConfig.from_kwargs`.
+    ``build_stack(StackConfig(device="ssd", scheduler="cfq"))``: one
+    declarative object names the whole machine (use
+    ``config.replace(...)`` to derive a variant).
 
     The default memory size is deliberately smaller than the paper's
     16 GB testbed: the simulated workloads are scaled down in the same
@@ -289,15 +286,6 @@ def build_stack(config: Optional[StackConfig] = None, **kwargs):
     ``config.queue_depth=None`` inherits the session depth (the CLI's
     ``--queue-depth``), which defaults to the classic serial 1.
     """
-    if not isinstance(config, StackConfig):
-        if config is not None:
-            kwargs["scheduler"] = config  # legacy positional scheduler
-        config = StackConfig.from_kwargs(**kwargs)
-    elif kwargs:
-        raise TypeError(
-            "pass either a StackConfig or keyword overrides, not both "
-            "(use config.replace(...) to derive a variant)"
-        )
     env = make_environment(config.sanitize)
     machine = build_node(env, config)
     return env, machine

@@ -13,6 +13,7 @@ from typing import Dict
 from repro.config import StackConfig
 from repro.experiments.common import build_stack, run_for
 from repro.metrics.recorders import ThroughputTracker, deviation_from_ideal
+from repro.obs.bus import BlockComplete
 from repro.units import GB, MB
 from repro.workloads import sequential_writer
 
@@ -24,11 +25,12 @@ def run(duration: float = 30.0, chunk: int = 1 * MB, memory_bytes: int = 1 * GB)
     #: what a block-level scheduler can observe.
     submit_prios: Dict[int, int] = {p: 0 for p in range(8)}
 
-    def observe(request):
+    def observe(event):
+        request = event.request
         if request.is_write:
             submit_prios[request.submitter.priority] += request.nblocks
 
-    machine.block_queue.completion_listeners.append(observe)
+    machine.bus.subscribe(BlockComplete, observe)
 
     trackers = {}
     for prio in range(8):

@@ -18,6 +18,7 @@ from typing import Dict
 from repro.core.framework import FRAMEWORK_PROPERTIES
 from repro.config import StackConfig
 from repro.experiments.common import build_stack, drive, run_for
+from repro.obs.bus import BlockComplete
 from repro.schedulers import make_scheduler
 from repro.units import KB, MB
 from repro.workloads import sequential_writer
@@ -30,8 +31,9 @@ def probe_block_framework() -> Dict[str, bool]:
     env.process(sequential_writer(machine, writer, "/f", 5.0, chunk=1 * MB))
 
     submitters = []
-    machine.block_queue.completion_listeners.append(
-        lambda req: submitters.append(req.submitter.pid) if req.is_write else None
+    machine.bus.subscribe(
+        BlockComplete,
+        lambda e: submitters.append(e.request.submitter.pid) if e.request.is_write else None,
     )
     run_for(env, 10.0)
 
@@ -83,8 +85,9 @@ def probe_split_framework() -> Dict[str, bool]:
     writer = machine.spawn("app")
 
     causes_seen = []
-    machine.block_queue.completion_listeners.append(
-        lambda req: causes_seen.append(set(req.causes)) if req.is_write else None
+    machine.bus.subscribe(
+        BlockComplete,
+        lambda e: causes_seen.append(set(e.request.causes)) if e.request.is_write else None,
     )
     env.process(sequential_writer(machine, writer, "/f", 5.0, chunk=1 * MB))
     run_for(env, 10.0)

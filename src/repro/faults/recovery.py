@@ -15,8 +15,8 @@ The crash story mirrors a real ordered-mode journal (jbd2):
    reordering the journal stream) actually preserves it.
 
 Durability is ground truth recorded at the block layer: a
-:class:`DurabilityLog` subscribes to a queue's completion listeners and
-remembers every block a *successful* write covered.
+:class:`DurabilityLog` subscribes to a queue's ``BlockComplete`` events
+and remembers every block a *successful* write covered.
 """
 
 from __future__ import annotations
@@ -125,10 +125,10 @@ def crash(machine) -> Dict[str, Optional[int]]:
     if not env.halted:
         env.halt(reason=env.now)
     dropped = machine.cache.drop_volatile()
-    torn = machine.block_queue.in_flight
+    outstanding = machine.block_queue.outstanding
     return {
         "dropped_pages": dropped,
-        "torn_request_id": torn.id if torn is not None else None,
+        "torn_request_id": outstanding[0].id if outstanding else None,
     }
 
 

@@ -5,10 +5,7 @@ writeback daemon, journal, block queue, device models, fault injector —
 publishes its lifecycle transitions as *typed events* on one shared
 :class:`StackBus` per stack.  Consumers (split schedulers' memory
 hooks, :class:`~repro.metrics.trace.BlockTracer`,
-:class:`~repro.obs.span.SpanBuilder`, tests) subscribe per event type;
-the bus replaces the previous ad-hoc mechanisms (the cache's
-single-slot ``buffer_dirty_hook`` and the block queue's
-``completion_listeners`` list) with uniform multi-subscriber dispatch.
+:class:`~repro.obs.span.SpanBuilder`, tests) subscribe per event type.
 
 Zero cost when disabled: publishers cache the live per-type subscriber
 list (:meth:`StackBus.listeners`) and construct an event object only

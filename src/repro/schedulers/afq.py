@@ -200,9 +200,10 @@ class AFQ(SplitScheduler):
         """
         if self.os.env.now - self._last_nonidle_activity < self.idle_grace:
             return True
-        if self.queue is not None and self.queue.in_flight is not None:
-            if self.queue.in_flight.submitter.pid != idle_task.pid:
-                return True
+        if self.queue is not None and any(
+            r.submitter.pid != idle_task.pid for r in self.queue.outstanding
+        ):
+            return True
         for pid, queue in self._read_queues.items():
             if queue and pid != idle_task.pid:
                 return True

@@ -20,22 +20,19 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process, ProcessDied
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.rand import RandomStreams
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "ProcessDied",
     "RandomStreams",
     "Resource",
     "StopSimulation",
-    "Store",
     "Timeout",
 ]

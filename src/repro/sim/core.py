@@ -5,8 +5,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Generator, List, Optional, Tuple
 
-# URGENT/NORMAL live in repro.sim.events (the fused scheduling paths
-# need them there); re-exported here for backwards compatibility.
 from repro.sim.events import Event, NORMAL, Timeout, URGENT
 from repro.sim.process import Process
 

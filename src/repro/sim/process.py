@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim.events import Event, Interrupt, PENDING
+from repro.sim.events import Event, Interrupt, PENDING, URGENT
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
@@ -71,8 +71,6 @@ class Process(Event):
         # Deliver before any other event at this instant.
         interrupt_event.callbacks = []
         interrupt_event.callbacks.append(self)
-        from repro.sim.core import URGENT
-
         self.env.schedule(interrupt_event, priority=URGENT)
 
     def _resume(self, event: Event) -> None:

@@ -1,15 +1,13 @@
-"""Shared resources: semaphores, counters, and item stores.
+"""Shared resources: a counting semaphore with a FIFO wait queue.
 
-These follow the SimPy resource idiom: ``request()``/``put()``/``get()``
-return events that a process yields; releasing wakes waiters in FIFO (or
-priority) order.
+This follows the SimPy resource idiom: ``request()`` returns an event
+that a process yields; releasing wakes waiters in FIFO order.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import TYPE_CHECKING, Any, List
+from typing import TYPE_CHECKING, List
 
 from repro.sim.events import Event
 
@@ -86,150 +84,3 @@ class Resource:
             nxt = self.queue.popleft()
             self.users.append(nxt)
             nxt.succeed()
-
-
-class PriorityRequest(Request):
-    """Request with a priority (lower value is served first)."""
-
-    __slots__ = ("priority", "time")
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0):
-        self.priority = priority
-        self.time = resource.env.now
-        super().__init__(resource)
-
-
-class PriorityResource(Resource):
-    """Resource whose wait queue is ordered by (priority, arrival)."""
-
-    def __init__(self, env: "Environment", capacity: int = 1):
-        super().__init__(env, capacity)
-        self._heap: List[Any] = []
-        self._seq = 0
-
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, request: Request) -> None:
-        if len(self.users) < self.capacity:
-            self.users.append(request)
-            request.succeed()
-        else:
-            self._seq += 1
-            heapq.heappush(
-                self._heap,
-                (getattr(request, "priority", 0), request.time, self._seq, request),
-            )
-            self.queue.append(request)
-
-    def release(self, request: Request) -> None:
-        if request in self.users:
-            self.users.remove(request)
-        elif request in self.queue:
-            self.queue.remove(request)
-            return
-        while self._heap and len(self.users) < self.capacity:
-            _, _, _, nxt = heapq.heappop(self._heap)
-            if nxt not in self.queue:
-                continue  # cancelled
-            self.queue.remove(nxt)
-            self.users.append(nxt)
-            nxt.succeed()
-
-
-class Container:
-    """A continuous quantity (e.g. tokens, bytes) with put/get events."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if init < 0 or init > capacity:
-            raise ValueError("init must be within [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._getters: List[Any] = []  # (amount, event)
-        self._putters: List[Any] = []
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        """Add *amount*; waits if it would exceed capacity."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        event = Event(self.env)
-        self._putters.append((amount, event))
-        self._trigger()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove *amount*; waits until that much is available."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        event = Event(self.env)
-        self._getters.append((amount, event))
-        self._trigger()
-        return event
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters:
-                amount, event = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._level += amount
-                    self._putters.pop(0)
-                    event.succeed()
-                    progress = True
-            if self._getters:
-                amount, event = self._getters[0]
-                if self._level >= amount:
-                    self._level -= amount
-                    self._getters.pop(0)
-                    event.succeed()
-                    progress = True
-
-
-class Store:
-    """FIFO store of arbitrary items with blocking put/get."""
-
-    def __init__(self, env: "Environment", capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: List[Any] = []
-        self._getters: List[Event] = []
-        self._putters: List[Any] = []  # (item, event)
-
-    def put(self, item: Any) -> Event:
-        event = Event(self.env)
-        self._putters.append((item, event))
-        self._trigger()
-        return event
-
-    def get(self) -> Event:
-        event = Event(self.env)
-        self._getters.append(event)
-        self._trigger()
-        return event
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def _trigger(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            while self._putters and len(self.items) < self.capacity:
-                item, event = self._putters.pop(0)
-                self.items.append(item)
-                event.succeed()
-                progress = True
-            while self._getters and self.items:
-                event = self._getters.pop(0)
-                event.succeed(self.items.pop(0))
-                progress = True

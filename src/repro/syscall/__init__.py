@@ -1,6 +1,6 @@
 """The system-call layer: the OS facade applications program against."""
 
 from repro.syscall.cpu import CPU
-from repro.syscall.os import OS, FileHandle, OpenFile
+from repro.syscall.os import OS, OpenFile
 
-__all__ = ["CPU", "FileHandle", "OS", "OpenFile"]
+__all__ = ["CPU", "OS", "OpenFile"]

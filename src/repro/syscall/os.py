@@ -22,24 +22,23 @@ from repro.block.queue import BlockQueue
 from repro.cache.cache import PageCache
 from repro.cache.writeback import WritebackConfig, WritebackDaemon
 from repro.core.costmodel import DiskCostModel, MemoryCostModel
-from repro.core.framework import SplitFramework
 from repro.core.hooks import SchedulerHooks
 from repro.core.tags import TagManager
 from repro.devices.hdd import HDD
 from repro.fs.ext4 import Ext4
 from repro.fs.inode import Inode
-from repro.obs.bus import StackBus, SyscallEnter, SyscallReturn
+from repro.obs.bus import PageDirtied, PageFreed, StackBus, SyscallEnter, SyscallReturn
 from repro.proc import ProcessTable, Task
 from repro.syscall.cpu import CPU
 from repro.units import GB
-from repro.vfs.handle import FileHandle, OpenFile, parse_mode
+from repro.vfs.handle import OpenFile, parse_mode
 from repro.vfs.vfs import VFS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.devices.base import Device
     from repro.sim.core import Environment
 
-__all__ = ["OS", "FileHandle", "OpenFile"]
+__all__ = ["OS", "OpenFile"]
 
 
 class OS:
@@ -141,9 +140,16 @@ class OS:
         self.memory_cost_model = MemoryCostModel()
         self.disk_cost_model = DiskCostModel(self.device)
 
-        self.framework = SplitFramework(self)
+        # The split framework's memory-level hooks (Table 2): a split
+        # scheduler observes page dirtying and freeing on the bus.  A
+        # block-only scheduler gets no memory hooks at all.
         if self.scheduler is not None:
-            self.framework.install(self.scheduler)
+            sched = self.scheduler
+            self.bus.subscribe(
+                PageDirtied, lambda e: sched.on_buffer_dirty(e.page, e.old_causes)
+            )
+            self.bus.subscribe(PageFreed, lambda e: sched.on_buffer_free(e.page))
+            sched.attach_stack(self)
 
     # -- process management -------------------------------------------------
 
@@ -209,12 +215,13 @@ class OS:
              mode: Optional[str] = None, causes=None, readahead: int = 0):
         """Generator: open (optionally creating) a file.
 
-        Legacy callers pass ``create=True``; frontends pass a Python
-        mode string (``"r"``, ``"r+"``, ``"w"``, ``"a"``, ``"x"``, …)
-        which implies its own create/truncate/append behaviour.  Like
-        the legacy path, plain opens publish no syscall hook events —
-        only the zero-cost ``VfsOpen`` bus event — so scheduler hook
-        sequences and fast-forward disturbance counters do not move.
+        ``create=True`` creates a missing file without truncating or
+        appending; a Python mode string (``"r"``, ``"r+"``, ``"w"``,
+        ``"a"``, ``"x"``, …) implies its own create/truncate/append
+        behaviour.  Opening an existing file publishes no syscall hook
+        events — only the zero-cost ``VfsOpen`` bus event — so
+        scheduler hook sequences and fast-forward disturbance counters
+        do not move.
         """
         flags = parse_mode(mode) if mode is not None else None
         inode = self.fs.lookup(path)

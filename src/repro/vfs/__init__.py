@@ -16,7 +16,7 @@ The package splits the stack's top edge in two:
   cause-tagged tenant.
 """
 
-from repro.vfs.handle import FileHandle, OpenFile, parse_mode
+from repro.vfs.handle import OpenFile, parse_mode
 from repro.vfs.path import (
     ancestors,
     basename,
@@ -30,7 +30,6 @@ from repro.vfs.vfs import VFS
 
 __all__ = [
     "VFS",
-    "FileHandle",
     "OpenFile",
     "ancestors",
     "basename",

@@ -2,8 +2,7 @@
 
 An :class:`OpenFile` is one *open file description* in the POSIX sense:
 an inode plus a cursor plus open flags, shared by every descriptor that
-``dup`` produced from the same ``open``.  It subsumes the old
-``FileHandle`` (which survives as an alias) and fixes two of its traps:
+``dup`` produced from the same ``open``.  It avoids two traps:
 
 - ``seek``/``pread``/``pwrite`` reject negative offsets with
   ``ValueError`` instead of silently producing nonsense;
@@ -16,8 +15,8 @@ advance it by the bytes transferred; ``pread``/``pwrite`` never touch
 ``pos``; in append mode every write targets end-of-file regardless of
 ``pos`` and leaves ``pos`` at the new end.
 
-Two optional per-handle behaviours, both off by default so legacy
-callers are byte-identical to the pre-VFS stack:
+Two optional per-handle behaviours, both off by default so a plain
+handle charges its caller and reads exactly what it is asked to:
 
 - ``causes``: a :class:`~repro.core.tags.CauseSet` charged for every
   byte this handle moves (the tenant attribution hook frontends use) —
@@ -153,9 +152,9 @@ class OpenFile:
     def append(self, nbytes: int):
         """Generator: write *nbytes* at end of file.
 
-        Unlike the old ``FileHandle.append``, the cursor advances to
-        the new end of file, so a subsequent ``write`` continues after
-        the appended bytes instead of overwriting them.
+        The cursor advances to the new end of file, so a subsequent
+        ``write`` continues after the appended bytes instead of
+        overwriting them.
         """
         self._check_writable()
         if nbytes < 0:
@@ -254,7 +253,3 @@ class OpenFile:
             f"<OpenFile fd={self.fd} {self.inode.path!r} "
             f"mode={self.mode!r} {state}>"
         )
-
-
-#: Backwards-compatible name: the pre-VFS handle class.
-FileHandle = OpenFile

@@ -6,6 +6,7 @@ from repro.block import BlockQueue, BlockRequest
 from repro.block.request import READ, WRITE
 from repro.core.tags import CauseSet
 from repro.devices import SSD
+from repro.obs.bus import BlockComplete
 from repro.proc import ProcessTable, Task
 from repro.schedulers.noop import Noop
 from repro.sim import Environment
@@ -104,7 +105,7 @@ def test_completion_listener_invoked():
     env, table, queue = make_stack()
     task = table.spawn("t")
     seen = []
-    queue.completion_listeners.append(seen.append)
+    queue.bus.subscribe(BlockComplete, lambda e: seen.append(e.request))
 
     def proc():
         yield queue.submit(BlockRequest(READ, 0, 1, task))
@@ -239,4 +240,4 @@ def test_queue_counters():
     env.process(proc())
     env.run()
     assert queue.submitted == queue.completed == 5
-    assert queue.in_flight is None
+    assert not queue.outstanding

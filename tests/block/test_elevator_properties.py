@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.block import BlockQueue, BlockRequest
 from repro.block.request import READ, WRITE
 from repro.devices import SSD
+from repro.obs.bus import BlockComplete
 from repro.proc import ProcessTable
 from repro.schedulers import BlockDeadline, CFQ, Noop
 from repro.sim import Environment
@@ -39,7 +40,7 @@ def test_all_requests_complete_exactly_once(name, specs):
     tasks = [table.spawn(f"t{i}", priority=i * 2) for i in range(4)]
     queue = BlockQueue(env, SSD(), elevator_factories()[name](), process_table=table)
     completed = []
-    queue.completion_listeners.append(lambda req: completed.append(req.id))
+    queue.bus.subscribe(BlockComplete, lambda e: completed.append(e.request.id))
 
     submitted_ids = []
 

@@ -17,6 +17,7 @@ from repro.devices import SSD
 from repro.devices.base import Device
 from repro.health import HealthMonitor
 from repro.metrics.recorders import fault_summary
+from repro.obs.bus import BlockComplete
 from repro.proc import ProcessTable
 from repro.schedulers.noop import Noop
 from repro.sim import Environment
@@ -83,8 +84,9 @@ def submit_batch(env, table, queue, n, stride=64, nblocks=16):
     event heap, so run-to-exhaustion overshoots the real makespan)."""
     task = table.spawn("t")
     done_at = [0.0]
-    queue.completion_listeners.append(
-        lambda _request: done_at.__setitem__(0, env.now)
+    queue.bus.subscribe(
+        BlockComplete,
+        lambda _e: done_at.__setitem__(0, env.now)
     )
 
     def proc():
@@ -168,7 +170,7 @@ def test_lost_race_adds_zero_latency():
 def test_each_request_completes_exactly_once():
     env, table, queue = make_stack(SkewedDevice(), hedge=True, warm_monitor=32)
     completions = []
-    queue.completion_listeners.append(completions.append)
+    queue.bus.subscribe(BlockComplete, lambda e: completions.append(e.request))
     submit_batch(env, table, queue, 32)
     assert queue.completed == 32
     assert len(completions) == 32
@@ -189,7 +191,7 @@ def test_hedged_batch_faster_than_unhedged():
 def test_hedge_marks_requests_and_summary():
     env, table, queue = make_stack(SkewedDevice(), hedge=True, warm_monitor=32)
     completions = []
-    queue.completion_listeners.append(completions.append)
+    queue.bus.subscribe(BlockComplete, lambda e: completions.append(e.request))
     submit_serial(env, table, queue, 4)
     assert all(request.hedged for request in completions)
     summary = fault_summary(queue)

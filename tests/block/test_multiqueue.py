@@ -84,16 +84,17 @@ def test_in_flight_is_oldest_outstanding():
     def proc():
         events = [queue.submit(BlockRequest(READ, i * 64, 16, task)) for i in range(8)]
         yield env.timeout(1e-6)  # mid-flight: several slots busy
-        observed.append((queue.in_flight, list(queue.outstanding), queue.inflight_count))
+        observed.append((list(queue.outstanding), queue.inflight_count))
         for e in events:
             yield e
 
     env.process(proc())
     env.run()
-    oldest, outstanding, count = observed[0]
+    outstanding, count = observed[0]
     assert count == len(outstanding) > 1
-    assert oldest is outstanding[0]
-    assert queue.in_flight is None and queue.inflight_count == 0
+    ids = [request.id for request in outstanding]
+    assert ids == sorted(ids)  # FIFO elevator: dispatch order is submit order
+    assert not queue.outstanding and queue.inflight_count == 0
 
 
 def test_kick_while_all_slots_busy_is_not_lost():

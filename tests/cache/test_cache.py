@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import PageCache, PageKey
 from repro.core.tags import CauseSet, TagManager
+from repro.obs.bus import PageDirtied, PageFreed
 from repro.proc import Task
 from repro.sim import Environment
 from repro.units import MB, PAGE_SIZE
@@ -50,11 +51,11 @@ def test_proxy_dirtying_attributes_to_served_tasks():
     assert page.causes == CauseSet([app.pid])
 
 
-def test_buffer_dirty_hook_reports_old_causes():
+def test_page_dirtied_reports_old_causes():
     env, tags, cache = make_cache()
     a, b = Task("a"), Task("b")
     calls = []
-    cache.buffer_dirty_hook = lambda page, old: calls.append((page.key, old))
+    cache.bus.subscribe(PageDirtied, lambda e: calls.append((e.page.key, e.old_causes)))
     key = PageKey(1, 5)
     cache.mark_dirty(key, a)
     cache.mark_dirty(key, b)
@@ -62,11 +63,11 @@ def test_buffer_dirty_hook_reports_old_causes():
     assert calls[1] == (key, CauseSet([a.pid]))
 
 
-def test_buffer_free_hook_fires_for_dirty_page_only():
+def test_page_freed_fires_for_dirty_page_only():
     env, tags, cache = make_cache()
     task = Task("t")
     freed = []
-    cache.buffer_free_hook = lambda page: freed.append(page.key)
+    cache.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key))
     dirty_key, clean_key = PageKey(1, 0), PageKey(1, 1)
     cache.mark_dirty(dirty_key, task)
     cache.insert_clean_run(1, [(1, 500)])

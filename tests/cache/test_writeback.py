@@ -4,6 +4,7 @@ import pytest
 
 from repro import Environment, OS, SSD, KB, MB
 from repro.cache.writeback import WritebackConfig
+from repro.obs.bus import BlockComplete
 from repro.schedulers.noop import Noop
 
 
@@ -121,9 +122,10 @@ def test_writeback_submits_as_proxy_with_true_causes():
     env, machine = make_os(memory=256 * MB, config=config)
     a, b = machine.spawn("a"), machine.spawn("b")
     observed = []
-    machine.block_queue.completion_listeners.append(
-        lambda req: observed.append((req.submitter.name, set(req.causes)))
-        if req.is_write and not req.metadata
+    machine.block_queue.bus.subscribe(
+        BlockComplete,
+        lambda e: observed.append((e.request.submitter.name, set(e.request.causes)))
+        if e.request.is_write and not e.request.metadata
         else None
     )
 

@@ -1,9 +1,7 @@
 """Tests for the split hook table (Table 2) and hook base classes."""
 
-import pytest
-
 from repro.core.hooks import SPLIT_HOOK_TABLE, SYSCALL_HOOKS, SchedulerHooks, SplitScheduler
-from repro.core.framework import FRAMEWORK_PROPERTIES, SplitFramework
+from repro.core.framework import FRAMEWORK_PROPERTIES
 from repro.proc import Task
 
 
@@ -66,18 +64,11 @@ def test_split_scheduler_is_its_own_elevator():
 
 
 def test_framework_properties_table():
-    assert SplitFramework.properties("split") == {
+    assert FRAMEWORK_PROPERTIES["split"] == {
         "cause_mapping": True,
         "cost_estimation": True,
         "reordering": True,
     }
-    assert not SplitFramework.properties("block")["cause_mapping"]
-    assert not SplitFramework.properties("syscall")["cost_estimation"]
-    with pytest.raises(ValueError):
-        SplitFramework.properties("userspace")
-
-
-def test_properties_returns_copies():
-    row = SplitFramework.properties("split")
-    row["cause_mapping"] = False
-    assert FRAMEWORK_PROPERTIES["split"]["cause_mapping"] is True
+    assert not FRAMEWORK_PROPERTIES["block"]["cause_mapping"]
+    assert not FRAMEWORK_PROPERTIES["syscall"]["cost_estimation"]
+    assert set(FRAMEWORK_PROPERTIES) == {"block", "syscall", "split"}

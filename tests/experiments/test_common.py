@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import StackConfig
 from repro.devices import HDD, SSD
 from repro.experiments.common import build_stack, drive, format_table, make_device, run_for
 from repro.fs.xfs import XFS
@@ -17,24 +18,26 @@ def test_make_device_kinds():
 
 
 def test_build_stack_defaults():
-    env, machine = build_stack(scheduler=Noop(), memory_bytes=64 * MB)
+    env, machine = build_stack(StackConfig(scheduler=Noop(), memory_bytes=64 * MB))
     assert machine.fs.name == "ext4"
     assert machine.cache.memory_bytes == 64 * MB
 
 
 def test_build_stack_with_fs_class():
-    env, machine = build_stack(scheduler=Noop(), fs_class=XFS, memory_bytes=64 * MB)
+    env, machine = build_stack(StackConfig(scheduler=Noop(), fs=XFS, memory_bytes=64 * MB))
     assert machine.fs.name == "xfs"
     assert machine.fs.full_integration is False
 
 
 def test_build_stack_writeback_toggle():
-    env, machine = build_stack(scheduler=Noop(), writeback_enabled=False, memory_bytes=64 * MB)
+    env, machine = build_stack(
+        StackConfig(scheduler=Noop(), writeback_enabled=False, memory_bytes=64 * MB)
+    )
     assert not machine.writeback.enabled
 
 
 def test_drive_and_run_for():
-    env, machine = build_stack(scheduler=Noop(), memory_bytes=64 * MB)
+    env, machine = build_stack(StackConfig(scheduler=Noop(), memory_bytes=64 * MB))
     machine.spawn("t")
 
     def proc():
@@ -61,14 +64,14 @@ def test_build_stack_installs_and_clears_fault_plan():
 
     common.set_default_fault_plan(FaultPlan(read_error_prob=0.5), seed=3)
     try:
-        env, machine = common.build_stack(scheduler=Noop(), memory_bytes=64 * MB)
+        env, machine = common.build_stack(StackConfig(scheduler=Noop(), memory_bytes=64 * MB))
         assert isinstance(machine.block_queue.device, FaultyDevice)
         summaries = common.drain_fault_summaries()
         assert len(summaries) == 1
         assert summaries[0]["device"].startswith("faulty-")
     finally:
         common.clear_default_fault_plan()
-    env, machine = common.build_stack(scheduler=Noop(), memory_bytes=64 * MB)
+    env, machine = common.build_stack(StackConfig(scheduler=Noop(), memory_bytes=64 * MB))
     assert not isinstance(machine.block_queue.device, FaultyDevice)
 
 
@@ -78,7 +81,7 @@ def test_empty_fault_plan_is_not_installed():
 
     common.set_default_fault_plan(FaultPlan(), seed=1)  # empty: a no-op
     try:
-        env, machine = common.build_stack(scheduler=Noop(), memory_bytes=64 * MB)
+        env, machine = common.build_stack(StackConfig(scheduler=Noop(), memory_bytes=64 * MB))
         assert not isinstance(machine.block_queue.device, FaultyDevice)
     finally:
         common.clear_default_fault_plan()

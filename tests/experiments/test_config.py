@@ -8,7 +8,7 @@ from repro.experiments.common import build_stack
 from repro.faults import FaultPlan
 from repro.faults.plan import FaultWindow, SlowWindow
 from repro.fs import XFS, Ext4
-from repro.schedulers import CFQ, SplitToken
+from repro.schedulers import CFQ, SplitToken, make_scheduler
 from repro.units import MB
 
 
@@ -75,11 +75,19 @@ def test_validation_rejects_bad_fields():
 
 def test_instance_fields_resolve_and_serialize():
     config = StackConfig(scheduler=CFQ(), fs=Ext4)
-    assert config.scheduler_name() == "cfq"
-    assert config.to_dict()["scheduler"] == "cfq"
-    assert config.to_dict()["fs"] == "ext4"
+    with pytest.raises(ValueError, match="REGISTRY name"):
+        config.to_dict()
+    assert config.replace(scheduler="cfq").to_dict()["fs"] == "ext4"
     assert config.make_scheduler() is config.scheduler  # instances pass through
     assert isinstance(StackConfig(scheduler="split-token").make_scheduler(), SplitToken)
+
+
+def test_tuned_scheduler_does_not_serialize_as_a_default_one():
+    tuned = make_scheduler("split-deadline", own_writeback=True, fsync_deadline=0.005)
+    with pytest.raises(ValueError):
+        StackConfig(scheduler=tuned).to_dict()
+    named = StackConfig(scheduler="split-deadline")
+    assert StackConfig.from_dict(named.to_dict()) == named
 
 
 def test_unnameable_scheduler_fails_to_serialize():
@@ -98,14 +106,11 @@ def test_replace_returns_updated_copy():
     assert deep.device == "ssd"
 
 
-def test_from_kwargs_accepts_legacy_spellings():
-    config = StackConfig.from_kwargs(
-        device="ssd", fs_class=XFS, writeback_config=WritebackConfig(dirty_ratio=0.4),
-        memory_bytes=128 * MB,
-    )
-    assert config.fs is XFS
-    assert config.writeback.dirty_ratio == 0.4
-    assert config.memory_bytes == 128 * MB
+def test_legacy_field_spellings_are_rejected():
+    with pytest.raises(TypeError):
+        StackConfig(fs_class=XFS)
+    with pytest.raises(TypeError):
+        StackConfig(writeback_config=WritebackConfig(dirty_ratio=0.4))
 
 
 def test_build_stack_consumes_config():
@@ -123,7 +128,6 @@ def test_build_stack_rejects_config_plus_kwargs():
         build_stack(StackConfig(), memory_bytes=64 * MB)
 
 
-def test_build_stack_legacy_kwargs_still_work():
-    env, machine = build_stack(memory_bytes=64 * MB, device="hdd")
-    assert machine.block_queue.queue_depth == 1
-    assert machine.block_queue.device.name == "hdd"
+def test_build_stack_rejects_keyword_fields():
+    with pytest.raises(TypeError):
+        build_stack(memory_bytes=64 * MB, device="hdd")

@@ -84,8 +84,8 @@ def test_power_loss_mid_commit_discards_committing_txn():
     queue = machine.block_queue
     while not (
         journal.committing is not None
-        and queue.in_flight is not None
-        and queue.in_flight.metadata
+        and queue.outstanding
+        and queue.outstanding[0].metadata
     ):
         env.step()
 

@@ -5,6 +5,7 @@ import pytest
 from repro import Environment, OS, HDD, SSD, KB, MB
 from repro.cache.page import PageKey
 from repro.fs.xfs import XFS
+from repro.obs.bus import BlockComplete, PageFreed
 from repro.schedulers.noop import Noop
 from repro.units import PAGE_SIZE
 
@@ -200,7 +201,7 @@ def test_unlink_discards_dirty_buffers():
     env, machine = make_os()
     task = machine.spawn("t")
     freed = []
-    machine.cache.buffer_free_hook = lambda page: freed.append(page.key)
+    machine.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key))
 
     def proc():
         handle = yield from machine.creat(task, "/f")
@@ -262,8 +263,9 @@ def test_xfs_partial_integration_mislabels_journal_writes():
     for name, env, machine in (("ext4", env_e, ext4_machine), ("xfs", env_x, xfs_machine)):
         task = machine.spawn("app")
         journal_causes = []
-        machine.block_queue.completion_listeners.append(
-            lambda req, acc=journal_causes: acc.append((req.metadata, req.causes))
+        machine.block_queue.bus.subscribe(
+            BlockComplete,
+            lambda e, acc=journal_causes: acc.append((e.request.metadata, e.request.causes))
         )
 
         def proc(machine=machine, task=task):
@@ -380,7 +382,7 @@ def test_truncate_discards_dirty_tail_with_hook():
     env, machine = make_os()
     task = machine.spawn("t")
     freed = []
-    machine.cache.buffer_free_hook = lambda page: freed.append(page.key.index)
+    machine.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key.index))
 
     def proc():
         handle = yield from machine.creat(task, "/f")

@@ -3,6 +3,7 @@
 
 from repro import Environment, OS, SSD, KB, MB
 from repro.fs.journal import Transaction
+from repro.obs.bus import BlockComplete
 from repro.schedulers.noop import Noop
 
 
@@ -97,8 +98,9 @@ def test_commit_writes_go_to_journal_area():
     task = machine.spawn("t")
     journal = machine.fs.journal
     journal_writes = []
-    machine.block_queue.completion_listeners.append(
-        lambda req: journal_writes.append(req.block) if req.metadata else None
+    machine.block_queue.bus.subscribe(
+        BlockComplete,
+        lambda e: journal_writes.append(e.request.block) if e.request.metadata else None
     )
     journal.add_metadata(task, 5)
 
@@ -170,9 +172,10 @@ def test_checkpointer_writes_metadata_in_place():
     task = machine.spawn("t")
     in_place = []
     journal = machine.fs.journal
-    machine.block_queue.completion_listeners.append(
-        lambda req: in_place.append(req.block)
-        if req.metadata and req.block < journal.area_start
+    machine.block_queue.bus.subscribe(
+        BlockComplete,
+        lambda e: in_place.append(e.request.block)
+        if e.request.metadata and e.request.block < journal.area_start
         else None
     )
     journal.add_metadata(task, 3)

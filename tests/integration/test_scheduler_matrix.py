@@ -9,6 +9,7 @@ run the same mixed workload under all seven schedulers.
 import pytest
 
 from repro import Environment, OS, SSD, KB, MB
+from repro.obs.bus import BlockComplete
 from repro.schedulers import (
     AFQ,
     BlockDeadline,
@@ -116,8 +117,11 @@ def test_split_schedulers_see_true_causes(name):
     env, machine = make_os(name)
     app = machine.spawn("app")
     observed = []
-    machine.block_queue.completion_listeners.append(
-        lambda req: observed.append(set(req.causes)) if req.is_write and not req.metadata else None
+    machine.block_queue.bus.subscribe(
+        BlockComplete,
+        lambda e: observed.append(set(e.request.causes))
+        if e.request.is_write and not e.request.metadata
+        else None,
     )
 
     def proc():

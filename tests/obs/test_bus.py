@@ -1,12 +1,10 @@
-"""StackBus mechanics: typed dispatch, legacy shims, zero-cost-off."""
+"""StackBus mechanics: typed dispatch, stack-wide sharing, zero-cost-off."""
 
 import pytest
 
 from repro import MB, Environment, OS, SSD
 from repro.obs.bus import (
     EVENT_TYPES,
-    BlockComplete,
-    PageDirtied,
     StackBus,
     SyscallEnter,
 )
@@ -87,56 +85,3 @@ def test_every_layer_shares_one_bus():
     assert machine.block_queue.bus is machine.bus
     assert machine.fs.bus is machine.bus
     assert machine.fs.journal.bus is machine.bus
-
-
-def test_legacy_buffer_dirty_hook_is_bus_backed():
-    env, machine = make_os()
-    hook_pages, bus_pages = [], []
-    machine.cache.buffer_dirty_hook = lambda page, old: hook_pages.append(page)
-    machine.bus.subscribe(PageDirtied, lambda e: bus_pages.append(e.page))
-    write_some(env, machine)
-    assert hook_pages and bus_pages
-    assert hook_pages == bus_pages
-
-
-def test_legacy_hook_single_slot_replacement():
-    env, machine = make_os()
-    first, second = [], []
-    machine.cache.buffer_dirty_hook = lambda page, old: first.append(page)
-    machine.cache.buffer_dirty_hook = lambda page, old: second.append(page)
-    assert machine.cache.buffer_dirty_hook is not None
-    write_some(env, machine)
-    assert not first  # replaced before the run: one-slot semantics
-    assert second
-    machine.cache.buffer_dirty_hook = None
-    assert machine.cache.buffer_dirty_hook is None
-
-
-def test_completion_listener_shim_append_remove():
-    env, machine = make_os()
-    seen = []
-    listener = seen.append
-    machine.block_queue.completion_listeners.append(listener)
-    assert len(machine.block_queue.completion_listeners) == 1
-    assert list(machine.block_queue.completion_listeners) == [listener]
-    write_some(env, machine)
-    assert seen
-    count = len(seen)
-    machine.block_queue.completion_listeners.remove(listener)
-    write_some(env, machine, path="/g")
-    assert len(seen) == count
-    with pytest.raises(ValueError):
-        machine.block_queue.completion_listeners.remove(listener)
-
-
-def test_listeners_and_bus_subscribers_share_dispatch():
-    env, machine = make_os()
-    order = []
-    machine.block_queue.completion_listeners.append(
-        lambda request: order.append("legacy")
-    )
-    machine.bus.subscribe(BlockComplete, lambda e: order.append("bus"))
-    write_some(env, machine)
-    assert "legacy" in order and "bus" in order
-    # Subscription order == dispatch order: legacy attached first.
-    assert order[0] == "legacy" and order[1] == "bus"

@@ -2,6 +2,8 @@
 
 
 from repro import Environment, OS, SSD, HDD, KB, MB
+from repro.block.request import READ, BlockRequest
+from repro.obs.bus import BlockComplete
 from repro.schedulers import AFQ
 
 
@@ -80,7 +82,7 @@ def test_block_writes_dispatch_before_reads():
     from repro.block.request import BlockRequest, READ, WRITE
 
     order = []
-    machine.block_queue.completion_listeners.append(lambda r: order.append(r.op))
+    machine.block_queue.bus.subscribe(BlockComplete, lambda e: order.append(e.request.op))
 
     def proc():
         # Occupy the device, then queue one read and one write.
@@ -198,3 +200,20 @@ def test_memory_overwriters_run_at_memory_speed():
     env.run(until=0.5)
     total = sum(t.rate(0.5) for t in trackers) / MB
     assert total > 1000  # memory speed, not disk speed (~110 MB/s)
+
+
+def test_idle_gate_sees_every_outstanding_request():
+    """At depth > 1 a busy request behind an idle one still blocks idle."""
+    env = Environment()
+    afq = AFQ()
+    machine = OS(env, device=SSD(), scheduler=afq, memory_bytes=64 * MB, queue_depth=4)
+    idle = machine.spawn("idle", idle_class=True)
+    busy = machine.spawn("busy")
+    idle_req = BlockRequest(READ, 0, 1, idle)
+    busy_req = BlockRequest(READ, 64, 1, busy)
+    assert env.now - afq._last_nonidle_activity > afq.idle_grace
+    for outstanding in ([idle_req, busy_req], [busy_req, idle_req]):
+        machine.block_queue.outstanding[:] = outstanding
+        assert afq._system_busy(idle)
+    machine.block_queue.outstanding[:] = [idle_req]
+    assert not afq._system_busy(idle)

@@ -3,6 +3,7 @@
 from repro.block import BlockQueue, BlockRequest
 from repro.block.request import READ, WRITE
 from repro.devices import SSD, HDD
+from repro.obs.bus import BlockComplete
 from repro.proc import ProcessTable
 from repro.schedulers.block_deadline import BlockDeadline
 from repro.sim import Environment
@@ -20,7 +21,7 @@ def test_location_order_when_no_deadline_pressure():
     env, table, queue = make_stack(sched, device=HDD())
     task = table.spawn("t")
     order = []
-    queue.completion_listeners.append(lambda req: order.append(req.block))
+    queue.bus.subscribe(BlockComplete, lambda e: order.append(e.request.block))
 
     def proc():
         blocks = [5000, 100, 3000, 200]
@@ -39,7 +40,7 @@ def test_expired_request_preempts_sorted_order():
     env, table, queue = make_stack(sched, device=HDD())
     task = table.spawn("t")
     order = []
-    queue.completion_listeners.append(lambda req: order.append((req.op, req.block)))
+    queue.bus.subscribe(BlockComplete, lambda e: order.append((e.request.op, e.request.block)))
 
     def proc():
         # A slow write keeps the device busy while the read expires.
@@ -73,7 +74,7 @@ def test_writes_not_starved_forever():
     env, table, queue = make_stack(sched, device=HDD())
     task = table.spawn("t")
     order = []
-    queue.completion_listeners.append(lambda req: order.append(req.op))
+    queue.bus.subscribe(BlockComplete, lambda e: order.append(e.request.op))
 
     def proc():
         events = []

@@ -3,6 +3,7 @@
 from repro.block import BlockQueue, BlockRequest
 from repro.block.request import READ
 from repro.devices import HDD, SSD
+from repro.obs.bus import BlockComplete
 from repro.proc import ProcessTable
 from repro.schedulers.cfq import CFQ, priority_weight
 from repro.sim import Environment
@@ -68,7 +69,7 @@ def test_idle_class_starved_while_others_active():
         idle_req = BlockRequest(READ, 5000, 1, idle)
         normal_reqs = [BlockRequest(READ, i * 10, 1, normal) for i in range(5)]
         events = [queue.submit(idle_req)] + [queue.submit(r) for r in normal_reqs]
-        queue.completion_listeners.append(lambda req: order.append(req.submitter.name))
+        queue.bus.subscribe(BlockComplete, lambda e: order.append(e.request.submitter.name))
         for e in events:
             yield e
 
@@ -84,7 +85,7 @@ def test_anticipation_holds_disk_for_sync_reader():
     reader = table.spawn("reader")
     other = table.spawn("other")
     order = []
-    queue.completion_listeners.append(lambda req: order.append(req.submitter.name))
+    queue.bus.subscribe(BlockComplete, lambda e: order.append(e.request.submitter.name))
 
     def reader_proc():
         # Sequential dependent reads with tiny think time.

@@ -3,6 +3,7 @@
 from repro.block import BlockQueue, BlockRequest
 from repro.block.request import READ
 from repro.devices import HDD, SSD
+from repro.obs.bus import BlockComplete
 from repro.proc import ProcessTable
 from repro.schedulers.cfq import CFQ
 from repro.sim import Environment
@@ -36,7 +37,7 @@ def test_slices_rotate_across_queues():
     cfq = CFQ(base_slice=0.01)
     env, table, queue = make_stack(cfq, device=HDD())
     served = set()
-    queue.completion_listeners.append(lambda req: served.add(req.submitter.name))
+    queue.bus.subscribe(BlockComplete, lambda e: served.add(e.request.submitter.name))
 
     def worker(task, base):
         for i in range(4):

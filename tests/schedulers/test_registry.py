@@ -58,10 +58,12 @@ def test_unknown_name_lists_choices():
 
 
 def test_build_stack_accepts_scheduler_name():
+    from repro.config import StackConfig
     from repro.experiments.common import build_stack
 
-    env, machine = build_stack(scheduler="split-token", device="ssd",
-                               memory_bytes=64 * MB)
+    env, machine = build_stack(
+        StackConfig(scheduler="split-token", device="ssd", memory_bytes=64 * MB)
+    )
     assert isinstance(machine.scheduler, SplitToken)
 
 

@@ -2,6 +2,7 @@
 
 
 from repro import Environment, OS, SSD, HDD, KB, MB
+from repro.obs.bus import BlockComplete
 from repro.schedulers import SplitDeadline
 
 
@@ -126,8 +127,9 @@ def test_block_level_sync_writes_before_async():
     from repro.block.request import BlockRequest, READ, WRITE
 
     order = []
-    machine.block_queue.completion_listeners.append(
-        lambda r: order.append((r.op, r.sync))
+    machine.block_queue.bus.subscribe(
+        BlockComplete,
+        lambda e: order.append((e.request.op, e.request.sync))
     )
 
     def proc():
@@ -150,7 +152,7 @@ def test_expired_read_preempts_sync_writes():
     from repro.block.request import BlockRequest, READ, WRITE
 
     order = []
-    machine.block_queue.completion_listeners.append(lambda r: order.append(r.op))
+    machine.block_queue.bus.subscribe(BlockComplete, lambda e: order.append(e.request.op))
 
     def proc():
         first = machine.block_queue.submit(BlockRequest(WRITE, 0, 2048, task, sync=True))

@@ -1,8 +1,8 @@
-"""Tests for Resource, PriorityResource, Container, and Store."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityResource, Resource, Store
+from repro.sim import Environment, Resource
 
 
 def test_resource_capacity_must_be_positive():
@@ -94,152 +94,3 @@ def test_resource_release_without_grant_removes_from_queue():
     env.run()
     assert p.value == "gave up"
     assert not res.queue
-
-
-def test_priority_resource_serves_low_priority_value_first():
-    env = Environment()
-    res = PriorityResource(env, capacity=1)
-    order = []
-
-    def holder(env):
-        with res.request(priority=0) as req:
-            yield req
-            yield env.timeout(5)
-
-    def waiter(env, prio, name, delay):
-        yield env.timeout(delay)
-        with res.request(priority=prio) as req:
-            yield req
-            order.append(name)
-            yield env.timeout(1)
-
-    env.process(holder(env))
-    env.process(waiter(env, 5, "low", 1))
-    env.process(waiter(env, 1, "high", 2))
-    env.process(waiter(env, 3, "mid", 3))
-    env.run()
-    assert order == ["high", "mid", "low"]
-
-
-def test_container_put_get_levels():
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-
-    def proc(env):
-        yield tank.get(30)
-        assert tank.level == 20
-        yield tank.put(60)
-        assert tank.level == 80
-
-    env.process(proc(env))
-    env.run()
-    assert tank.level == 80
-
-
-def test_container_get_blocks_until_available():
-    env = Environment()
-    tank = Container(env, capacity=100, init=0)
-    times = []
-
-    def getter(env):
-        yield tank.get(10)
-        times.append(env.now)
-
-    def putter(env):
-        yield env.timeout(4)
-        yield tank.put(10)
-
-    env.process(getter(env))
-    env.process(putter(env))
-    env.run()
-    assert times == [4]
-
-
-def test_container_put_blocks_at_capacity():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    times = []
-
-    def putter(env):
-        yield tank.put(5)
-        times.append(env.now)
-
-    def getter(env):
-        yield env.timeout(3)
-        yield tank.get(5)
-
-    env.process(putter(env))
-    env.process(getter(env))
-    env.run()
-    assert times == [3]
-
-
-def test_container_rejects_bad_amounts():
-    env = Environment()
-    tank = Container(env, capacity=10, init=5)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)
-    with pytest.raises(ValueError):
-        Container(env, capacity=10, init=11)
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    got = []
-
-    def producer(env):
-        for item in "xyz":
-            yield store.put(item)
-            yield env.timeout(1)
-
-    def consumer(env):
-        for _ in range(3):
-            item = yield store.get()
-            got.append(item)
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert got == ["x", "y", "z"]
-
-
-def test_store_get_blocks_on_empty():
-    env = Environment()
-    store = Store(env)
-    times = []
-
-    def consumer(env):
-        yield store.get()
-        times.append(env.now)
-
-    def producer(env):
-        yield env.timeout(7)
-        yield store.put("late")
-
-    env.process(consumer(env))
-    env.process(producer(env))
-    env.run()
-    assert times == [7]
-
-
-def test_store_capacity_blocks_put():
-    env = Environment()
-    store = Store(env, capacity=1)
-    times = []
-
-    def producer(env):
-        yield store.put(1)
-        yield store.put(2)
-        times.append(env.now)
-
-    def consumer(env):
-        yield env.timeout(5)
-        yield store.get()
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert times == [5]

@@ -4,6 +4,7 @@ import pytest
 
 from repro import Environment, OS, SSD, KB, MB
 from repro.core.hooks import SchedulerHooks
+from repro.obs.bus import PageDirtied, PageFreed
 from repro.schedulers import CFQ, SplitNoop
 from repro.syscall.cpu import CPU
 
@@ -28,7 +29,9 @@ def test_block_scheduler_installs_as_elevator_without_hooks():
     machine = OS(env, scheduler=cfq)
     assert machine.elevator is cfq
     assert machine.scheduler is None  # no syscall/memory hooks
-    assert machine.cache.buffer_dirty_hook is None
+    # The paper's information gap: a block scheduler never sees buffers.
+    assert not machine.bus.listeners(PageDirtied)
+    assert not machine.bus.listeners(PageFreed)
 
 
 def test_split_scheduler_wires_all_layers():
@@ -37,7 +40,7 @@ def test_split_scheduler_wires_all_layers():
     machine = OS(env, scheduler=split)
     assert machine.elevator is split
     assert machine.scheduler is split
-    assert machine.cache.buffer_dirty_hook is not None
+    assert len(machine.bus.listeners(PageDirtied)) == 1
     assert split.os is machine
 
 
@@ -47,13 +50,6 @@ def test_unsupported_scheduler_rejected():
         OS(env, scheduler="fifo")
     with pytest.raises(TypeError):
         OS(env, scheduler=object())
-
-
-def test_double_install_rejected():
-    env = Environment()
-    machine = OS(env, scheduler=SplitNoop())
-    with pytest.raises(RuntimeError):
-        machine.framework.install(SplitNoop())
 
 
 def test_open_missing_file_raises():

@@ -245,6 +245,28 @@ def bench_cache_mark_dirty(repeats: int) -> dict:
     return {"pages": pages, "us_per_page": round(best * 1e6 / pages, 4)}
 
 
+def bench_cache_overwrite_shared(repeats: int) -> dict:
+    """256 tasks each overwrite one shared 16-page dirty range.
+
+    The fig15 write-mem pattern, one range call per write: once every
+    page's cause set holds all 256 writers, an overwrite adds no pid,
+    so it must neither copy the set nor re-price its tag.
+    """
+    tasks, pages = 256, 16
+    env = Environment()
+    cache = PageCache(env, TagManager(), memory_bytes=64 * MB)
+    writers = [Task(f"w{i}") for i in range(tasks)]
+    block_map = {i: i for i in range(pages)}
+
+    def run():
+        for task in writers:
+            cache.mark_dirty_range(1, 0, pages, block_map, task)
+
+    run()  # the warm-up pass builds the shared 256-pid sets
+    best = _best_of(run, repeats)
+    return {"tasks": tasks, "pages": pages, "us_per_page": round(best * 1e6 / (tasks * pages), 4)}
+
+
 def bench_cache_hit_lookup(repeats: int) -> dict:
     """One read's range lookup over resident pages (every page a hit)."""
     lookups = 4096
@@ -345,6 +367,7 @@ MICROBENCHES = {
     "cached_write_syscall": bench_cached_write_syscall,
     "vfs_open_close": bench_vfs_open_close,
     "cache_mark_dirty": bench_cache_mark_dirty,
+    "cache_overwrite_shared": bench_cache_overwrite_shared,
     "cache_hit_lookup": bench_cache_hit_lookup,
     "mq_dispatch": bench_mq_dispatch,
     "shard_sync": bench_shard_sync,

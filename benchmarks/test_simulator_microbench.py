@@ -76,6 +76,25 @@ def test_cache_mark_dirty_hot_path(benchmark):
     assert cache.dirty_pages > 0
 
 
+def test_cache_overwrite_shared_hot_path(benchmark):
+    """256 writers overwrite one 16-page dirty range, one range call each."""
+    env = Environment()
+    tags = TagManager()
+    cache = PageCache(env, tags, memory_bytes=64 * MB)
+    writers = [Task(f"w{i}") for i in range(256)]
+    block_map = {i: i for i in range(16)}
+
+    def overwrite_batch():
+        for task in writers:
+            cache.mark_dirty_range(1, 0, 16, block_map, task)
+
+    benchmark(overwrite_batch)
+    assert cache.dirty_pages == 16
+    assert tags.bytes_allocated == 16 * (
+        TagManager.TAG_OVERHEAD_BASE + 256 * TagManager.TAG_OVERHEAD_PER_PID
+    )
+
+
 def test_cache_hit_lookup_hot_path(benchmark):
     env = Environment()
     cache = PageCache(env, TagManager(), memory_bytes=64 * MB)

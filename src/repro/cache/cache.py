@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.cache.page import Page, PageKey
 from repro.core.tags import EMPTY_CAUSES, TagManager
@@ -15,7 +15,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.proc import Task
     from repro.sim.core import Environment
 
-#: ``mark_dirty``'s marker for a key absent from the clean LRU (a clean
+#: ``mark_dirty_range``'s marker for a key absent from the clean LRU (a clean
 #: page's disk block may itself be None).
 _UNCACHED = object()
 
@@ -171,39 +171,73 @@ class PageCache:
             lru[(inode_id, index)] = block
         self._maybe_evict()
 
-    def mark_dirty(self, key: PageKey, task: "Task") -> Page:
-        """Dirty a page on behalf of *task* (or its proxied causes).
+    def mark_dirty_range(
+        self,
+        inode_id: int,
+        first: int,
+        stop: int,
+        block_map: Mapping[int, int],
+        task: "Task",
+    ) -> Optional[Page]:
+        """Dirty pages ``first..stop-1`` of a file on behalf of *task*.
 
-        Fires the buffer-dirty hook with the page's previous causes so
-        a scheduler can shift accounting to the last writer if its
-        policy wants that (§4.2).
+        This is the buffered write path's one cache call.  Each page is
+        dirtied in file order exactly as on its own: an uncached page is
+        born (and may evict a clean one), an already-dirty page counts
+        as an overwrite and merges *task*'s causes into its own, and the
+        buffer-dirty hook fires with the page's previous causes so a
+        scheduler can shift accounting to the last writer if its policy
+        wants that (§4.2).  After its hook, a page takes its disk block
+        from *block_map* when the file has one there (otherwise its
+        allocation stays delayed).  Returns the last page dirtied.
         """
         causes = self.tags.current_causes(task)
-        page = self._pages.get(key)
-        if page is None:
-            # Clean (or uncached) -> dirty: the page object is born here.
-            block = self._clean_lru.pop(key, _UNCACHED)
-            page = Page(key, self, None if block is _UNCACHED else block)
-            self._pages[key] = page
-            if block is _UNCACHED:
-                self._maybe_evict()
-            old_causes = EMPTY_CAUSES
-            page.dirty = True
-            page.dirtied_at = self.env.now
-            page.causes = causes
-            self._dirty_by_inode.setdefault(key.inode_id, OrderedDict())[key] = None
-            self.dirty_bytes += PAGE_SIZE
-        else:
-            old_causes = page.causes
-            self.overwrites += 1
-            page.causes = page.causes | causes
-            if page.under_writeback:
-                page.redirtied = True
-        self.tags.account_tag(page, page.causes)
-
-        if self._sub_dirtied:
-            self.bus.publish(PageDirtied(self.env.now, page, old_causes))
+        account_tag = self.tags.account_tag
+        pages, lru, by_inode = self._pages, self._clean_lru, self._dirty_by_inode
+        subscribers, publish = self._sub_dirtied, self.bus.publish
+        now = self.env.now
+        page = None
+        for index in range(first, stop):
+            page = pages.get((inode_id, index))
+            if page is None:
+                # Clean (or uncached) -> dirty: the page object is born here.
+                block = lru.pop((inode_id, index), _UNCACHED)
+                key = PageKey(inode_id, index)
+                page = Page(key, self, None if block is _UNCACHED else block)
+                pages[key] = page
+                if block is _UNCACHED:
+                    self._maybe_evict()
+                old_causes = EMPTY_CAUSES
+                page.dirty = True
+                page.dirtied_at = now
+                page.causes = causes
+                dirty = by_inode.get(inode_id)
+                if dirty is None:
+                    dirty = by_inode[inode_id] = OrderedDict()
+                dirty[key] = None
+                self.dirty_bytes += PAGE_SIZE
+                account_tag(page, causes)
+            else:
+                old_causes = page.causes
+                self.overwrites += 1
+                merged = old_causes | causes
+                if merged is not old_causes:
+                    # Re-price the tag only when the cause set grew.
+                    page.causes = merged
+                    account_tag(page, merged)
+                if page.under_writeback:
+                    page.redirtied = True
+            if subscribers:
+                publish(PageDirtied(now, page, old_causes))
+            block = block_map.get(index)
+            if block is not None:
+                page.disk_block = block
         return page
+
+    def mark_dirty(self, key: PageKey, task: "Task") -> Page:
+        """Dirty one page: :meth:`mark_dirty_range` over *key* alone,
+        leaving its disk block as it is."""
+        return self.mark_dirty_range(key.inode_id, key.index, key.index + 1, {}, task)
 
     def page_cleaned(self, page: Page) -> None:
         """Writeback for *page* finished and it was not re-dirtied.

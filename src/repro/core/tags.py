@@ -32,7 +32,13 @@ class CauseSet:
         return cls(task.pid for task in tasks)
 
     def union(self, other: "CauseSet") -> "CauseSet":
-        return CauseSet(self.pids | other.pids)
+        """The union; an operand that already holds it is returned as is."""
+        mine, theirs = self.pids, other.pids
+        if theirs <= mine:
+            return self
+        if mine <= theirs:
+            return other
+        return CauseSet(mine | theirs)
 
     def __or__(self, other: "CauseSet") -> "CauseSet":
         return self.union(other)

@@ -266,16 +266,13 @@ class FileSystem:
         if nbytes <= 0:
             return 0
         self.writes += 1
-        first_page = offset // PAGE_SIZE
-        last_page = (offset + nbytes - 1) // PAGE_SIZE
-        block_map = inode.block_map
-        for index in range(first_page, last_page + 1):
-            page = self.cache.mark_dirty(PageKey(inode.id, index), task)
-            existing = block_map.get(index)
-            if existing is not None:
-                page.disk_block = existing
-            # else: delayed allocation — the location stays unknown and
-            # the allocation joins the journal at writeback time.
+        # A page the block map lacks keeps delayed allocation: its
+        # location stays unknown and the allocation joins the journal
+        # at writeback time.
+        self.cache.mark_dirty_range(
+            inode.id, offset // PAGE_SIZE, (offset + nbytes - 1) // PAGE_SIZE + 1,
+            inode.block_map, task,
+        )
         if offset + nbytes > inode.size:
             inode.size = offset + nbytes
         # mtime (and size, for appends) updates join the running txn.
@@ -417,33 +414,44 @@ class FileSystem:
         if not pages:
             return []
 
-        union_causes = None
-        for page in pages:
-            union_causes = page.causes if union_causes is None else union_causes | page.causes
+        unallocated = [p for p in pages if not p.allocated]
+        if unallocated:
+            self._allocate_pages(inode, unallocated)
+
+        # One block request per run of consecutive disk blocks, tagged
+        # with the union of its pages' causes.
+        pages.sort(key=lambda p: p.disk_block)
+        runs = []
+        run_start = 0
+        for i in range(1, len(pages) + 1):
+            end_of_run = (
+                i == len(pages)
+                or pages[i].disk_block != pages[i - 1].disk_block + 1
+            )
+            if not end_of_run:
+                continue
+            run = pages[run_start:i]
+            run_start = i
+            run_causes = run[0].causes
+            for page in run:
+                run_causes = run_causes | page.causes
+            runs.append((run, run_causes))
 
         proxying = task.kernel and self.full_integration
         if proxying:
+            union_causes = runs[0][1]
+            for _, run_causes in runs:
+                union_causes = union_causes | run_causes
             self.tags.set_proxy(task, union_causes)
         try:
-            unallocated = [p for p in pages if not p.allocated]
             if unallocated:
-                self._allocate_pages(task, inode, unallocated)
-
-            pages.sort(key=lambda p: p.disk_block)
+                # The allocation dirtied block bitmaps and the inode's
+                # extent tree: a metadata update that joins the running
+                # transaction and puts the inode on the ordered list
+                # (its data must precede the commit).
+                self.journal.add_metadata(task, inode.metadata_block, ordered_inode=inode.id)
             events = []
-            run_start = 0
-            for i in range(1, len(pages) + 1):
-                end_of_run = (
-                    i == len(pages)
-                    or pages[i].disk_block != pages[i - 1].disk_block + 1
-                )
-                if not end_of_run:
-                    continue
-                run = pages[run_start:i]
-                run_start = i
-                run_causes = None
-                for page in run:
-                    run_causes = page.causes if run_causes is None else run_causes | page.causes
+            for run, run_causes in runs:
                 request = BlockRequest(
                     WRITE,
                     block=run[0].disk_block,
@@ -463,14 +471,9 @@ class FileSystem:
             if proxying:
                 self.tags.clear_proxy(task)
 
-    def _allocate_pages(self, task: "Task", inode: Inode, pages: List["Page"]) -> None:
-        """Delayed allocation at flush time: assign contiguous extents.
-
-        The allocation dirties block bitmaps and the inode's extent tree
-        — a metadata update that joins the running transaction and puts
-        the inode on the ordered list (its data must precede the
-        commit).
-        """
+    def _allocate_pages(self, inode: Inode, pages: List["Page"]) -> None:
+        """Delayed allocation at flush time: assign contiguous extents,
+        one per run of consecutive page indices."""
         pages = sorted(pages, key=lambda p: p.key.index)
         run_start = 0
         for i in range(1, len(pages) + 1):
@@ -486,7 +489,6 @@ class FileSystem:
             for j, page in enumerate(run):
                 page.disk_block = start_block + j
                 inode.map_block(page.key.index, start_block + j)
-        self.journal.add_metadata(task, inode.metadata_block, ordered_inode=inode.id)
 
     def _track_inflight(self, inode_id: int, done) -> None:
         pending = self._inflight.setdefault(inode_id, set())

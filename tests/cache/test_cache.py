@@ -208,3 +208,31 @@ def test_cleaned_page_keeps_its_disk_block():
     page.write_completed()
     assert cache.dirty_pages == 0 and len(cache) == 1
     assert cache.mark_dirty(key, task).disk_block == 77
+
+
+def test_range_dirty_evicts_page_by_page():
+    """Each uncached page of a range evicts on its own, so the clean
+    pages a range would reach later can be evicted before it gets there
+    (and are then born uncached)."""
+    env, tags, cache = make_cache(memory=3 * PAGE_SIZE)
+    task = Task("t")
+    cache.insert_clean_run(1, [(1, 11), (2, 12)])
+    cache.mark_dirty(PageKey(2, 0), task)
+    assert len(cache) == 3 and cache.evictions == 0
+    cache.mark_dirty_range(1, 0, 3, {0: 10, 1: 11, 2: 12}, task)
+    assert cache.evictions == 2
+    assert cache.dirty_pages == 4
+    assert [cache._pages[(1, i)].disk_block for i in range(3)] == [10, 11, 12]
+
+
+def test_range_dirty_takes_disk_blocks_after_the_hook():
+    """A page's buffer-dirty hook sees it before its block-map disk
+    block is applied; pages the block map lacks stay unallocated."""
+    env, tags, cache = make_cache()
+    task = Task("t")
+    seen = []
+    cache.bus.subscribe(PageDirtied, lambda e: seen.append((e.page.key.index, e.page.disk_block)))
+    last = cache.mark_dirty_range(1, 0, 3, {0: 50, 2: 52}, task)
+    assert seen == [(0, None), (1, None), (2, None)]
+    assert [cache._pages[(1, i)].disk_block for i in range(3)] == [50, None, 52]
+    assert last is cache._pages[(1, 2)]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.cache import PageCache, PageKey
 from repro.core.tags import TagManager
+from repro.obs.bus import PageDirtied
 from repro.proc import Task
 from repro.sim import Environment
 from repro.units import PAGE_SIZE
@@ -23,10 +24,10 @@ class LruModel:
 
     ``clean`` is the LRU (front = least recently used).  ``dirty`` maps
     a key to the page object the cache returned when it was dirtied
-    (identity only, to tell a current page from a freed one), and
-    whether its writeback is in flight or it was re-dirtied meanwhile.
-    Every insert evicts on its own, which is what the cache's batched
-    run insert must match.
+    (identity only, to tell a current page from a freed one), its cause
+    pids, and whether its writeback is in flight or it was re-dirtied
+    meanwhile.  Every insert evicts on its own, which is what the
+    cache's batched run insert must match.
     """
 
     def __init__(self, capacity):
@@ -34,6 +35,7 @@ class LruModel:
         self.clean = []
         self.dirty = {}
         self.evictions = 0
+        self.overwrites = 0
 
     def resident(self):
         return set(self.clean) | set(self.dirty)
@@ -70,16 +72,24 @@ class LruModel:
             if index in block_map and (inode_id, index) not in self.resident()
         ]
 
-    def mark_dirty(self, key, page):
+    def mark_dirty(self, key, page, pid):
+        """Dirty one page; returns the ``(key, old causes)`` its
+        buffer-dirty event must carry."""
         if key in self.dirty:
             entry = self.dirty[key]
+            old = entry["causes"]
+            entry["causes"] = old | {pid}
+            self.overwrites += 1
             if entry["wb"]:
                 entry["redirtied"] = True
-            return
+            return key, old
         if key in self.clean:
             self.clean.remove(key)
-        self.dirty[key] = {"page": page, "wb": False, "redirtied": False}
+        self.dirty[key] = {
+            "page": page, "causes": frozenset({pid}), "wb": False, "redirtied": False,
+        }
         self._evict()
+        return key, frozenset()
 
     def submitted(self, key):
         self.dirty[key]["wb"] = True
@@ -120,6 +130,11 @@ class CacheMachine:
         self.tasks = [Task(f"t{i}") for i in range(3)]
         #: Pages whose writeback was submitted and has not completed.
         self.in_flight = []
+        #: ``(key, old cause pids)`` of each buffer-dirty event, in order.
+        self.dirtied = []
+        self.cache.bus.subscribe(
+            PageDirtied, lambda e: self.dirtied.append((tuple(e.page.key), e.old_causes.pids))
+        )
 
     def apply(self, op):
         kind, inode_id, index, arg = op
@@ -135,8 +150,10 @@ class CacheMachine:
             found = cache.lookup_range(inode_id, index, stop, block_map, readahead=True)
             assert found == model.readahead(inode_id, index, stop, block_map)
         elif kind == 2:
-            page = cache.mark_dirty(key, self.tasks[arg % len(self.tasks)])
-            model.mark_dirty(key, page)
+            task = self.tasks[arg % len(self.tasks)]
+            page = cache.mark_dirty(key, task)
+            assert self.dirtied == [model.mark_dirty(key, page, task.pid)]
+            assert page.disk_block is None or page.disk_block == block_map.get(index)
         elif kind == 3:
             candidates = cache.dirty_pages_by_age()
             if candidates:
@@ -152,13 +169,24 @@ class CacheMachine:
         elif kind == 5:
             cache.free(key)
             model.free(key)
-        else:
+        elif kind == 6:
             assert cache.free_file(inode_id) == model.free_file(inode_id)
+        else:
+            task = self.tasks[arg % len(self.tasks)]
+            cache.mark_dirty_range(inode_id, index, stop, block_map, task)
+            expected = []
+            for i in range(index, stop):
+                page = cache._pages[(inode_id, i)]
+                expected.append(model.mark_dirty((inode_id, i), page, task.pid))
+                assert page.disk_block == block_map.get(i)
+            assert self.dirtied == expected
+        self.dirtied.clear()
 
     def check_model(self):
         cache, model = self.cache, self.model
         assert len(cache) == len(model.clean) + len(model.dirty)
         assert cache.evictions == model.evictions
+        assert cache.overwrites == model.overwrites
         assert set(cache._clean_lru) | set(cache._pages) == model.resident()
         assert list(cache._clean_lru) == model.clean
         for inode_id in INODES:
@@ -185,7 +213,7 @@ class CacheMachine:
 
 
 operations = st.tuples(
-    st.integers(min_value=0, max_value=6),   # op kind
+    st.integers(min_value=0, max_value=7),   # op kind
     st.sampled_from(INODES),                 # inode
     st.integers(min_value=0, max_value=FILE_PAGES - 1),  # page index
     st.integers(min_value=0, max_value=5),   # run length / task / pick

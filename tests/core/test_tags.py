@@ -1,11 +1,14 @@
 """Tests for cause sets and proxy tracking (paper §3.1/§4.1)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from repro.cache import PageCache
 from repro.core.tags import CauseSet, TagManager
 from repro.proc import Task
+from repro.sim import Environment
+from repro.units import MB
 
 
 def test_cause_set_of_tasks():
@@ -44,6 +47,27 @@ def test_union_is_commutative_and_idempotent(a, b):
     x, y = CauseSet(a), CauseSet(b)
     assert (x | y) == (y | x)
     assert (x | x) == x
+
+
+pids = st.frozensets(st.integers(min_value=1, max_value=1000))
+
+
+@given(pids, pids)
+def test_union_holds_exactly_both_operands(a, b):
+    assert (CauseSet(a) | CauseSet(b)).pids == a | b
+
+
+@given(pids, pids)
+@example(frozenset(range(1, 257)), frozenset({7}))
+@example(frozenset({7}), frozenset(range(1, 257)))
+def test_union_returns_an_operand_that_already_holds_it(a, b):
+    x, y = CauseSet(a), CauseSet(b)
+    if b <= a:
+        assert x | y is x
+    elif a <= b:
+        assert x | y is y
+    else:
+        assert x | y is not x and x | y is not y
 
 
 def test_current_causes_defaults_to_self():
@@ -117,3 +141,20 @@ def test_release_unknown_tag_is_noop():
     tags = TagManager()
     tags.release_tag(object())
     assert tags.bytes_allocated == 0
+
+
+def test_tag_accounting_with_many_writers_on_shared_dirty_pages():
+    """256 tasks overwrite the same 16 dirty pages (the fig15 write-mem
+    case): each page's tag is priced by the formula for its full cause
+    set, however many times its set stayed the same."""
+    tags = TagManager()
+    cache = PageCache(Environment(), tags, memory_bytes=64 * MB)
+    writers = [Task(f"w{i}") for i in range(256)]
+    for _ in range(2):  # the second pass adds no pid
+        for task in writers:
+            cache.mark_dirty_range(1, 0, 16, {}, task)
+    per_page = TagManager.TAG_OVERHEAD_BASE + TagManager.TAG_OVERHEAD_PER_PID * len(writers)
+    assert tags.live_tags == 16
+    assert tags.bytes_allocated == 16 * per_page
+    assert tags.max_bytes_allocated == 16 * per_page
+    assert cache.overwrites == 16 * (2 * len(writers) - 1)

@@ -16,14 +16,17 @@ The crash story mirrors a real ordered-mode journal (jbd2):
 
 Durability is ground truth recorded at the block layer: a
 :class:`DurabilityLog` subscribes to a queue's ``BlockComplete`` events
-and remembers every block a *successful* write covered.
+and remembers every block a *successful* write covered.  It also keeps
+the journal's ``JournalCommitRecord`` snapshots, which the journal
+builds only while something subscribes: recovery checks the commits a
+log saw, and no others.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.obs.bus import BlockComplete
+from repro.obs.bus import BlockComplete, JournalCommitRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.block.queue import BlockQueue
@@ -34,10 +37,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class DurabilityLog:
     """Records which blocks were durably written on one block queue.
 
-    Attach before the workload starts; the log subscribes to the stack
-    bus's :class:`BlockComplete` events and keeps the set of blocks
-    covered by successful writes.  Intended for crash/recovery
-    experiments over bounded workloads (the block set is kept exactly).
+    Attach before the workload starts; this is required.  The log
+    subscribes to the stack bus's :class:`BlockComplete` events and
+    keeps the set of blocks covered by successful writes, and to
+    :class:`JournalCommitRecord` and keeps every durable commit, in tid
+    order.  A log attached later misses the earlier commits and writes,
+    so recovery skips those commits and flags a later commit referencing
+    their blocks.  Intended for crash/recovery experiments over bounded
+    workloads (blocks and records are kept exactly).
     """
 
     def __init__(self, queue: "BlockQueue"):
@@ -45,9 +52,9 @@ class DurabilityLog:
         self.written: Set[int] = set()
         self.writes = 0
         self.failed_writes = 0
-        self._unsub = queue.bus.subscribe(
-            BlockComplete, lambda event: self._on_complete(event.request)
-        )
+        self.commit_records: List[JournalCommitRecord] = []
+        queue.bus.subscribe(BlockComplete, lambda event: self._on_complete(event.request))
+        queue.bus.subscribe(JournalCommitRecord, self.commit_records.append)
 
     def _on_complete(self, request: "BlockRequest") -> None:
         if not request.is_write:
@@ -138,8 +145,8 @@ def recover(fs: "FileSystem", durability: DurabilityLog) -> RecoveryReport:
     Committed transactions whose metadata is not yet checkpointed in
     place are replayed; the running transaction and any transaction
     caught mid-commit (commit record not durable) are discarded.  Every
-    durable commit is then checked against the ordered-mode invariant
-    using the block-level *durability* ground truth.
+    durable commit *durability* recorded is then checked against the
+    ordered-mode invariant using its block-level ground truth.
     """
     from repro.fs.journal import Transaction
 
@@ -161,7 +168,7 @@ def recover(fs: "FileSystem", durability: DurabilityLog) -> RecoveryReport:
     journal._checkpoint_queue = []
 
     # Ordered-mode invariant over every durable commit.
-    for record in journal.committed_log:
+    for record in durability.commit_records:
         missing = sorted(b for b in record.data_blocks if b not in durability.written)
         if missing:
             report.violations.append((record.tid, missing))

@@ -26,27 +26,13 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set
 from repro.block.request import WRITE, BlockRequest
 from repro.core.tags import CauseSet
 from repro.faults.errors import EIO
-from repro.obs.bus import JournalCheckpoint, JournalTxnCommit, JournalTxnOpen
+from repro.obs.bus import JournalCheckpoint, JournalCommitRecord, JournalTxnCommit, JournalTxnOpen
+from repro.sim.events import AllOf
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.base import FileSystem
     from repro.proc import Task
     from repro.sim.core import Environment
-
-
-class CommitRecord(NamedTuple):
-    """A durable commit, as crash recovery would reconstruct it.
-
-    Snapshotted the instant the commit record completes: the metadata
-    blocks the transaction journalled, and the data blocks that
-    metadata references (the ordered inodes' block maps).  Recovery
-    checks the ordered-mode invariant against these.
-    """
-
-    tid: int
-    committed_at: float
-    metadata_blocks: frozenset
-    data_blocks: frozenset
 
 
 class CheckpointEntry(NamedTuple):
@@ -120,14 +106,13 @@ class Journal:
         self._sub_txn_open = self.bus.listeners(JournalTxnOpen)
         self._sub_txn_commit = self.bus.listeners(JournalTxnCommit)
         self._sub_checkpoint = self.bus.listeners(JournalCheckpoint)
+        self._sub_commit_record = self.bus.listeners(JournalCommitRecord)
         self.running = self._open_transaction()
         self.committing: Optional[Transaction] = None
         self._journal_head = area_start
         #: Metadata blocks committed but not yet checkpointed in place,
         #: with the cause set recorded at commit time.
         self._checkpoint_queue: List[CheckpointEntry] = []
-        #: Durable commits in order (crash recovery's view of the log).
-        self.committed_log: List[CommitRecord] = []
         #: Set when a journal write failed permanently: the filesystem
         #: is effectively read-only and fsync raises EIO (ext4 behaviour
         #: short of remount-ro).
@@ -240,8 +225,6 @@ class Journal:
                 if pages:
                     data_events.extend(self.fs.writepages(self.task, inode, pages, sync=True))
             if data_events:
-                from repro.sim.events import AllOf
-
                 yield AllOf(self.env, data_events)
                 if any(event.value.failed for event in data_events):
                     # Ordered data never became durable: committing now
@@ -273,7 +256,8 @@ class Journal:
             txn.commit_end = self.env.now
             self.commits += 1
             self.fs.tags.release_tag(txn)
-            self.committed_log.append(self._commit_record(txn))
+            if self._sub_commit_record:
+                self.bus.publish(self._commit_record(txn))
             self._checkpoint_queue.append(
                 CheckpointEntry(self.env.now, txn.tid, set(txn.metadata_blocks), causes)
             )
@@ -282,18 +266,15 @@ class Journal:
         finally:
             self.committing = None
 
-    def _commit_record(self, txn: Transaction) -> CommitRecord:
+    def _commit_record(self, txn: Transaction) -> JournalCommitRecord:
         """Snapshot what recovery would reconstruct for this commit."""
         data_blocks: Set[int] = set()
         for inode_id in txn.ordered_inodes:
             inode = self.fs.inode_by_id(inode_id)
             if inode is not None:
                 data_blocks.update(inode.block_map.values())
-        return CommitRecord(
-            tid=txn.tid,
-            committed_at=self.env.now,
-            metadata_blocks=frozenset(txn.metadata_blocks),
-            data_blocks=frozenset(data_blocks),
+        return JournalCommitRecord(
+            self.env.now, txn.tid, frozenset(txn.metadata_blocks), frozenset(data_blocks)
         )
 
     def _abort(self, txn: Transaction) -> None:
@@ -371,8 +352,6 @@ class Journal:
                     )
                     pending.append((entry, block, self.fs.block_queue.submit(request)))
             if pending:
-                from repro.sim.events import AllOf
-
                 yield AllOf(self.env, [event for _, _, event in pending])
                 requeue: Dict[int, CheckpointEntry] = {}
                 for entry, block, event in pending:

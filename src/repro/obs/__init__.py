@@ -18,6 +18,7 @@ from repro.obs.bus import (
     FaultInjected,
     HealthTransition,
     JournalCheckpoint,
+    JournalCommitRecord,
     JournalTxnCommit,
     JournalTxnOpen,
     PageCleaned,
@@ -50,6 +51,7 @@ __all__ = [
     "FaultInjected",
     "HealthTransition",
     "JournalCheckpoint",
+    "JournalCommitRecord",
     "JournalTxnCommit",
     "JournalTxnOpen",
     "PageCleaned",

@@ -124,6 +124,20 @@ class JournalTxnCommit(NamedTuple):
     aborted: bool
 
 
+class JournalCommitRecord(NamedTuple):
+    """A commit record became durable: the snapshot recovery checks.
+
+    The metadata blocks the transaction journalled and the data blocks
+    that metadata references (its ordered inodes' whole block maps).
+    The journal builds it only while something subscribes.
+    """
+
+    time: float
+    tid: int
+    metadata_blocks: frozenset
+    data_blocks: frozenset
+
+
 class JournalCheckpoint(NamedTuple):
     """Committed metadata of one transaction was checkpointed in place."""
 
@@ -215,6 +229,7 @@ EVENT_TYPES = (
     WritebackBatch,
     JournalTxnOpen,
     JournalTxnCommit,
+    JournalCommitRecord,
     JournalCheckpoint,
     BlockAdd,
     BlockDispatch,

@@ -11,7 +11,7 @@ from repro.faults import (
     crash_and_recover,
     recover,
 )
-from repro.fs.journal import CommitRecord
+from repro.obs.bus import JournalCommitRecord
 from repro.schedulers.noop import Noop
 from repro.sim.rand import RandomStreams
 
@@ -103,7 +103,7 @@ def test_recovery_replays_uncheckpointed_commits():
     drive(env, appender(machine, task, "/f", rounds=3))
     journal = machine.fs.journal
     assert journal.commits > 0
-    committed_tids = [record.tid for record in journal.committed_log]
+    committed_tids = [record.tid for record in log.commit_records]
 
     report = crash_and_recover(machine, log)
     assert report.invariant_ok
@@ -118,10 +118,10 @@ def test_invariant_checker_detects_fabricated_violation():
     task = machine.spawn("app")
     drive(env, appender(machine, task, "/f", rounds=2))
 
-    machine.fs.journal.committed_log.append(
-        CommitRecord(
+    log.commit_records.append(
+        JournalCommitRecord(
+            time=env.now,
             tid=9999,
-            committed_at=env.now,
             metadata_blocks=frozenset({1}),
             data_blocks=frozenset({424242}),  # never written
         )
@@ -161,7 +161,31 @@ def test_recovered_transactions_survive_while_running_discarded():
     assert env.halted
 
     journal = machine.fs.journal
-    durable = len(journal.committed_log)
+    durable = len(log.commit_records)
     report = crash_and_recover(machine, log)
     assert report.invariant_ok
     assert len(report.replayed_tids) == durable  # nothing checkpointed yet
+
+
+def test_durability_log_attached_mid_run_checks_only_commits_it_saw():
+    """Commits durable before the log attached are neither kept nor checked."""
+    env, machine = make_os(fs_kwargs={"checkpoint_delay": 1e6})
+    journal = machine.fs.journal
+    task = machine.spawn("app")
+    drive(env, appender(machine, task, "/before", rounds=3))
+    commits_before = journal.commits
+    assert commits_before > 0
+
+    log = DurabilityLog(machine.block_queue)
+    drive(env, appender(machine, task, "/after", rounds=3))
+    seen = [record.tid for record in log.commit_records]
+    assert len(seen) == journal.commits - commits_before
+    assert seen == sorted(seen)
+    after = machine.fs.lookup("/after")
+    assert set(after.block_map.values()) <= log.commit_records[-1].data_blocks
+
+    # The log never saw /before's data reach the device; had it been
+    # handed /before's commits, each would read as a violation.
+    report = recover(machine.fs, log)
+    assert report.invariant_ok
+    assert len(report.replayed_tids) == journal.commits  # replay is the journal's own

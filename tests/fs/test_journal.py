@@ -2,9 +2,12 @@
 
 
 from repro import Environment, OS, SSD, KB, MB
-from repro.fs.journal import Transaction
-from repro.obs.bus import BlockComplete
+from repro.faults import DurabilityLog
+from repro.fs.journal import Journal, Transaction
+from repro.obs import SpanBuilder
+from repro.obs.bus import BlockComplete, JournalCommitRecord, JournalTxnCommit
 from repro.schedulers.noop import Noop
+from repro.workloads import prefill_file
 
 
 def make_os(**kwargs):
@@ -255,3 +258,59 @@ def test_logical_journal_minimum_one_record_block():
     txn = Txn(env)
     txn.metadata_blocks.add(1)
     assert machine.fs.journal.commit_size(txn) == 2
+
+
+def fsync_appends(machine, task, rounds):
+    """A large file (2048 blocks), then *rounds* 4 KB append+fsync commits."""
+    handle = yield from prefill_file(machine, task, "/big", 8 * MB, drop=False)
+    for _ in range(rounds):
+        yield from handle.append(4 * KB)
+        yield from handle.fsync()
+
+
+def spy_commit_records(monkeypatch):
+    calls = []
+    snapshot = Journal._commit_record
+
+    def spy(journal, txn):
+        calls.append(txn.tid)
+        return snapshot(journal, txn)
+
+    monkeypatch.setattr(Journal, "_commit_record", spy)
+    return calls
+
+
+def test_commits_build_no_snapshots_without_a_durability_log(monkeypatch):
+    calls = spy_commit_records(monkeypatch)
+    env, machine = make_os(fast_forward=True)
+    SpanBuilder.attach(machine)  # traced and fast-forward runs do not subscribe
+    task = machine.spawn("t")
+    drive(env, fsync_appends(machine, task, rounds=20))
+    assert machine.fs.journal.commits >= 20
+    assert not machine.bus.active(JournalCommitRecord)
+    assert calls == []
+
+
+def test_durability_log_keeps_one_snapshot_per_commit(monkeypatch):
+    calls = spy_commit_records(monkeypatch)
+    env, machine = make_os()
+    log = DurabilityLog(machine.block_queue)
+    # Block maps as they stand when each commit record is durable: the
+    # commit event follows the record at the same instant.
+    expected = {}
+
+    def on_commit(event):
+        inode = machine.fs.lookup("/big")
+        blocks = inode.block_map.values() if event.ordered_inodes else ()
+        expected[event.tid] = frozenset(blocks)
+
+    machine.bus.subscribe(JournalTxnCommit, on_commit)
+    task = machine.spawn("t")
+    drive(env, fsync_appends(machine, task, rounds=20))
+
+    records = log.commit_records
+    tids = [record.tid for record in records]
+    assert len(records) == machine.fs.journal.commits >= 20
+    assert tids == sorted(tids) == calls
+    assert {record.tid: record.data_blocks for record in records} == expected
+    assert len(records[-1].data_blocks) == 2048 + 20

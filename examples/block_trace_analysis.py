@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Block-level tracing: watch write delegation and journal amplification.
 
-Attaches a BlockTracer to the stack, runs two tenants through a mixed
+Attaches a SpanBuilder to the stack, runs two tenants through a mixed
 workload, and prints (a) the *submitter* view a block-level scheduler
 would see — almost everything from pdflush/jbd2 — against (b) the
 *cause* view the split framework's tags provide, plus the measured
@@ -10,16 +10,15 @@ write amplification from journaling.
 Run:  python examples/block_trace_analysis.py
 """
 
-from repro import Environment, HDD, KB, MB, OS
-from repro.metrics import BlockTracer
+from repro import Environment, HDD, MB, OS
+from repro.obs import SpanBuilder, bytes_by_cause
 from repro.schedulers import SplitNoop
-from repro.units import PAGE_SIZE
 
 
 def main():
     env = Environment()
     machine = OS(env, device=HDD(), scheduler=SplitNoop(), memory_bytes=512 * MB)
-    tracer = BlockTracer(machine.block_queue)
+    builder = SpanBuilder.attach(machine)
 
     alice = machine.spawn("alice")
     bob = machine.spawn("bob")
@@ -36,22 +35,33 @@ def main():
     machine.writeback.request_flush(0)  # let the delegation happen
     env.run(until=env.now + 30.0)
 
+    # One `io` span per completed block request, in completion order.
+    io = [span for span in builder.spans if span["kind"] == "io"]
+
+    by_submitter = {}
+    for span in io:
+        name = span["submitter"]
+        by_submitter[name] = by_submitter.get(name, 0) + span["bytes"]
+
     print("== what a block-level scheduler sees (submitters) ==")
-    for name, nbytes in sorted(tracer.bytes_by_submitter().items()):
+    for name, nbytes in sorted(by_submitter.items()):
         print(f"  {name:12s} {nbytes / MB:8.2f} MB")
 
     print("\n== what split tags reveal (true causes) ==")
-    names = {alice.pid: "alice", bob.pid: "bob"}
-    for pid, nbytes in sorted(tracer.bytes_by_cause().items()):
-        who = names.get(pid, f"pid{pid}")
+    for who, nbytes in sorted(bytes_by_cause(io).items()):
         print(f"  {who:12s} {nbytes / MB:8.2f} MB")
 
+    # Fraction of requests contiguous with their predecessor.
+    sequential = sum(
+        1 for prev, cur in zip(io, io[1:])
+        if cur["block"] == prev["block"] + prev["nblocks"]
+    )
     total_payload = sum(payload.values())
-    print(f"\nwrite amplification: {tracer.amplification(total_payload):.3f}x "
-          f"({len(tracer)} requests, "
-          f"{tracer.sequential_fraction():.0%} sequential)")
-    print("journal/metadata writes:",
-          sum(1 for r in tracer.records if r.metadata))
+    amplification = sum(span["bytes"] for span in io) / total_payload
+    print(f"\nwrite amplification: {amplification:.3f}x "
+          f"({len(io)} requests, "
+          f"{sequential / (len(io) - 1):.0%} sequential)")
+    print("journal/metadata writes:", sum(1 for span in io if span["metadata"]))
 
 
 if __name__ == "__main__":

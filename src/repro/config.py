@@ -174,8 +174,8 @@ class StackConfig:
     #: Health monitoring: None = auto (attach when hedging or a fault
     #: plan is active), a bool forces it, a HealthConfig/dict tunes it.
     health: Any = None
-    #: Analytical fast-forward (steady-state replay + batch pricing,
-    #: see repro.sim.fastforward): None defers to the session default
+    #: Analytical fast-forward (steady-state replay, see
+    #: repro.sim.fastforward): None defers to the session default
     #: (off unless the CLI's ``--fast-forward`` set it); an explicit
     #: bool pins it.
     fast_forward: Optional[bool] = None

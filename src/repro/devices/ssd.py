@@ -54,33 +54,3 @@ class SSD(Device):
         self._last_block_end = block + nblocks
         self._account(op, nblocks, duration)
         return duration
-
-    def service_time_batch(self, ops, blocks, nblocks):
-        """Batch pricing with the per-op cost table hoisted.
-
-        Latency and bandwidth per op are read once; ``contenders`` is
-        frozen across the batch, which matches the scalar loop exactly
-        because pricing never mutates :attr:`active` (only the dispatch
-        engine's ``begin_service``/``end_service`` bracket does).
-        """
-        contenders = min(self.channels, self.active) if self.active > 1 else 1
-        read_latency = self.read_latency
-        read_bandwidth = self.read_bandwidth
-        write_latency = self.write_latency
-        write_bandwidth = self.write_bandwidth
-        page = PAGE_SIZE
-        check = self._check_bounds
-        account = self._account
-        durations = []
-        append = durations.append
-        for op, block, count in zip(ops, blocks, nblocks):
-            check(block, count)
-            nbytes = count * page
-            if op == "read":
-                duration = read_latency + nbytes * contenders / read_bandwidth
-            else:
-                duration = write_latency + nbytes * contenders / write_bandwidth
-            self._last_block_end = block + count
-            account(op, count, duration)
-            append(duration)
-        return durations

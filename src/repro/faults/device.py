@@ -21,10 +21,6 @@ from repro.faults.injector import FaultInjector
 class FaultyDevice(Device):
     """Wraps any :class:`Device`, injecting faults per its plan."""
 
-    #: Injected media errors surface as exceptions from pricing, so the
-    #: block queue's batch-pricing pass must not pre-price this device.
-    pricing_can_fail = True
-
     def __init__(self, inner: Device, injector: FaultInjector, name: Optional[str] = None):
         super().__init__(capacity_blocks=inner.capacity_blocks,
                          name=name or f"faulty-{inner.name}")
@@ -61,35 +57,3 @@ class FaultyDevice(Device):
         self._last_block_end = block + nblocks
         self._account(op, nblocks, duration)
         return duration
-
-    def service_time_batch(self, ops, blocks, nblocks):
-        """Batch pricing; the injector is consulted once per element, in
-        element order, so fault placement (including budget- and
-        sequence-based plans) is identical to scalar pricing.  An
-        injected error raises mid-batch with every earlier element fully
-        applied, exactly as a pricing loop would leave the device.
-        """
-        decide = self.injector.decide
-        inner_service = self.inner.service_time
-        note_slowdown = self.injector.note_slowdown
-        error_latency = self.injector.plan.error_latency
-        check = self._check_bounds
-        account = self._account
-        durations = []
-        append = durations.append
-        for op, block, count in zip(ops, blocks, nblocks):
-            check(block, count)
-            decision = decide(op, block, count, channel=self.serving_channel)
-            if decision.error:
-                raise MediumError(
-                    f"injected {op} error on {self.name} at block {block}",
-                    latency=error_latency,
-                )
-            base = inner_service(op, block, count)
-            duration = base * decision.slow_factor + decision.extra_latency
-            if duration > base:
-                note_slowdown(duration - base)
-            self._last_block_end = block + count
-            account(op, count, duration)
-            append(duration)
-        return durations

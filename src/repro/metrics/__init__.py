@@ -1,5 +1,5 @@
 """Measurement helpers: throughput, latency percentiles, time series,
-block-level tracing, and device utilization sampling."""
+and fault summaries."""
 
 from repro.metrics.recorders import (
     LatencyRecorder,
@@ -9,15 +9,11 @@ from repro.metrics.recorders import (
     fault_summary,
     percentile,
 )
-from repro.metrics.trace import BlockTracer, IOStat, TraceRecord
 
 __all__ = [
-    "BlockTracer",
-    "IOStat",
     "LatencyRecorder",
     "ThroughputTracker",
     "TimeSeries",
-    "TraceRecord",
     "deviation_from_ideal",
     "fault_summary",
     "percentile",

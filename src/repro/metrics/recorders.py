@@ -83,10 +83,6 @@ def fault_summary(queue) -> Dict[str, object]:
     injector = getattr(device, "injector", None)
     if injector is not None:
         summary["injected"] = injector.summary()
-    tracers = getattr(queue, "tracers", None)
-    if tracers:
-        summary["trace_records"] = sum(len(tracer) for tracer in tracers)
-        summary["trace_dropped"] = sum(tracer.dropped for tracer in tracers)
     return summary
 
 

@@ -4,8 +4,8 @@ Every layer of the simulated stack — syscall facade, page cache,
 writeback daemon, journal, block queue, device models, fault injector —
 publishes its lifecycle transitions as *typed events* on one shared
 :class:`StackBus` per stack.  Consumers (split schedulers' memory
-hooks, :class:`~repro.metrics.trace.BlockTracer`,
-:class:`~repro.obs.span.SpanBuilder`, tests) subscribe per event type.
+hooks, :class:`~repro.obs.span.SpanBuilder`, tests) subscribe per event
+type.
 
 Zero cost when disabled: publishers cache the live per-type subscriber
 list (:meth:`StackBus.listeners`) and construct an event object only

@@ -121,7 +121,6 @@ class OS:
         self.block_queue = BlockQueue(
             env, self.device, elevator, self.process_table, bus=self.bus,
             queue_depth=queue_depth, hedge=hedge, health=monitor,
-            batch_pricing=fast_forward,
         )
         self.cache = PageCache(env, self.tags, memory_bytes, bus=self.bus)
         self.fs = fs_class(

@@ -3,18 +3,18 @@
 from repro import KB, MB, Environment, OS
 from repro.devices import HDD
 from repro.faults import EIO, FaultInjector, FaultPlan, FaultyDevice
-from repro.metrics import BlockTracer
+from repro.obs import SpanBuilder
 from repro.schedulers.noop import Noop
 from repro.sim.rand import RandomStreams
 
 
 def run_workload(seed, plan):
-    """A small mixed read/write run; returns the full block trace."""
+    """A small mixed read/write run; returns every span it produced."""
     env = Environment()
     injector = FaultInjector(env, plan, RandomStreams(seed))
     device = FaultyDevice(HDD(), injector)
     machine = OS(env, device=device, scheduler=Noop(), memory_bytes=256 * MB)
-    tracer = BlockTracer(machine.block_queue)
+    builder = SpanBuilder.attach(machine)
     task = machine.spawn("app")
 
     def workload():
@@ -34,22 +34,31 @@ def run_workload(seed, plan):
 
     proc = env.process(workload())
     env.run(until=proc)
-    return tracer.records
+    return builder.spans
 
 
 PLAN_KWARGS = dict(read_error_prob=0.1, write_error_prob=0.05, stall_prob=0.0)
 
 
-def normalize(records):
-    """Strip absolute pids (global counters) but keep cause cardinality."""
-    return [r._replace(causes=len(r.causes)) for r in records]
+def normalize(spans):
+    """The ``io`` spans with request ids and absolute pids (global
+    counters) stripped, keeping cause cardinality and status."""
+    return [
+        {
+            **{k: v for k, v in span.items() if k not in ("id", "submitter_pid")},
+            "causes": len(span["causes"]),
+        }
+        for span in spans
+        if span["kind"] == "io"
+    ]
 
 
 def test_same_seed_same_plan_identical_traces():
     first = normalize(run_workload(7, FaultPlan(**PLAN_KWARGS)))
     second = normalize(run_workload(7, FaultPlan(**PLAN_KWARGS)))
-    assert first == second  # identical TraceRecords, statuses included
+    assert first == second  # identical io spans, statuses included
     assert len(first) > 0
+    assert any(span["attempts"] > 1 for span in first)  # faults were retried
 
 
 def test_different_seed_differs():
@@ -68,7 +77,7 @@ def test_empty_plan_matches_unwrapped_device():
             injector = FaultInjector(env, FaultPlan(), RandomStreams(0))
             device = FaultyDevice(device, injector, name=device.name)
         machine = OS(env, device=device, scheduler=Noop(), memory_bytes=256 * MB)
-        tracer = BlockTracer(machine.block_queue)
+        builder = SpanBuilder.attach(machine)
         task = machine.spawn("app")
 
         def workload():
@@ -79,6 +88,6 @@ def test_empty_plan_matches_unwrapped_device():
 
         proc = env.process(workload())
         env.run(until=proc)
-        return tracer.records
+        return builder.spans
 
     assert normalize(run(wrap=False)) == normalize(run(wrap=True))

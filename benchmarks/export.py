@@ -86,10 +86,11 @@ def bench_event_loop(repeats: int) -> dict:
 def bench_event_cohort(repeats: int) -> dict:
     """Same-instant event fan-out: 50 processes ticking in lock-step.
 
-    Every tick lands 50 timeouts on one timestamp, so the run loop
-    dispatches them as cohorts (one heap drain per instant instead of
-    one pop per event).  The per-event cost here tracks the cohort
-    machinery the multi-tenant experiments lean on.
+    Every tick lands 50 timeouts on one timestamp (a *cohort* of
+    same-instant entries), which the run loop pops and dispatches one
+    at a time in (priority, eid) order, most of them through the heap
+    rather than the front slot.  The per-event cost here tracks the
+    same-instant fan-out the multi-tenant experiments lean on.
     """
     workers = 50
     ticks = 200

@@ -14,8 +14,8 @@ sharded, fast-forward):
 - :mod:`repro.analysis.sanitizer` — the dynamic complement
   (``StackConfig.sanitize`` / ``--sanitize``): invariant checks that
   run *while* the simulation executes — monotonic clock, exact
-  ``(priority, eid)`` cohort dispatch order, conservative-sync
-  causality, token conservation, slot-count bounds — raising
+  ``(priority, eid)`` dispatch order, conservative-sync causality,
+  token conservation, slot-count bounds — raising
   :class:`~repro.analysis.sanitizer.SanitizerError` with an event
   history snippet.  Provably zero-cost when off: the sanitized
   environment is a subclass used only when enabled, and stack checks

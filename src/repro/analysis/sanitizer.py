@@ -11,10 +11,10 @@ later.  Three attachment points:
   subclass whose dispatch path verifies, per event, that the virtual
   clock never runs backwards and that no pending same-instant entry
   with a smaller ``(time, priority, eid)`` key was skipped (the exact
-  class of the PR 8 cohort-dispatch bug, where URGENT interlopers
-  parked in the front slot were dispatched after the cohort
-  remainder).  The checked loop replaces the inlined fast path of
-  :meth:`Environment.run`, so the production kernel keeps zero
+  class of the PR 8 same-instant ordering bug, where URGENT
+  interlopers parked in the front slot were dispatched after other
+  same-instant entries).  The checked loop replaces the inlined fast
+  path of :meth:`Environment.run`, so the production kernel keeps zero
   sanitizer attributes and zero extra branches when the sanitizer is
   off — enabling it swaps the class, not the code.
 - :class:`StackSanitizer` — per-machine checks (dispatch-slot count
@@ -35,7 +35,6 @@ snippet of recent event history, formatted into the message.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop
 from typing import Any, List, Optional, Tuple
 
 from repro.sim.core import EmptySchedule, Environment, StopSimulation
@@ -78,17 +77,19 @@ class SanitizedEnvironment(Environment):
     """An :class:`Environment` whose dispatch path checks invariants.
 
     Semantics are identical to the base class — same queue structures,
-    same cohort batching (``_run_cohort`` is *inherited*, so kernel
-    bugs there are caught, not masked), same results — but every
-    dispatched entry is verified:
+    same entry selection (``_pop`` is *inherited*, so kernel bugs there
+    are caught, not masked), same results — but every dispatched entry
+    is verified:
 
     - **monotonic clock**: an entry's time is never below the previous
       dispatch's time;
-    - **cohort order**: at the moment an entry is dispatched, no
+    - **dispatch order**: at the moment an entry is dispatched, no
       pending entry (heap head or front slot) sorts before it.  In a
       correct kernel the dispatched entry is always the minimum of
-      everything pending; the PR 8 bug — front-slot URGENT interlopers
-      dispatched after the cohort remainder — breaks exactly this.
+      everything pending; picking from one of the two structures
+      without consulting the other (the PR 8 bug: front-slot URGENT
+      interlopers run after other same-instant entries) breaks
+      exactly this.
     - **scheduling sanity**: ``schedule()`` rejects negative delays
       (the unchecked fast path would silently rewind the clock).
 
@@ -126,18 +127,18 @@ class SanitizedEnvironment(Environment):
         self._san_prev_time = t
         pending = self._next
         if pending is not None and pending < entry:
-            self._cohort_order_violation(entry, pending, "front slot")
+            self._dispatch_order_violation(entry, pending, "front slot")
         queue = self._queue
         if queue and queue[0] < entry:
-            self._cohort_order_violation(entry, queue[0], "heap head")
+            self._dispatch_order_violation(entry, queue[0], "heap head")
         self._san_history.append(
             (entry[0], entry[1], entry[2], type(entry[3]).__name__)
         )
         super()._dispatch(entry)
 
-    def _cohort_order_violation(self, entry, pending, where: str) -> None:
+    def _dispatch_order_violation(self, entry, pending, where: str) -> None:
         raise SanitizerError(
-            f"cohort order violation: dispatching an entry while the {where} "
+            f"dispatch order violation: dispatching an entry while the {where} "
             "holds a pending entry that sorts before it — same-instant "
             "(priority, eid) order depends on unrelated traffic",
             history=list(self._san_history),
@@ -150,13 +151,10 @@ class SanitizedEnvironment(Environment):
     # -- checked run loop ---------------------------------------------------
 
     def run(self, until: Any = None) -> Any:
-        """The checked twin of :meth:`Environment.run`.
-
-        Same entry-selection logic, but every event goes through
-        :meth:`_dispatch` (checked) instead of the inlined fast path,
-        and the cohort path uses the *inherited* ``_run_cohort`` — the
-        production batching code — whose per-event dispatches resolve
-        to the checked method.  Keeping the fast path free of sanitizer
+        """The checked twin of :meth:`Environment.run`: a loop over
+        :meth:`step`, so every event goes through the inherited
+        :meth:`_pop` and the checked :meth:`_dispatch` instead of the
+        inlined fast path.  Keeping the fast path free of sanitizer
         hooks is what makes the feature zero-cost when off.
         """
         if self._halted:
@@ -164,26 +162,9 @@ class SanitizedEnvironment(Environment):
         until = self._resolve_until(until)
         if isinstance(until, tuple) and until[0] is self._ALREADY_DONE:
             return until[1]
-
-        queue = self._queue
         try:
             while not self._halted:
-                nxt = self._next
-                if nxt is not None and not (queue and queue[0] < nxt):
-                    self._next = None
-                    entry = nxt
-                elif queue:
-                    entry = heappop(queue)
-                else:
-                    raise EmptySchedule()
-                tnow = entry[0]
-                self._now = tnow
-                if (queue and queue[0][0] == tnow) or (
-                    self._next is not None and self._next[0] == tnow
-                ):
-                    self._run_cohort(entry, tnow)
-                    continue
-                self._dispatch(entry)
+                self.step()
             return self._halt_reason
         except StopSimulation as stop:
             return stop.value

@@ -222,8 +222,8 @@ def _add_sanitize_arg(parser) -> None:
     parser.add_argument(
         "--sanitize", action="store_true",
         help="enable runtime invariant checks (monotonic clock, exact "
-             "cohort dispatch order, conservative-sync causality, token "
-             "conservation, slot bounds); violations raise "
+             "(priority, eid) dispatch order, conservative-sync causality, "
+             "token conservation, slot bounds); violations raise "
              "SanitizerError with recent event history — slower, but "
              "results are unchanged when no invariant is broken",
     )

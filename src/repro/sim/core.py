@@ -52,7 +52,6 @@ class Environment:
         "_halted",
         "_halt_reason",
         "_next",
-        "_cohort",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -68,10 +67,6 @@ class Environment:
         self._halt_reason: Any = None
         #: Front-slot entry bypassing the heap (see class docstring).
         self._next: Optional[Tuple[float, int, int, Event]] = None
-        #: Recycled cohort buffer: same-timestamp events are drained
-        #: into this list and dispatched as one batch, and the emptied
-        #: list is kept for the next cohort (pooled like callback lists).
-        self._cohort: Optional[list] = []
 
     @property
     def now(self) -> float:
@@ -146,6 +141,23 @@ class Environment:
             return nxt[0]
         return queue[0][0] if queue else float("inf")
 
+    def _pop(self) -> Tuple[float, int, int, Event]:
+        """Remove and return the smallest pending ``(time, priority, eid)``
+        entry: the front slot unless the heap head sorts before it.
+
+        :meth:`run` inlines this choice in its hot loop; keep the two
+        in sync.
+        """
+        nxt = self._next
+        queue = self._queue
+        if nxt is not None and not (queue and queue[0] < nxt):
+            self._next = None
+            return nxt
+        try:
+            return heappop(queue)
+        except IndexError:
+            raise EmptySchedule() from None
+
     def step(self) -> None:
         """Process the next event; advance the clock to its time.
 
@@ -153,21 +165,12 @@ class Environment:
         equivalent of this loop for speed, so semantic changes here
         must be mirrored there (and in :meth:`_dispatch`).
         """
-        nxt = self._next
-        queue = self._queue
-        if nxt is not None and not (queue and queue[0] < nxt):
-            self._next = None
-            entry = nxt
-        else:
-            try:
-                entry = heappop(queue)
-            except IndexError:
-                raise EmptySchedule() from None
+        entry = self._pop()
         self._now = entry[0]
         self._dispatch(entry)
 
     def _dispatch(self, entry: Tuple[float, int, int, Event]) -> None:
-        """Run one popped entry's callbacks (cohort and step path).
+        """Run one popped entry's callbacks (the :meth:`step` path).
 
         Receives the full ``(time, priority, eid, event)`` queue entry —
         not just the event — so subclasses (the runtime sanitizer) can
@@ -235,78 +238,6 @@ class Environment:
             # pass silently).
             raise event._value
 
-    def _run_cohort(self, entry: Tuple[float, int, int, Event], tnow: float) -> None:
-        """Dispatch every event scheduled at *tnow* as one cohort.
-
-        All same-instant entries are drained from the queue into a
-        recycled buffer and executed through a single dispatch pass, so
-        the heap is touched once per cohort instead of once per event.
-        Ordering is preserved exactly:
-
-        - the buffer is filled by ascending heap pops, so cohort
-          entries run in (priority, eid) order;
-        - entries scheduled *during* the cohort that sort before a
-          not-yet-dispatched cohort entry (an URGENT interrupt at the
-          current instant) are pulled from the heap — or from the
-          front slot, where schedule() parks an entry that beats the
-          heap head — and run first;
-        - on any exception — StopSimulation from an until-event, an
-          untended failure, a crashing callback — the undispatched
-          remainder is pushed back onto the heap before re-raising, so
-          the queue state matches what event-at-a-time dispatch leaves.
-        """
-        queue = self._queue
-        cohort = self._cohort
-        if cohort is None:  # re-entrant run(): fall back to a fresh list
-            cohort = []
-        else:
-            self._cohort = None
-        cohort.append(entry)
-        nxt = self._next
-        if nxt is not None and nxt[0] == tnow:
-            heappush(queue, nxt)
-            self._next = None
-        while queue and queue[0][0] == tnow:
-            cohort.append(heappop(queue))
-        i = 0
-        n = len(cohort)
-        dispatch = self._dispatch
-        try:
-            while i < n:
-                if self._halted:
-                    break
-                # Same-instant interlopers: an event scheduled during
-                # the cohort that sorts before the next buffered entry
-                # may sit at the heap head or in the front slot
-                # (schedule() prefers the slot when the entry beats the
-                # heap head), so both must be checked.
-                nxt = self._next
-                if nxt is not None and nxt[0] == tnow and nxt < cohort[i]:
-                    if queue and queue[0] < nxt:
-                        dispatch(heappop(queue))
-                    else:
-                        self._next = None
-                        dispatch(nxt)
-                    continue
-                if queue and queue[0][0] == tnow and queue[0] < cohort[i]:
-                    dispatch(heappop(queue))
-                    continue
-                entry = cohort[i]
-                i += 1
-                dispatch(entry)
-        except BaseException:
-            while i < n:
-                heappush(queue, cohort[i])
-                i += 1
-            cohort.clear()
-            self._cohort = cohort
-            raise
-        while i < n:  # halted mid-cohort: abandon the rest on the heap
-            heappush(queue, cohort[i])
-            i += 1
-        cohort.clear()
-        self._cohort = cohort
-
     #: Sentinel from :meth:`_resolve_until`: the run target is already
     #: satisfied and run() should return immediately.
     _ALREADY_DONE = object()
@@ -349,11 +280,10 @@ class Environment:
         if isinstance(until, tuple) and until[0] is self._ALREADY_DONE:
             return until[1]
 
-        # The hot dispatch loop: _dispatch() inlined with the queue,
-        # front slot, pop, callback-list pool, and hot globals hoisted
-        # into locals.  Events sharing a timestamp are handed to
-        # _run_cohort as one batch; the overwhelmingly common lone
-        # event stays here.
+        # The hot dispatch loop: _pop() and _dispatch() inlined with the
+        # queue, front slot, pop, callback-list pool, and hot globals
+        # hoisted into locals.  One entry per iteration, always the
+        # smallest pending (time, priority, eid).
         queue = self._queue
         pool = self._cb_pool
         pool_max = _CB_POOL_MAX
@@ -362,32 +292,14 @@ class Environment:
         try:
             while not self._halted:
                 nxt = self._next
-                if nxt is not None and not queue:
-                    # Pure front-slot turnover: the heap is empty, so
-                    # the slot entry is alone at its instant — no pop,
-                    # no cohort checks.
+                if nxt is not None and not (queue and queue[0] < nxt):
                     self._next = None
                     entry = nxt
-                    self._now = entry[0]
+                elif queue:
+                    entry = pop(queue)
                 else:
-                    if nxt is not None:
-                        if queue[0] < nxt:
-                            entry = pop(queue)
-                        else:
-                            self._next = None
-                            entry = nxt
-                    elif queue:
-                        entry = pop(queue)
-                    else:
-                        raise EmptySchedule()
-                    tnow = entry[0]
-                    self._now = tnow
-
-                    if (queue and queue[0][0] == tnow) or (
-                        self._next is not None and self._next[0] == tnow
-                    ):
-                        self._run_cohort(entry, tnow)
-                        continue
+                    raise EmptySchedule()
+                self._now = entry[0]
 
                 event = entry[3]
                 callbacks = event.callbacks

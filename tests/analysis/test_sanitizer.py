@@ -3,11 +3,11 @@
 Structure mirrors the sanitizer's three attachment points:
 
 - :class:`SanitizedEnvironment` — equivalence with the production
-  kernel on the cohort-dispatch scenarios, then each check (negative
-  delay, monotonic clock, cohort order) tripped on purpose.  The
-  cohort-order test reintroduces the pre-fix ``_run_cohort`` (the PR 8
-  bug: mid-cohort interloper checks that never consult the front
-  slot) in a subclass and asserts the sanitizer converts the silent
+  kernel on same-instant scenarios, then each check (negative delay,
+  monotonic clock, dispatch order) tripped on purpose.  The
+  dispatch-order test reintroduces PR 8's bug class (picking from one
+  of the front slot and the heap without consulting the other) in a
+  subclass's ``_pop`` and asserts the sanitizer converts the silent
   reordering into a :class:`SanitizerError`.
 - :class:`StackSanitizer` — a real built machine with each bus-level
   invariant forced false (slot bound, request conservation, token
@@ -37,7 +37,7 @@ from repro.experiments.common import (
 )
 from repro.obs.bus import BlockComplete, DeviceStart
 from repro.sim import Environment
-from repro.sim.events import NORMAL
+from repro.sim.events import NORMAL, URGENT
 from repro.sim.shard.channel import InterShardChannel
 from repro.sim.shard.message import ShardMessage
 from repro.units import KB, MB
@@ -46,9 +46,9 @@ from repro.units import KB, MB
 
 
 def _front_slot_scenario(env):
-    """The PR 8 regression scenario: a process spawned mid-cohort parks
+    """The PR 8 regression scenario: a process spawned mid-instant parks
     an URGENT Initialize in the front slot; it must run before the
-    cohort remainder."""
+    remaining same-instant entries."""
     fired = []
 
     def body():
@@ -136,63 +136,75 @@ def test_monotonic_clock_violation_raises():
         env._dispatch((1.0, NORMAL, 999_999, env.event()))
 
 
-class BuggyCohortEnv(SanitizedEnvironment):
-    """SanitizedEnvironment with the PR 8 cohort bug reintroduced.
+def _slot_after_heap_scenario(env):
+    """Mid-instant, an URGENT event goes onto the heap, then a process
+    spawn parks its younger URGENT Initialize in the free front slot —
+    so the slot holds a pending entry that is *not* the minimum."""
+    fired = []
 
-    This ``_run_cohort`` is the pre-fix loop: same-instant interloper
-    checks consult only the heap head, never the front slot — so an
-    URGENT Initialize parked in the slot mid-cohort is dispatched
-    *after* the cohort remainder.  The inherited checked ``_dispatch``
-    must turn that silent reordering into a SanitizerError.
+    def body():
+        fired.append("started")
+        return
+        yield  # pragma: no cover - makes this a generator
+
+    def spawn(ev):
+        fired.append(ev.value)
+        urgent = env.event()
+        urgent.callbacks.append(lambda e: fired.append("urgent"))
+        env.schedule(urgent, priority=URGENT)  # heap, older eid
+        env.process(body())  # front slot, younger eid
+
+    env.timeout(1, value="a").callbacks.append(spawn)
+    env.timeout(1, value="b").callbacks.append(lambda ev: fired.append(ev.value))
+    return fired
+
+
+class BuggyPopEnv(SanitizedEnvironment):
+    """SanitizedEnvironment with PR 8's bug class reintroduced at the
+    entry-selection seam.
+
+    This ``_pop`` takes the front slot without comparing it to the
+    heap head, so a same-instant entry that sorts first but sits in the
+    heap is dispatched late.  Which structure holds an entry depends on
+    unrelated traffic, so the order would too — the divergence class
+    PR 8 fixed.  The inherited checked ``_dispatch`` must turn that
+    silent reordering into a SanitizerError.
     """
 
     __slots__ = ()
 
-    def _run_cohort(self, entry, tnow):
-        from heapq import heappop, heappush
-
-        queue = self._queue
-        cohort = [entry]
+    def _pop(self):
         nxt = self._next
-        if nxt is not None and nxt[0] == tnow:
-            heappush(queue, nxt)
+        if nxt is not None:  # BUG: no comparison with self._queue[0]
             self._next = None
-        while queue and queue[0][0] == tnow:
-            cohort.append(heappop(queue))
-        i = 0
-        n = len(cohort)
-        try:
-            while i < n:
-                if self._halted:
-                    break
-                # BUG (pre-fix): no check of self._next here.
-                if queue and queue[0][0] == tnow and queue[0] < cohort[i]:
-                    self._dispatch(heappop(queue))
-                    continue
-                entry = cohort[i]
-                i += 1
-                self._dispatch(entry)
-        except BaseException:
-            while i < n:
-                heappush(queue, cohort[i])
-                i += 1
-            raise
+            return nxt
+        return super()._pop()
 
 
 def test_reintroduced_cohort_bug_is_caught():
-    env = BuggyCohortEnv()
-    fired = _front_slot_scenario(env)
-    with pytest.raises(SanitizerError, match="cohort order") as excinfo:
+    env = BuggyPopEnv()
+    fired = _slot_after_heap_scenario(env)
+    with pytest.raises(SanitizerError, match="dispatch order") as excinfo:
         env.run()
-    # The buggy kernel dispatched "b" while the URGENT Initialize sat
-    # in the front slot; the error names both entries and the history
-    # shows the dispatches that led up to it.
+    # The buggy kernel dispatched the slot's Initialize while an older
+    # URGENT entry sat at the heap head; the error names both entries
+    # and the history shows the dispatches that led up to it.
     err = excinfo.value
-    assert "front slot" in str(err)
+    assert "heap head" in str(err)
     assert "dispatching" in err.context and "pending" in err.context
     assert err.context["pending"][1] == 0  # URGENT priority
     assert err.history, "recent-dispatch snippet missing"
-    assert fired == ["a"]  # "b" never ran; the violation fired first
+    assert fired == ["a"]  # neither URGENT entry ran; the violation fired first
+
+
+def test_correct_kernel_passes_slot_after_heap_scenario():
+    results = []
+    for env_class in (Environment, SanitizedEnvironment):
+        env = env_class()
+        fired = _slot_after_heap_scenario(env)
+        env.run()
+        results.append(fired)
+    assert results[0] == results[1] == ["a", "urgent", "started", "b"]
 
 
 def test_correct_kernel_passes_same_scenario():

@@ -1,11 +1,11 @@
-"""Cohort dispatch: same-instant events drained and run as one batch.
+"""Same-instant semantics: events sharing a timestamp (a *cohort*).
 
-The run loop hands every event sharing a timestamp to ``_run_cohort``,
-which drains them from the heap into a recycled buffer and dispatches
-them in one pass.  These tests pin the observable contract: ordering is
-exactly what event-at-a-time dispatch produced, same-instant events
-scheduled *during* the cohort still run at their proper rank, and a
-stop or crash mid-cohort leaves the queue resumable.
+The run loop dispatches one entry at a time, always the smallest
+pending ``(time, priority, eid)`` across the front slot and the heap.
+These tests pin the observable contract for same-instant events:
+they run in (priority, eid) order, events scheduled *during* the
+instant still run at their proper rank whichever structure holds
+them, and a stop or crash mid-instant leaves the queue resumable.
 """
 
 import pytest
@@ -143,23 +143,9 @@ def test_crashing_callback_mid_cohort_leaves_queue_resumable():
     assert fired == [0, 2]
 
 
-def test_cohort_buffer_is_recycled():
-    env = Environment()
-    for i in range(10):
-        env.timeout(1, value=i)
-    env.run()
-    buffer = env._cohort
-    assert buffer == []
-    for i in range(10):
-        env.timeout(1, value=i)
-    env.run()
-    assert env._cohort is buffer  # same list object, reused
-
-
 def test_nested_run_during_cohort_falls_back_safely():
-    """A process calling env.run() re-entrantly must not corrupt the
-    in-use cohort buffer (the inner run sees _cohort is None and
-    allocates its own)."""
+    """A callback running another Environment to completion mid-instant
+    must not disturb the outer run's same-instant order."""
     env = Environment()
     fired = []
 

@@ -19,9 +19,10 @@ later.  Three attachment points:
   off — enabling it swaps the class, not the code.
 - :class:`StackSanitizer` — per-machine checks (dispatch-slot count
   bounded by device channels, block-layer request conservation, token
-  conservation per tenant bucket) implemented as stack-bus
-  subscribers.  With the sanitizer off no subscriber exists, so the
-  zero-subscriber fast path never even constructs the events.
+  conservation per tenant bucket, page-cache accounting) implemented
+  as stack-bus subscribers.  With the sanitizer off no subscriber
+  exists, so the zero-subscriber fast path never even constructs the
+  events.
 - the shard layer — :class:`~repro.sim.shard.channel.InterShardChannel`
   and :class:`~repro.sim.shard.environment.ShardEnvironment` call
   :func:`check_delivery` / duplicate-sequence guards when built with
@@ -39,6 +40,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.sim.core import EmptySchedule, Environment, StopSimulation
 from repro.sim.events import Event, NORMAL
+from repro.units import PAGE_SIZE
 
 #: Dispatch records kept for the error snippet (per environment).
 HISTORY_DEPTH = 32
@@ -195,7 +197,10 @@ class StackSanitizer:
       inflight`` at every completion (an over-completion means an event
       fired twice);
     - **token conservation** per tenant bucket: refunds never exceed
-      charges, and the balance never exceeds the burst cap.
+      charges, and the balance never exceeds the burst cap;
+    - **page-cache accounting**: clean plus dirty pages make up the
+      cache's length, the cache exceeds its capacity only with dirty
+      pages, and the dirty-byte counter matches the dirty pages.
     """
 
     #: Relative slack for float token accounting.
@@ -259,6 +264,35 @@ class StackSanitizer:
                 inflight=queue.inflight_count,
             )
         self._check_token_buckets()
+        self._check_page_cache()
+
+    def _check_page_cache(self) -> None:
+        cache = self.machine.cache
+        clean, dirty = cache.clean_pages, cache.dirty_pages
+        # A negative count would make len() itself raise.
+        if clean < 0 or clean + dirty != len(cache):
+            self._fail(
+                "page-cache accounting violation: clean + dirty pages do "
+                "not make up the cached pages",
+                clean=clean,
+                dirty=dirty,
+            )
+        resident = clean + dirty
+        if resident > max(cache.capacity_pages, dirty):
+            self._fail(
+                "page-cache accounting violation: over capacity while "
+                "holding evictable clean pages",
+                resident=resident,
+                capacity=cache.capacity_pages,
+                dirty=dirty,
+            )
+        if cache.dirty_bytes != dirty * PAGE_SIZE:
+            self._fail(
+                "page-cache accounting violation: dirty bytes disagree "
+                "with the dirty pages",
+                dirty_bytes=cache.dirty_bytes,
+                dirty=dirty,
+            )
 
     def _check_token_buckets(self) -> None:
         registry = getattr(self.machine.scheduler, "buckets", None)

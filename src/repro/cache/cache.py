@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import islice
 from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
@@ -15,9 +16,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.proc import Task
     from repro.sim.core import Environment
 
-#: ``mark_dirty_range``'s marker for a key absent from the clean LRU (a clean
-#: page's disk block may itself be None).
-_UNCACHED = object()
+
+class _Extent:
+    """Clean pages ``start..stop-1`` of one file, adjacent in LRU order.
+
+    The pages sit on disk blocks ``block..block+n-1``, or are
+    zero-filled sparse pages when *block* is None.  An extent holds no
+    per-page state, so trimming or splitting it is O(1).  ``prev`` and
+    ``next`` link the cache's LRU list.
+    """
+
+    __slots__ = ("inode_id", "start", "stop", "block", "prev", "next")
+
+    def __init__(self, inode_id: int, start: int, stop: int, block: Optional[int]):
+        self.inode_id = inode_id
+        self.start = start
+        self.stop = stop
+        self.block = block
+
+    def block_of(self, index: int) -> Optional[int]:
+        block = self.block
+        return None if block is None else block + index - self.start
 
 
 class PageCache:
@@ -30,6 +49,13 @@ class PageCache:
     scheduler, span builders, tests) observe them.  A stack running a
     pure block-level scheduler has no memory subscribers, which is
     exactly the information gap the paper describes.
+
+    Clean pages carry no identity the schedulers read, so they live in
+    an LRU list of *extents* (runs of clean pages of one file, adjacent
+    in LRU order, on consecutive disk blocks), not as one entry each.
+    Expanding the extents front to back gives the exact page order of a
+    per-page LRU, so hits, misses and evictions are those of one; a cold
+    streaming read costs O(extents) list operations, not O(pages).
     """
 
     def __init__(
@@ -49,11 +75,15 @@ class PageCache:
         #: pages that exist as :class:`Page` objects.  Insertion order
         #: is age order: a page enters on its clean->dirty transition.
         self._pages: Dict[PageKey, Page] = {}
-        #: Clean pages, least recently used first: ``(inode_id, index)
-        #: -> disk block`` (None for a zero-filled sparse page).  Keys
-        #: are plain tuples, which hash and compare equal to PageKey.
-        #: Only these pages are evictable, so eviction is O(1).
-        self._clean_lru: "OrderedDict[Tuple[int, int], Optional[int]]" = OrderedDict()
+        #: Sentinel of the circular LRU list of clean extents: ``next``
+        #: is the least recently used, ``prev`` the newest.  Only clean
+        #: pages are evictable, so eviction pops and trims from the front.
+        self._lru = _Extent(-1, 0, 0, None)
+        self._lru.prev = self._lru.next = self._lru
+        #: Per file: the sorted starts of its clean extents, beside the
+        #: extents themselves (plain ints, so ``bisect`` runs in C).
+        self._extents: Dict[int, Tuple[List[int], List[_Extent]]] = {}
+        self._clean_pages = 0
         self._dirty_by_inode: Dict[int, "OrderedDict[PageKey, None]"] = {}
         self.dirty_bytes = 0
         #: The stack event bus (shared with the rest of the stack when
@@ -73,18 +103,46 @@ class PageCache:
     # -- queries ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._pages) + len(self._clean_lru)
+        return len(self._pages) + self._clean_pages
 
     @property
     def dirty_pages(self) -> int:
         return len(self._pages)
 
     @property
+    def clean_pages(self) -> int:
+        return self._clean_pages
+
+    @property
     def dirty_fraction(self) -> float:
         return self.dirty_bytes / self.memory_bytes
 
     def contains(self, key: PageKey) -> bool:
-        return key in self._clean_lru or key in self._pages
+        inode_id, index = key
+        return key in self._pages or self._locate(inode_id, index, index + 1)[1] is not None
+
+    def contains_range(self, inode_id: int, first: int, stop: int) -> bool:
+        """Whether every page ``first..stop-1`` of a file is cached,
+        dirty or clean: clean extents answer for their runs, and only
+        the gaps between them are checked page by page."""
+        pages = self._pages
+        index = first
+        while index < stop:
+            end, extent = self._locate(inode_id, index, stop)
+            if extent is None and not all((inode_id, i) in pages for i in range(index, end)):
+                return False
+            index = end
+        return True
+
+    def clean_keys(self) -> Iterator[PageKey]:
+        """Keys of the clean pages in LRU order, next eviction victim
+        first (read-only: do not mutate the cache while iterating)."""
+        lru = self._lru
+        extent = lru.next
+        while extent is not lru:
+            for index in range(extent.start, extent.stop):
+                yield PageKey(extent.inode_id, index)
+            extent = extent.next
 
     def dirty_pages_of(self, inode_id: int) -> List[Page]:
         """All dirty pages of one file, in file order."""
@@ -131,32 +189,40 @@ class PageCache:
         rest are misses.  A *readahead* probe only reports the uncached
         pages that have a disk block: it touches and counts nothing.
         """
-        lru, pages = self._clean_lru, self._pages
-        if readahead:
-            return [
-                (index, block)
-                for index in range(first, stop)
-                if (inode_id, index) not in lru
-                and (inode_id, index) not in pages
-                and (block := block_map.get(index)) is not None
-            ]
-        touch = lru.move_to_end
+        pages = self._pages
+        dirty = inode_id in self._dirty_by_inode
+        get = block_map.get
         missing: List[Tuple[int, int]] = []
         hits = 0
-        for index in range(first, stop):
-            key = (inode_id, index)
-            if key in lru:
-                touch(key)
-            elif key not in pages:
-                block = block_map.get(index)
-                if block is not None:
-                    missing.append((index, block))
-                    continue
-                lru[key] = None  # zero fill, no I/O
+        index = first
+        while index < stop:
+            end, extent = self._locate(inode_id, index, stop)
+            if extent is not None:
+                if not readahead:
+                    self._touch(extent, index, end)
+                    hits += end - index
+                index = end
+                continue
+            # A gap: no page here is clean; a dirty one is a hit.
+            gap = range(index, end)
+            if dirty:
+                gap = [i for i in gap if (inode_id, i) not in pages]
+                hits += end - index - len(gap)
+            found = [(i, block) for i in gap if (block := get(i)) is not None]
+            missing += found
+            if not readahead and len(found) < len(gap):
+                # Zero-fill the holes.  They join the MRU end in order;
+                # evicting once after them pops the same pages as
+                # evicting after each, since each insert pops the front.
+                for i in gap:
+                    if get(i) is None:
+                        self._append(inode_id, i, i + 1, None)
+                hits += len(gap) - len(found)
                 self._maybe_evict()
-            hits += 1
-        self.hits += hits
-        self.misses += len(missing)
+            index = end
+        if not readahead:
+            self.hits += hits
+            self.misses += len(missing)
         return missing
 
     def insert_clean_run(self, inode_id: int, pairs: List[Tuple[int, int]]) -> None:
@@ -164,11 +230,20 @@ class PageCache:
 
         *pairs* are ``(index, disk block)``; the pages join the MRU end
         in order, then the LRU front is evicted down to capacity — the
-        same pages a page-at-a-time insert would evict.
+        same pages a page-at-a-time insert would evict.  Pages that
+        continue each other in both index and block (a sequential
+        read's run) join as one extent.
         """
-        lru = self._clean_lru
-        for index, block in pairs:
-            lru[(inode_id, index)] = block
+        if not pairs:
+            return
+        (first, block), (last, last_block) = pairs[0], pairs[-1]
+        if last - first == last_block - block == len(pairs) - 1 and pairs == list(
+            zip(range(first, last + 1), range(block, last_block + 1))
+        ):
+            self._append(inode_id, first, last + 1, block)
+        else:
+            for index, block in pairs:
+                self._append(inode_id, index, index + 1, block)
         self._maybe_evict()
 
     def mark_dirty_range(
@@ -193,7 +268,7 @@ class PageCache:
         """
         causes = self.tags.current_causes(task)
         account_tag = self.tags.account_tag
-        pages, lru, by_inode = self._pages, self._clean_lru, self._dirty_by_inode
+        pages, by_inode = self._pages, self._dirty_by_inode
         subscribers, publish = self._sub_dirtied, self.bus.publish
         now = self.env.now
         page = None
@@ -201,12 +276,14 @@ class PageCache:
             page = pages.get((inode_id, index))
             if page is None:
                 # Clean (or uncached) -> dirty: the page object is born here.
-                block = lru.pop((inode_id, index), _UNCACHED)
+                extent = self._locate(inode_id, index, index + 1)[1]
                 key = PageKey(inode_id, index)
-                page = Page(key, self, None if block is _UNCACHED else block)
-                pages[key] = page
-                if block is _UNCACHED:
+                if extent is None:
+                    page = pages[key] = Page(key, self)
                     self._maybe_evict()
+                else:
+                    page = pages[key] = Page(key, self, extent.block_of(index))
+                    self._take(extent, index, index + 1)
                 old_causes = EMPTY_CAUSES
                 page.dirty = True
                 page.dirtied_at = now
@@ -257,7 +334,7 @@ class PageCache:
         self.dirty_bytes -= PAGE_SIZE
         self.tags.release_tag(page)
         page.causes = EMPTY_CAUSES
-        self._clean_lru[key] = page.disk_block
+        self._append(key.inode_id, key.index, key.index + 1, page.disk_block)
         if self._sub_cleaned:
             self.bus.publish(PageCleaned(self.env.now, page))
         self._maybe_evict()
@@ -270,13 +347,31 @@ class PageCache:
         """
         page = self._pages.pop(key, None)
         if page is None:
-            self._clean_lru.pop(key, None)
+            inode_id, index = key
+            extent = self._locate(inode_id, index, index + 1)[1]
+            if extent is not None:
+                self._take(extent, index, index + 1)
             return
         self._discard_dirty(key)
         self.dirty_bytes -= PAGE_SIZE
         self.tags.release_tag(page)
         if self._sub_freed:
             self.bus.publish(PageFreed(self.env.now, page))
+
+    def free_range(self, inode_id: int, first: int, stop: int) -> None:
+        """Drop pages ``first..stop-1`` of a file (truncation): the clean
+        extents there are cut out whole, then dirty pages are freed as
+        :meth:`free` would, in index order."""
+        index = first
+        while index < stop:
+            end, extent = self._locate(inode_id, index, stop)
+            if extent is not None:
+                self._take(extent, index, end)
+            index = end
+        dirty = self._dirty_by_inode.get(inode_id)
+        if dirty:
+            for key in sorted(key for key in dirty if first <= key.index < stop):
+                self.free(key)
 
     def _discard_dirty(self, key: PageKey) -> None:
         index = self._dirty_by_inode.get(key.inode_id)
@@ -295,7 +390,9 @@ class PageCache:
         """
         count = len(self)
         self._pages.clear()
-        self._clean_lru.clear()
+        self._lru.prev = self._lru.next = self._lru
+        self._extents.clear()
+        self._clean_pages = 0
         self._dirty_by_inode.clear()
         self.dirty_bytes = 0
         return count
@@ -306,21 +403,115 @@ class PageCache:
         Dirty pages are freed (and publish :class:`PageFreed`) oldest
         first.
         """
-        lru = self._clean_lru
-        clean = [key for key in lru if key[0] == inode_id]
-        for key in clean:
-            del lru[key]
+        clean = 0
+        for extent in self._extents.pop(inode_id, ((), ()))[1]:
+            extent.prev.next = extent.next
+            extent.next.prev = extent.prev
+            clean += extent.stop - extent.start
+        self._clean_pages -= clean
         dirty = list(self._dirty_by_inode.get(inode_id, ()))
         for key in dirty:
             self.free(key)
-        return len(clean) + len(dirty)
+        return clean + len(dirty)
+
+    # -- clean extents -----------------------------------------------------
+
+    def _locate(
+        self, inode_id: int, index: int, stop: int
+    ) -> Tuple[int, Optional[_Extent]]:
+        """The run of pages from *index* (up to *stop*) in one state:
+        ``(end, extent)`` if page *index* is clean in *extent*, else
+        ``(end, None)`` up to the file's next clean extent."""
+        entry = self._extents.get(inode_id)
+        if entry is None:
+            return stop, None
+        starts, extents = entry
+        j = bisect_right(starts, index)
+        if j:
+            extent = extents[j - 1]
+            if index < extent.stop:
+                return min(extent.stop, stop), extent
+        if j < len(starts) and starts[j] < stop:
+            return starts[j], None
+        return stop, None
+
+    def _append(self, inode_id: int, start: int, stop: int, block: Optional[int]) -> None:
+        """Add uncached pages ``start..stop-1`` (on blocks ``block..``)
+        at the MRU end, extending the newest extent if they continue it
+        in file, index and block."""
+        lru = self._lru
+        tail = lru.prev
+        if (
+            tail.stop == start
+            and tail.inode_id == inode_id
+            and (block is None if tail.block is None else tail.block + start - tail.start == block)
+        ):
+            tail.stop = stop
+        else:
+            extent = _Extent(inode_id, start, stop, block)
+            extent.prev = tail
+            extent.next = lru
+            tail.next = lru.prev = extent
+            entry = self._extents.get(inode_id)
+            if entry is None:
+                self._extents[inode_id] = ([start], [extent])
+            else:
+                starts, extents = entry
+                j = bisect_left(starts, start)
+                starts.insert(j, start)
+                extents.insert(j, extent)
+        self._clean_pages += stop - start
+
+    def _take(self, extent: _Extent, start: int, stop: int) -> None:
+        """Remove pages ``start..stop-1`` from *extent*; what is left of
+        it keeps its place in the LRU."""
+        self._clean_pages -= stop - start
+        if start > extent.start:
+            if stop < extent.stop:
+                # Split: the pages after the cut follow in the LRU.
+                right = _Extent(extent.inode_id, stop, extent.stop, extent.block_of(stop))
+                right.prev = extent
+                right.next = extent.next
+                extent.next.prev = right
+                extent.next = right
+                starts, extents = self._extents[extent.inode_id]
+                j = bisect_left(starts, stop)
+                starts.insert(j, stop)
+                extents.insert(j, right)
+            extent.stop = start
+            return
+        starts, extents = self._extents[extent.inode_id]
+        j = bisect_left(starts, start)
+        if stop < extent.stop:
+            extent.start = starts[j] = stop
+            if extent.block is not None:
+                extent.block += stop - start
+            return
+        extent.prev.next = extent.next
+        extent.next.prev = extent.prev
+        del starts[j], extents[j]
+        if not starts:
+            del self._extents[extent.inode_id]
+
+    def _touch(self, extent: _Extent, start: int, stop: int) -> None:
+        """Pages ``start..stop-1`` of *extent* were read: move them to
+        the MRU end, in index order, as per-page touches would."""
+        if extent is self._lru.prev and stop == extent.stop:
+            return  # already the newest pages, in this order
+        block = extent.block_of(start)
+        self._take(extent, start, stop)
+        self._append(extent.inode_id, start, stop, block)
 
     def _maybe_evict(self) -> None:
-        """Evict clean pages from the LRU front while over capacity."""
-        lru = self._clean_lru
-        excess = min(len(self._pages) + len(lru) - self.capacity_pages, len(lru))
+        """Evict clean pages from the LRU front while over capacity:
+        whole extents first, then a trim of the last one reached."""
+        clean = self._clean_pages
+        excess = min(len(self._pages) + clean - self.capacity_pages, clean)
         if excess > 0:
-            for _ in range(excess):
-                lru.popitem(last=False)
             self.evictions += excess
-
+            lru = self._lru
+            while excess:
+                extent = lru.next
+                stop = min(extent.stop, extent.start + excess)
+                excess -= stop - extent.start
+                self._take(extent, extent.start, stop)

@@ -25,9 +25,10 @@ class Page:
     A page re-dirtied while under writeback stays dirty after the write
     completes.  The page carries the split framework's cause tag and the
     (possibly delayed) disk block assignment.  The cache keeps a clean
-    page as a bare key and disk block, so a ``Page`` exists only from
-    its clean->dirty transition until its writeback completes; only
-    these states carry tags, bus events and block-request references.
+    page only as part of a run of clean pages (an extent of the clean
+    LRU), so a ``Page`` exists only from its clean->dirty transition
+    until its writeback completes; only these states carry tags, bus
+    events and block-request references.
     """
 
     __slots__ = (

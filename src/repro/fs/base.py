@@ -13,7 +13,6 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.block.request import READ, WRITE, BlockRequest
-from repro.cache.page import PageKey
 from repro.faults.errors import EIO
 from repro.fs.alloc import Allocator
 from repro.fs.inode import Inode
@@ -252,8 +251,8 @@ class FileSystem:
         old_pages = inode.size_pages
         inode.size = new_size
         new_pages = inode.size_pages
+        self.cache.free_range(inode.id, new_pages, old_pages)
         for index in range(new_pages, old_pages):
-            self.cache.free(PageKey(inode.id, index))
             block = inode.block_map.pop(index, None)
             if block is not None:
                 self.allocator.free(block, 1)

@@ -102,7 +102,6 @@ class SCSToken(SchedulerHooks):
         return 0.0
 
     def _fully_cached(self, info: Dict[str, Any]) -> bool:
-        from repro.cache.page import PageKey
         from repro.units import PAGE_SIZE
 
         inode = info.get("inode")
@@ -113,7 +112,4 @@ class SCSToken(SchedulerHooks):
             return True
         first = offset // PAGE_SIZE
         last = (offset + nbytes - 1) // PAGE_SIZE
-        for index in range(first, last + 1):
-            if not self.os.cache.contains(PageKey(inode.id, index)):
-                return False
-        return True
+        return self.os.cache.contains_range(inode.id, first, last + 1)

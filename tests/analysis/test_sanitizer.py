@@ -296,6 +296,26 @@ def test_token_balance_over_cap_detected():
         machine.bus.publish(_fake_complete(env))
 
 
+def test_page_cache_dirty_byte_drift_detected():
+    env, machine, _san = _sanitized_machine()
+    machine.cache.dirty_bytes += 1  # a dirty page's bytes counted twice
+    with pytest.raises(SanitizerError, match="dirty bytes") as excinfo:
+        machine.bus.publish(_fake_complete(env))
+    assert excinfo.value.context["dirty_bytes"] == 1
+
+
+def test_page_cache_clean_count_drift_detected():
+    env, machine, _san = _sanitized_machine()
+    cache = machine.cache
+    cache._clean_pages = -1  # more clean pages dropped than ever cached
+    with pytest.raises(SanitizerError, match="clean \\+ dirty"):
+        machine.bus.publish(_fake_complete(env))
+    cache._clean_pages = cache.capacity_pages + 1  # an eviction skipped
+    with pytest.raises(SanitizerError, match="over capacity") as excinfo:
+        machine.bus.publish(_fake_complete(env))
+    assert excinfo.value.context["resident"] == cache.capacity_pages + 1
+
+
 def test_clean_machine_passes_all_checks():
     env, machine, _san = _sanitized_machine()
     task = machine.spawn("t")

@@ -236,3 +236,161 @@ def test_range_dirty_takes_disk_blocks_after_the_hook():
     assert seen == [(0, None), (1, None), (2, None)]
     assert [cache._pages[(1, i)].disk_block for i in range(3)] == [50, None, 52]
     assert last is cache._pages[(1, 2)]
+
+
+# -- clean extents ------------------------------------------------------------
+
+
+def clean_runs(cache, inode_id):
+    """A file's clean extents as ``(start, stop)`` pairs, in file order."""
+    entry = cache._extents.get(inode_id)
+    return [(extent.start, extent.stop) for extent in entry[1]] if entry else []
+
+
+def test_consecutive_pages_and_blocks_share_one_extent():
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(0, 100), (1, 101), (2, 102)])
+    cache.insert_clean_run(1, [(3, 103)])  # continues the newest extent
+    assert clean_runs(cache, 1) == [(0, 4)]
+    cache.insert_clean_run(1, [(4, 200)])  # next page, but not the next block
+    cache.insert_clean_run(1, [(6, 201)])  # next block, but not the next page
+    assert clean_runs(cache, 1) == [(0, 4), (4, 5), (6, 7)]
+    assert list(cache.clean_keys()) == [(1, i) for i in (0, 1, 2, 3, 4, 6)]
+    assert cache.clean_pages == len(cache) == 6
+
+
+def test_run_in_block_order_keeps_its_page_order():
+    """A run whose pages descend on disk joins page by page, in the
+    order given, as a per-page LRU would take it."""
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(2, 10), (1, 11), (0, 12)])
+    assert list(cache.clean_keys()) == [(1, 2), (1, 1), (1, 0)]
+    assert clean_runs(cache, 1) == [(0, 1), (1, 2), (2, 3)]
+    assert cache.mark_dirty(PageKey(1, 1), Task("t")).disk_block == 11
+
+
+def test_extent_joins_only_the_newest_extent():
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(0, 100)])
+    cache.insert_clean_run(2, [(0, 500)])
+    cache.insert_clean_run(1, [(1, 101)])  # continues (1, 0), which is no longer newest
+    assert clean_runs(cache, 1) == [(0, 1), (1, 2)]
+    assert list(cache.clean_keys()) == [(1, 0), (2, 0), (1, 1)]
+
+
+def test_mid_extent_hit_splits_it_and_moves_the_pages_to_the_mru_end():
+    env, tags, cache = make_cache()
+    block_map = {i: 100 + i for i in range(8)}
+    cache.insert_clean_run(1, [(i, 100 + i) for i in range(8)])
+    assert cache.lookup_range(1, 3, 5, block_map) == []
+    assert [key.index for key in cache.clean_keys()] == [0, 1, 2, 5, 6, 7, 3, 4]
+    assert clean_runs(cache, 1) == [(0, 3), (3, 5), (5, 8)]
+    assert cache.hits == 2
+    # The split pieces keep their disk blocks.
+    task = Task("t")
+    assert [cache.mark_dirty(PageKey(1, i), task).disk_block for i in (2, 3, 5)] == [102, 103, 105]
+
+
+def test_hit_on_the_newest_pages_keeps_the_order():
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(2, [(0, 50)])
+    cache.insert_clean_run(1, [(i, 100 + i) for i in range(6)])
+    cache.lookup_range(1, 4, 6, {i: 100 + i for i in range(6)})
+    assert list(cache.clean_keys()) == [(2, 0)] + [(1, i) for i in range(6)]
+    assert clean_runs(cache, 1) == [(0, 6)]
+
+
+def test_hit_on_a_whole_extent_merges_it_into_the_newest_it_continues():
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(i, 100 + i) for i in range(3, 6)])
+    cache.insert_clean_run(1, [(i, 100 + i) for i in range(3)])
+    assert clean_runs(cache, 1) == [(0, 3), (3, 6)]
+    cache.lookup_range(1, 3, 6, {i: 100 + i for i in range(6)})
+    assert clean_runs(cache, 1) == [(0, 6)]
+    assert [key.index for key in cache.clean_keys()] == list(range(6))
+
+
+def test_dirtying_a_mid_extent_page_splits_it():
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(i, 100 + i) for i in range(8)])
+    page = cache.mark_dirty(PageKey(1, 3), Task("t"))
+    assert page.disk_block == 103
+    assert clean_runs(cache, 1) == [(0, 3), (4, 8)]
+    assert [key.index for key in cache.clean_keys()] == [0, 1, 2, 4, 5, 6, 7]
+    assert (cache.clean_pages, cache.dirty_pages, len(cache)) == (7, 1, 8)
+
+
+def test_in_order_writeback_completions_coalesce():
+    env, tags, cache = make_cache()
+    task = Task("t")
+    cache.mark_dirty_range(1, 0, 4, {i: 300 + i for i in range(4)}, task)
+    for page in cache.dirty_pages_by_age():
+        page.write_submitted()
+        page.write_completed()
+    assert clean_runs(cache, 1) == [(0, 4)]
+    assert cache.mark_dirty(PageKey(1, 2), task).disk_block == 302
+
+
+def test_zero_filled_holes_form_blockless_extents():
+    env, tags, cache = make_cache()
+    missing = cache.lookup_range(1, 0, 5, {0: 10, 4: 14})
+    assert missing == [(0, 10), (4, 14)]
+    assert clean_runs(cache, 1) == [(1, 4)]  # pages 1-3, no disk block
+    cache.insert_clean_run(1, missing)
+    # A page with a block never joins a blockless extent.
+    assert clean_runs(cache, 1) == [(0, 1), (1, 4), (4, 5)]
+    assert cache.mark_dirty(PageKey(1, 2), Task("t")).disk_block is None
+
+
+def test_eviction_pops_whole_extents_then_trims_the_last():
+    env, tags, cache = make_cache(memory=6 * PAGE_SIZE)
+    cache.insert_clean_run(1, [(0, 10), (1, 11)])
+    cache.insert_clean_run(2, [(i, 20 + i) for i in range(4)])
+    cache.insert_clean_run(3, [(i, 30 + i) for i in range(3)])
+    assert cache.evictions == 3
+    assert clean_runs(cache, 1) == []
+    assert clean_runs(cache, 2) == [(1, 4)]
+    assert list(cache.clean_keys()) == [(2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)]
+    assert cache.mark_dirty(PageKey(2, 1), Task("t")).disk_block == 21
+
+
+def test_free_file_unlinks_only_that_files_extents():
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(0, 10), (1, 11)])
+    cache.insert_clean_run(2, [(0, 20)])
+    cache.insert_clean_run(1, [(5, 15)])
+    assert cache.free_file(1) == 3
+    assert list(cache.clean_keys()) == [(2, 0)]
+    assert cache.clean_pages == len(cache) == 1
+    assert not cache._extents.get(1)
+
+
+def test_free_range_cuts_extents_and_frees_dirty_pages_in_index_order():
+    env, tags, cache = make_cache()
+    task = Task("t")
+    freed = []
+    cache.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key.index))
+    cache.insert_clean_run(1, [(i, 100 + i) for i in range(8)])
+    cache.mark_dirty(PageKey(1, 5), task)
+    cache.mark_dirty(PageKey(1, 3), task)
+    cache.mark_dirty(PageKey(1, 9), task)
+    cache.free_range(1, 2, 9)
+    assert freed == [3, 5]
+    assert clean_runs(cache, 1) == [(0, 2)]
+    assert [page.key.index for page in cache.dirty_pages_by_age()] == [9]
+    assert (cache.clean_pages, cache.dirty_pages) == (2, 1)
+
+
+def test_contains_range_checks_gaps_against_dirty_pages():
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(0, 10), (1, 11)])
+    cache.insert_clean_run(1, [(4, 14)])
+    assert cache.contains_range(1, 0, 2)
+    assert not cache.contains_range(1, 0, 5)  # pages 2 and 3 are not cached
+    task = Task("t")
+    cache.mark_dirty(PageKey(1, 2), task)
+    assert not cache.contains_range(1, 0, 5)
+    cache.mark_dirty(PageKey(1, 3), task)
+    assert cache.contains_range(1, 0, 5)
+    assert not cache.contains_range(2, 0, 1)
+    assert cache.contains_range(1, 3, 3)  # an empty range

@@ -1,11 +1,13 @@
 """Property-based tests on page-cache invariants and a reference model."""
 
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import PageCache, PageKey
 from repro.core.tags import TagManager
-from repro.obs.bus import PageDirtied
+from repro.obs.bus import PageDirtied, PageFreed
 from repro.proc import Task
 from repro.sim import Environment
 from repro.units import PAGE_SIZE
@@ -14,25 +16,33 @@ INODES = (1, 2, 3)
 FILE_PAGES = 16
 
 
-def block_map_of(inode_id):
+def block_map_of(inode_id, file_pages=FILE_PAGES):
     """A file with a hole every fifth page."""
-    return {i: inode_id * 1000 + i for i in range(FILE_PAGES) if i % 5 != 4}
+    return {i: inode_id * 1000 + i for i in range(file_pages) if i % 5 != 4}
+
+
+def descending_block_map_of(inode_id, file_pages=FILE_PAGES):
+    """A file laid out back to front, so no two pages continue each
+    other on disk, with a hole every seventh page."""
+    return {i: inode_id * 1000 + file_pages - i for i in range(file_pages) if i % 7 != 6}
 
 
 class LruModel:
     """The cache as plain lists, one page at a time.
 
-    ``clean`` is the LRU (front = least recently used).  ``dirty`` maps
-    a key to the page object the cache returned when it was dirtied
-    (identity only, to tell a current page from a freed one), its cause
-    pids, and whether its writeback is in flight or it was re-dirtied
-    meanwhile.  Every insert evicts on its own, which is what the
-    cache's batched run insert must match.
+    ``clean`` is the LRU (front = least recently used), and ``blocks``
+    maps each clean key to its disk block (None for a zero-filled
+    page).  ``dirty`` maps a key to the page object the cache returned
+    when it was dirtied (identity only, to tell a current page from a
+    freed one), its cause pids, and whether its writeback is in flight
+    or it was re-dirtied meanwhile.  Every insert evicts on its own,
+    which is what the cache's batched run insert must match.
     """
 
     def __init__(self, capacity):
         self.capacity = capacity
         self.clean = []
+        self.blocks = {}
         self.dirty = {}
         self.evictions = 0
         self.overwrites = 0
@@ -42,11 +52,12 @@ class LruModel:
 
     def _evict(self):
         while len(self.clean) + len(self.dirty) > self.capacity and self.clean:
-            self.clean.pop(0)
+            del self.blocks[self.clean.pop(0)]
             self.evictions += 1
 
-    def _insert_clean(self, key):
+    def _insert_clean(self, key, block):
         self.clean.append(key)
+        self.blocks[key] = block
         self._evict()
 
     def read(self, inode_id, first, stop, block_map):
@@ -58,11 +69,11 @@ class LruModel:
                 self.clean.append(key)
             elif key not in self.dirty:
                 if block_map.get(index) is None:
-                    self._insert_clean(key)
+                    self._insert_clean(key, None)
                 else:
                     missing.append((index, block_map[index]))
-        for index, _ in missing:
-            self._insert_clean((inode_id, index))
+        for index, block in missing:
+            self._insert_clean((inode_id, index), block)
         return missing
 
     def readahead(self, inode_id, first, stop, block_map):
@@ -85,6 +96,7 @@ class LruModel:
             return key, old
         if key in self.clean:
             self.clean.remove(key)
+            del self.blocks[key]
         self.dirty[key] = {
             "page": page, "causes": frozenset({pid}), "wb": False, "redirtied": False,
         }
@@ -105,11 +117,12 @@ class LruModel:
             entry["redirtied"] = False
             return
         del self.dirty[key]
-        self._insert_clean(key)
+        self._insert_clean(key, page.disk_block)
 
     def free(self, key):
         if key in self.clean:
             self.clean.remove(key)
+            del self.blocks[key]
         self.dirty.pop(key, None)
 
     def free_file(self, inode_id):
@@ -122,11 +135,13 @@ class LruModel:
 class CacheMachine:
     """Drives a cache and its model through the same random operations."""
 
-    def __init__(self, capacity_pages=8):
+    def __init__(self, capacity_pages=8, file_pages=FILE_PAGES, block_maps=block_map_of):
         self.env = Environment()
         self.tags = TagManager()
         self.cache = PageCache(self.env, self.tags, memory_bytes=capacity_pages * PAGE_SIZE)
         self.model = LruModel(capacity_pages)
+        self.file_pages = file_pages
+        self.block_maps = {inode_id: block_maps(inode_id, file_pages) for inode_id in INODES}
         self.tasks = [Task(f"t{i}") for i in range(3)]
         #: Pages whose writeback was submitted and has not completed.
         self.in_flight = []
@@ -135,13 +150,16 @@ class CacheMachine:
         self.cache.bus.subscribe(
             PageDirtied, lambda e: self.dirtied.append((tuple(e.page.key), e.old_causes.pids))
         )
+        #: Keys of each buffer-free event, in order.
+        self.freed = []
+        self.cache.bus.subscribe(PageFreed, lambda e: self.freed.append(tuple(e.page.key)))
 
     def apply(self, op):
         kind, inode_id, index, arg = op
         cache, model = self.cache, self.model
         key = PageKey(inode_id, index)
-        stop = min(index + 1 + arg, FILE_PAGES)
-        block_map = block_map_of(inode_id)
+        stop = min(index + 1 + arg, self.file_pages)
+        block_map = self.block_maps[inode_id]
         if kind == 0:
             missing = cache.lookup_range(inode_id, index, stop, block_map)
             cache.insert_clean_run(inode_id, missing)
@@ -151,9 +169,14 @@ class CacheMachine:
             assert found == model.readahead(inode_id, index, stop, block_map)
         elif kind == 2:
             task = self.tasks[arg % len(self.tasks)]
+            was_dirty = key in model.dirty
+            clean_block = model.blocks.get(key)
             page = cache.mark_dirty(key, task)
             assert self.dirtied == [model.mark_dirty(key, page, task.pid)]
             assert page.disk_block is None or page.disk_block == block_map.get(index)
+            if not was_dirty:
+                # Born from its clean page's disk block, or unallocated.
+                assert page.disk_block == clean_block
         elif kind == 3:
             candidates = cache.dirty_pages_by_age()
             if candidates:
@@ -170,7 +193,21 @@ class CacheMachine:
             cache.free(key)
             model.free(key)
         elif kind == 6:
+            # Dirty pages go oldest first (model dicts keep dirtying order).
+            expected = [k for k in model.dirty if k[0] == inode_id]
             assert cache.free_file(inode_id) == model.free_file(inode_id)
+            assert self.freed == expected
+        elif kind == 8:
+            # Dirty pages go in index order, as page-by-page truncation frees them.
+            expected = sorted(k for k in model.dirty if k[0] == inode_id and index <= k[1] < stop)
+            cache.free_range(inode_id, index, stop)
+            for i in range(index, stop):
+                model.free((inode_id, i))
+            assert self.freed == expected
+        elif kind == 9:
+            resident = model.resident()
+            expected = all((inode_id, i) in resident for i in range(index, stop))
+            assert cache.contains_range(inode_id, index, stop) == expected
         else:
             task = self.tasks[arg % len(self.tasks)]
             cache.mark_dirty_range(inode_id, index, stop, block_map, task)
@@ -181,16 +218,17 @@ class CacheMachine:
                 assert page.disk_block == block_map.get(i)
             assert self.dirtied == expected
         self.dirtied.clear()
+        self.freed.clear()
 
     def check_model(self):
         cache, model = self.cache, self.model
         assert len(cache) == len(model.clean) + len(model.dirty)
         assert cache.evictions == model.evictions
         assert cache.overwrites == model.overwrites
-        assert set(cache._clean_lru) | set(cache._pages) == model.resident()
-        assert list(cache._clean_lru) == model.clean
+        assert set(cache.clean_keys()) | set(cache._pages) == model.resident()
+        assert list(cache.clean_keys()) == model.clean
         for inode_id in INODES:
-            for index in range(FILE_PAGES):
+            for index in range(self.file_pages):
                 key = PageKey(inode_id, index)
                 assert cache.contains(key) == (key in model.resident())
 
@@ -199,24 +237,44 @@ class CacheMachine:
         dirty_count = len(cache._pages)
         assert cache.dirty_pages == dirty_count
         assert cache.dirty_bytes == dirty_count * PAGE_SIZE
-        # Page objects exist only for dirty pages; clean ones are keys.
+        # Page objects exist only for dirty pages; clean ones are extents.
         assert all(page.dirty for page in cache._pages.values())
-        assert not set(cache._clean_lru) & set(cache._pages)
+        clean = list(cache.clean_keys())
+        assert len(clean) == len(set(clean)) == cache.clean_pages == len(cache) - dirty_count
+        assert not set(clean) & set(cache._pages)
+        # Each file's extent index is sorted, non-empty and disjoint.
+        for inode_id, (starts, extents) in cache._extents.items():
+            assert starts == [extent.start for extent in extents]
+            assert all(e.inode_id == inode_id and e.start < e.stop for e in extents)
+            assert all(a.stop <= b.start for a, b in zip(extents, extents[1:]))
         # The per-inode index covers exactly the dirty pages.
         per_inode = {key for index in cache._dirty_by_inode.values() for key in index}
         assert per_inode == set(cache._pages)
         assert all(cache._dirty_by_inode.values())
         # Dirty pages are never evicted: the cache may exceed capacity
         # only by holding nothing but dirty pages.
-        assert len(cache) <= cache.capacity_pages or not cache._clean_lru
+        assert len(cache) <= cache.capacity_pages or not clean
         assert len(cache) <= max(cache.capacity_pages, dirty_count)
 
 
 operations = st.tuples(
-    st.integers(min_value=0, max_value=7),   # op kind
+    st.integers(min_value=0, max_value=9),   # op kind
     st.sampled_from(INODES),                 # inode
     st.integers(min_value=0, max_value=FILE_PAGES - 1),  # page index
     st.integers(min_value=0, max_value=5),   # run length / task / pick
+)
+#: Mostly reads and writeback completions, so clean pages stay cached
+#: long enough to be hit again: a uniform mix fills the cache with
+#: dirty pages and evicts every clean one at once.
+READ_HEAVY_KINDS = (0,) * 6 + (1, 2) + (3,) * 4 + (4,) * 4 + (5, 6, 7, 8, 9, 9)
+#: Long runs over files wider than the cache: extents split on
+#: mid-extent hits, get trimmed by partial eviction, and coalesce as
+#: writebacks complete.
+wide_operations = st.tuples(
+    st.sampled_from(READ_HEAVY_KINDS),
+    st.sampled_from(INODES),
+    st.integers(min_value=0, max_value=63),
+    st.integers(min_value=0, max_value=20),
 )
 
 
@@ -238,6 +296,26 @@ def test_cache_matches_lru_model(ops):
         machine.check_model()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(operations, min_size=1, max_size=200))
+def test_cache_matches_lru_model_with_descending_blocks(ops):
+    machine = CacheMachine(block_maps=descending_block_map_of)
+    for op in ops:
+        machine.apply(op)
+        machine.check_invariants()
+        machine.check_model()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(wide_operations, min_size=1, max_size=200))
+def test_cache_matches_lru_model_over_files_wider_than_the_cache(ops):
+    machine = CacheMachine(capacity_pages=24, file_pages=64)
+    for op in ops:
+        machine.apply(op)
+        machine.check_invariants()
+        machine.check_model()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(operations, min_size=1, max_size=100))
 def test_tag_memory_never_negative(ops):
@@ -246,3 +324,27 @@ def test_tag_memory_never_negative(ops):
         machine.apply(op)
         assert machine.tags.bytes_allocated >= 0
         assert machine.tags.max_bytes_allocated >= machine.tags.bytes_allocated
+
+
+def test_cache_matches_lru_model_on_long_seeded_runs():
+    """Long op sequences, which shrinking-oriented generation rarely
+    builds: re-reads of a run just read, partial hits on the newest
+    extent, and deep eviction across many extents."""
+    configs = [
+        dict(),
+        dict(block_maps=descending_block_map_of),
+        dict(capacity_pages=24, file_pages=64),
+    ]
+    for seed, config in enumerate(configs):
+        rng = random.Random(seed)
+        machine = CacheMachine(**config)
+        max_arg = 20 if machine.file_pages > FILE_PAGES else 5
+        for _ in range(1500):
+            machine.apply((
+                rng.choice(READ_HEAVY_KINDS),
+                rng.choice(INODES),
+                rng.randrange(machine.file_pages),
+                rng.randint(0, max_arg),
+            ))
+            machine.check_invariants()
+            machine.check_model()

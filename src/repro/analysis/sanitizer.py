@@ -293,6 +293,21 @@ class StackSanitizer:
                 dirty_bytes=cache.dirty_bytes,
                 dirty=dirty,
             )
+        tags = cache.tags
+        live, allocated = tags.live_tags, tags.bytes_allocated
+        # Every dirty page holds a tag (journal transactions hold the
+        # rest), and every live tag costs at least the base overhead.
+        if live < dirty or not (
+            tags.TAG_OVERHEAD_BASE * live <= allocated <= tags.max_bytes_allocated
+        ):
+            self._fail(
+                "tag accounting violation: live tags, their bytes and the "
+                "peak disagree with each other or with the dirty pages",
+                live_tags=live,
+                dirty=dirty,
+                bytes_allocated=allocated,
+                max_bytes_allocated=tags.max_bytes_allocated,
+            )
 
     def _check_token_buckets(self) -> None:
         registry = getattr(self.machine.scheduler, "buckets", None)

@@ -256,60 +256,83 @@ class PageCache:
     ) -> Optional[Page]:
         """Dirty pages ``first..stop-1`` of a file on behalf of *task*.
 
-        This is the buffered write path's one cache call.  Each page is
-        dirtied in file order exactly as on its own: an uncached page is
-        born (and may evict a clean one), an already-dirty page counts
-        as an overwrite and merges *task*'s causes into its own, and the
-        buffer-dirty hook fires with the page's previous causes so a
-        scheduler can shift accounting to the last writer if its policy
-        wants that (§4.2).  After its hook, a page takes its disk block
-        from *block_map* when the file has one there (otherwise its
-        allocation stays delayed).  Returns the last page dirtied.
+        This is the buffered write path's one cache call.  Pages are
+        dirtied in file order, in *runs*: consecutive pages that carried
+        the same cause set object before this write (pages born
+        clean->dirty form runs with the empty set).  An uncached page is
+        born (and may evict a clean one) as on its own; an already-dirty
+        page counts as an overwrite, and its run merges *task*'s causes
+        into the old set once, so all its pages share the merged set.
+        Each run then re-prices its pages' tags with one call and
+        publishes one buffer-dirty event with its old causes, so a
+        scheduler can skip overwrites or shift accounting to the last
+        writer if its policy wants that (§4.2).  After its run's event,
+        a page takes its disk block from *block_map* when the file has
+        one there (otherwise its allocation stays delayed).  Returns the
+        last page dirtied.
         """
         causes = self.tags.current_causes(task)
-        account_tag = self.tags.account_tag
         pages, by_inode = self._pages, self._dirty_by_inode
-        subscribers, publish = self._sub_dirtied, self.bus.publish
+        account_tags, subscribers = self.tags.account_tags, self._sub_dirtied
+        get_block = block_map.get
         now = self.env.now
-        page = None
-        for index in range(first, stop):
+        run: List[Page] = []
+        index = first
+        while index < stop:
+            start = index
+            run = []
             page = pages.get((inode_id, index))
             if page is None:
-                # Clean (or uncached) -> dirty: the page object is born here.
-                extent = self._locate(inode_id, index, index + 1)[1]
-                key = PageKey(inode_id, index)
-                if extent is None:
-                    page = pages[key] = Page(key, self)
-                    self._maybe_evict()
-                else:
-                    page = pages[key] = Page(key, self, extent.block_of(index))
-                    self._take(extent, index, index + 1)
+                # Births: the clean (or uncached) pages up to the next dirty one.
                 old_causes = EMPTY_CAUSES
-                page.dirty = True
-                page.dirtied_at = now
-                page.causes = causes
+                merged = causes
                 dirty = by_inode.get(inode_id)
                 if dirty is None:
                     dirty = by_inode[inode_id] = OrderedDict()
-                dirty[key] = None
-                self.dirty_bytes += PAGE_SIZE
-                account_tag(page, causes)
+                while True:
+                    extent = self._locate(inode_id, index, index + 1)[1]
+                    key = PageKey(inode_id, index)
+                    if extent is None:
+                        page = pages[key] = Page(key, self)
+                        self._maybe_evict()
+                    else:
+                        page = pages[key] = Page(key, self, extent.block_of(index))
+                        self._take(extent, index, index + 1)
+                    page.dirty = True
+                    page.dirtied_at = now
+                    page.causes = causes
+                    dirty[key] = None
+                    run.append(page)
+                    index += 1
+                    if index == stop or (inode_id, index) in pages:
+                        break
+                self.dirty_bytes += PAGE_SIZE * len(run)
             else:
+                # Overwrites: the dirty pages that share this page's set.
                 old_causes = page.causes
-                self.overwrites += 1
                 merged = old_causes | causes
-                if merged is not old_causes:
-                    # Re-price the tag only when the cause set grew.
-                    page.causes = merged
-                    account_tag(page, merged)
-                if page.under_writeback:
-                    page.redirtied = True
+                while True:
+                    if merged is not old_causes:
+                        page.causes = merged
+                    if page.under_writeback:
+                        page.redirtied = True
+                    run.append(page)
+                    index += 1
+                    if index == stop:
+                        break
+                    page = pages.get((inode_id, index))
+                    if page is None or page.causes is not old_causes:
+                        break
+                self.overwrites += len(run)
+            if merged is not old_causes:
+                account_tags(run, merged)
             if subscribers:
-                publish(PageDirtied(now, page, old_causes))
-            block = block_map.get(index)
-            if block is not None:
-                page.disk_block = block
-        return page
+                self.bus.publish(PageDirtied(now, tuple(run), old_causes))
+            for i, page in enumerate(run, start):
+                block = get_block(i)
+                if block is not None:
+                    page.disk_block = block
+        return run[-1] if run else None
 
     def mark_dirty(self, key: PageKey, task: "Task") -> Page:
         """Dirty one page: :meth:`mark_dirty_range` over *key* alone,

@@ -18,7 +18,7 @@ the scheduler put the caller to sleep for as long as its policy wants
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING, Any, Dict, Tuple
 
 from repro.block.elevator import BlockScheduler
 
@@ -73,8 +73,15 @@ class SchedulerHooks:
 
     # -- memory level -----------------------------------------------------------
 
-    def on_buffer_dirty(self, page: "Page", old_causes: "CauseSet") -> None:
-        """A buffer was dirtied (or a dirty buffer re-modified)."""
+    def on_buffers_dirty(self, pages: Tuple["Page", ...], old_causes: "CauseSet") -> None:
+        """A run of buffers was dirtied (or dirty buffers re-modified).
+
+        *pages* are consecutive pages of one file, in file order, that
+        all carried *old_causes* before the write (empty for pages just
+        born dirty); each now carries the run's merged causes.  One call
+        per run, not per page: a policy that ignores overwrites returns
+        at once for a whole run.
+        """
 
     def on_buffer_free(self, page: "Page") -> None:
         """A dirty buffer was deleted before writeback."""

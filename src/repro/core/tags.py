@@ -146,6 +146,22 @@ class TagManager:
         if self.bytes_allocated > self.max_bytes_allocated:
             self.max_bytes_allocated = self.bytes_allocated
 
+    def account_tags(self, objs: Iterable[object], causes: CauseSet) -> None:
+        """Record a tag of *causes* on each of *objs*, in order, exactly
+        as one :meth:`account_tag` call each would (a run of pages
+        dirtied together shares one cost).  Costs are integers, so the
+        running total and its peak match the per-object sequence."""
+        cost = self.TAG_OVERHEAD_BASE + self.TAG_OVERHEAD_PER_PID * len(causes)
+        allocations = self._allocations
+        total, peak = self.bytes_allocated, self.max_bytes_allocated
+        for obj in objs:
+            key = id(obj)
+            total += cost - allocations.get(key, 0)
+            allocations[key] = cost
+            if total > peak:
+                peak = total
+        self.bytes_allocated, self.max_bytes_allocated = total, peak
+
     def release_tag(self, obj: object) -> None:
         """Record that *obj*'s tag was freed."""
         cost = self._allocations.pop(id(obj), 0)

@@ -18,7 +18,7 @@ reads the bus.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Type
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
 
 
 class SyscallEnter(NamedTuple):
@@ -71,15 +71,18 @@ class VfsClose(NamedTuple):
 
 
 class PageDirtied(NamedTuple):
-    """A page-cache buffer was dirtied (or a dirty buffer re-modified).
+    """A run of page-cache buffers was dirtied (or dirty ones re-modified).
 
-    ``old_causes`` is the cause set the page carried before this write
-    (empty on a clean->dirty transition) — the information the paper's
-    memory-level ``buffer-dirty`` hook exposes.
+    ``pages`` are consecutive pages of one file, in file order, dirtied
+    by one write and all carrying the same cause set object before it:
+    ``old_causes``, which is empty for pages born clean->dirty.  That
+    old set is the information the paper's memory-level ``buffer-dirty``
+    hook exposes; one event per run gives each page of the write the
+    old causes it would have had alone, with a single publish.
     """
 
     time: float
-    page: Any  # repro.cache.page.Page
+    pages: Tuple[Any, ...]  # repro.cache.page.Page, in file order
     old_causes: Any  # repro.core.tags.CauseSet
 
 

@@ -253,7 +253,7 @@ class AFQ(SplitScheduler):
     # memory level
     # ------------------------------------------------------------------
 
-    def on_buffer_dirty(self, page, old_causes) -> None:
+    def on_buffers_dirty(self, pages, old_causes) -> None:
         # Nothing to do promptly: write admission is paced at the
         # syscall level and true costs are charged at block completion.
         pass

@@ -58,8 +58,8 @@ class SplitNoop(SplitScheduler):
         self.hook_invocations += 1
 
     # Memory hooks: observe and pass through.
-    def on_buffer_dirty(self, page, old_causes) -> None:
-        self.hook_invocations += 1
+    def on_buffers_dirty(self, pages, old_causes) -> None:
+        self.hook_invocations += len(pages)  # one per page dirtied
 
     def on_buffer_free(self, page) -> None:
         self.hook_invocations += 1

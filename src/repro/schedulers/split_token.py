@@ -103,21 +103,22 @@ class SplitToken(SplitScheduler):
     # memory level: prompt charging
     # ------------------------------------------------------------------
 
-    def on_buffer_dirty(self, page, old_causes) -> None:
-        if not self.prompt_charging:
-            return
-        if old_causes:
+    def on_buffers_dirty(self, pages, old_causes) -> None:
+        if old_causes or not self.prompt_charging:
             return  # overwrite of dirty data: no new I/O work
-        estimate = self.os.memory_cost_model.estimate(page)
-        charges = []
-        buckets = self.buckets.buckets_for_causes(page.causes)
-        if buckets:
-            share = estimate / len(page.causes)
-            for bucket in buckets.values():
-                bucket.charge(share)
-                charges.append((bucket, share))
-        if charges:
-            self._page_charges[page.key] = charges
+        # Pages born in one run share their causes.  Each page is still
+        # estimated and charged on its own, in file order: the estimate
+        # tracks sequentiality, and one summed charge would round
+        # differently.
+        causes = pages[0].causes
+        buckets = list(self.buckets.buckets_for_causes(causes).values())
+        estimate = self.os.memory_cost_model.estimate
+        for page in pages:
+            share = estimate(page) / len(causes)
+            if buckets:
+                for bucket in buckets:
+                    bucket.charge(share)
+                self._page_charges[page.key] = [(bucket, share) for bucket in buckets]
 
     def on_buffer_free(self, page) -> None:
         """The work disappeared before writeback: refund the estimate."""

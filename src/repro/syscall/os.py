@@ -145,7 +145,7 @@ class OS:
         if self.scheduler is not None:
             sched = self.scheduler
             self.bus.subscribe(
-                PageDirtied, lambda e: sched.on_buffer_dirty(e.page, e.old_causes)
+                PageDirtied, lambda e: sched.on_buffers_dirty(e.pages, e.old_causes)
             )
             self.bus.subscribe(PageFreed, lambda e: sched.on_buffer_free(e.page))
             sched.attach_stack(self)

@@ -316,6 +316,32 @@ def test_page_cache_clean_count_drift_detected():
     assert excinfo.value.context["resident"] == cache.capacity_pages + 1
 
 
+def test_tag_accounting_drift_detected():
+    env, machine, _san = _sanitized_machine()
+    tags = machine.cache.tags
+    task = machine.spawn("t")
+
+    def write():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.write(16 * KB)
+
+    drive(env, write())
+    machine.bus.publish(_fake_complete(env))  # consistent: passes
+    allocations = dict(tags._allocations)
+    tags._allocations.clear()  # dirty pages whose tags were dropped
+    with pytest.raises(SanitizerError, match="tag accounting") as excinfo:
+        machine.bus.publish(_fake_complete(env))
+    assert excinfo.value.context["live_tags"] == 0
+    assert excinfo.value.context["dirty"] == machine.cache.dirty_pages > 0
+    tags._allocations.update(allocations)
+    tags.bytes_allocated = tags.max_bytes_allocated + 1  # total above its peak
+    with pytest.raises(SanitizerError, match="tag accounting"):
+        machine.bus.publish(_fake_complete(env))
+    tags.bytes_allocated = 0  # below the base cost of the live tags
+    with pytest.raises(SanitizerError, match="tag accounting"):
+        machine.bus.publish(_fake_complete(env))
+
+
 def test_clean_machine_passes_all_checks():
     env, machine, _san = _sanitized_machine()
     task = machine.spawn("t")

@@ -55,7 +55,9 @@ def test_page_dirtied_reports_old_causes():
     env, tags, cache = make_cache()
     a, b = Task("a"), Task("b")
     calls = []
-    cache.bus.subscribe(PageDirtied, lambda e: calls.append((e.page.key, e.old_causes)))
+    cache.bus.subscribe(
+        PageDirtied, lambda e: calls.extend((page.key, e.old_causes) for page in e.pages)
+    )
     key = PageKey(1, 5)
     cache.mark_dirty(key, a)
     cache.mark_dirty(key, b)
@@ -231,11 +233,100 @@ def test_range_dirty_takes_disk_blocks_after_the_hook():
     env, tags, cache = make_cache()
     task = Task("t")
     seen = []
-    cache.bus.subscribe(PageDirtied, lambda e: seen.append((e.page.key.index, e.page.disk_block)))
+    cache.bus.subscribe(
+        PageDirtied, lambda e: seen.extend((page.key.index, page.disk_block) for page in e.pages)
+    )
     last = cache.mark_dirty_range(1, 0, 3, {0: 50, 2: 52}, task)
     assert seen == [(0, None), (1, None), (2, None)]
     assert [cache._pages[(1, i)].disk_block for i in range(3)] == [50, None, 52]
     assert last is cache._pages[(1, 2)]
+
+
+# -- buffer-dirty runs ---------------------------------------------------------
+
+
+def mixed_run_cache(a, b):
+    """Pages 0-5 of file 1, ready for a write over all of them: 0 and
+    1 uncached, 2 and 3 dirty by *a* (one cause set object), 4 dirty by
+    *b*, and 5 clean on disk block 105."""
+    env, tags, cache = make_cache()
+    cache.insert_clean_run(1, [(5, 105)])
+    cache.mark_dirty_range(1, 2, 4, {}, a)
+    cache.mark_dirty_range(1, 4, 5, {}, b)
+    return cache
+
+
+def record_runs(cache):
+    runs = []
+    cache.bus.subscribe(PageDirtied, runs.append)
+    return runs
+
+
+def test_range_dirty_publishes_one_event_per_run_in_file_order():
+    """Born pages, dirty pages of two old sets, then a born page again
+    make four runs; expanded page by page, they are exactly the events
+    one-page writes would publish, and both leave the same state."""
+    block_map = {i: 100 + i for i in range(6)}
+    a, b, writer = Task("a"), Task("b"), Task("c")
+    cache = mixed_run_cache(a, b)
+    runs = record_runs(cache)
+    last = cache.mark_dirty_range(1, 0, 6, block_map, writer)
+    assert [[page.key.index for page in e.pages] for e in runs] == [[0, 1], [2, 3], [4], [5]]
+    assert [e.old_causes for e in runs] == [
+        CauseSet(), CauseSet([a.pid]), CauseSet([b.pid]), CauseSet()
+    ]
+    assert runs[1].pages[0].causes is runs[1].pages[1].causes  # one union per run
+    assert last is runs[-1].pages[-1]
+
+    reference = mixed_run_cache(a, b)
+    one_by_one = record_runs(reference)
+    for index in range(6):
+        reference.mark_dirty_range(1, index, index + 1, block_map, writer)
+    assert all(len(e.pages) == 1 for e in one_by_one)
+
+    def expand(events):
+        return [(page.key, e.old_causes) for e in events for page in e.pages]
+
+    assert expand(runs) == expand(one_by_one)
+    for attr in ("overwrites", "evictions", "dirty_bytes"):
+        assert getattr(cache, attr) == getattr(reference, attr)
+    for attr in ("bytes_allocated", "max_bytes_allocated", "live_tags"):
+        assert getattr(cache.tags, attr) == getattr(reference.tags, attr)
+    for index in range(6):
+        page, ref = cache._pages[(1, index)], reference._pages[(1, index)]
+        assert (page.causes, page.disk_block) == (ref.causes, ref.disk_block)
+
+
+def test_page_under_writeback_in_an_overwrite_run_is_redirtied():
+    env, tags, cache = make_cache()
+    a, b = Task("a"), Task("b")
+    cache.mark_dirty_range(1, 0, 3, {}, a)
+    cache._pages[(1, 1)].write_submitted()
+    runs = record_runs(cache)
+    cache.mark_dirty_range(1, 0, 3, {}, b)
+    assert len(runs) == 1 and runs[0].old_causes == CauseSet([a.pid])
+    assert [page.redirtied for page in runs[0].pages] == [False, True, False]
+    assert cache.overwrites == 3
+
+
+@pytest.mark.parametrize(
+    "dirty_first, first, stop",
+    [
+        ((), 0, 4),  # one born run
+        ((0, 4), 0, 4),  # one overwrite run
+        ((0, 2), 0, 4),  # overwrites, then births
+        ((2, 4), 0, 4),  # births, then overwrites
+        ((1, 2), 0, 4),  # born, overwritten, born
+        ((0, 4), 3, 4),  # a single overwritten page
+    ],
+)
+def test_range_dirty_returns_the_last_page_for_every_run_shape(dirty_first, first, stop):
+    env, tags, cache = make_cache()
+    if dirty_first:
+        cache.mark_dirty_range(1, *dirty_first, {}, Task("a"))
+    last = cache.mark_dirty_range(1, first, stop, {}, Task("b"))
+    assert last is cache._pages[(1, stop - 1)]
+    assert cache.mark_dirty_range(1, 2, 2, {}, Task("b")) is None  # nothing dirtied
 
 
 # -- clean extents ------------------------------------------------------------

@@ -145,14 +145,22 @@ class CacheMachine:
         self.tasks = [Task(f"t{i}") for i in range(3)]
         #: Pages whose writeback was submitted and has not completed.
         self.in_flight = []
-        #: ``(key, old cause pids)`` of each buffer-dirty event, in order.
+        #: ``(key, old cause pids)`` of each page of each buffer-dirty
+        #: event, in order, and the old cause set of each event.
         self.dirtied = []
-        self.cache.bus.subscribe(
-            PageDirtied, lambda e: self.dirtied.append((tuple(e.page.key), e.old_causes.pids))
-        )
+        self.run_causes = []
+        self.cache.bus.subscribe(PageDirtied, self.on_dirtied)
         #: Keys of each buffer-free event, in order.
         self.freed = []
         self.cache.bus.subscribe(PageFreed, lambda e: self.freed.append(tuple(e.page.key)))
+
+    def on_dirtied(self, event):
+        keys = [tuple(page.key) for page in event.pages]
+        inode_id, first = keys[0]
+        # A run is consecutive pages of one file.
+        assert keys == [(inode_id, first + i) for i in range(len(keys))]
+        self.dirtied.extend((key, event.old_causes.pids) for key in keys)
+        self.run_causes.append(event.old_causes)
 
     def apply(self, op):
         kind, inode_id, index, arg = op
@@ -217,7 +225,10 @@ class CacheMachine:
                 expected.append(model.mark_dirty((inode_id, i), page, task.pid))
                 assert page.disk_block == block_map.get(i)
             assert self.dirtied == expected
+            # Runs are maximal: neighbours had different old sets.
+            assert all(a is not b for a, b in zip(self.run_causes, self.run_causes[1:]))
         self.dirtied.clear()
+        self.run_causes.clear()
         self.freed.clear()
 
     def check_model(self):
@@ -227,6 +238,15 @@ class CacheMachine:
         assert cache.overwrites == model.overwrites
         assert set(cache.clean_keys()) | set(cache._pages) == model.resident()
         assert list(cache.clean_keys()) == model.clean
+        # Causes and tags: each dirty page holds one tag priced by its set.
+        tags = self.tags
+        for key, entry in model.dirty.items():
+            assert cache._pages[key].causes.pids == entry["causes"]
+        assert tags.live_tags == len(model.dirty)
+        assert tags.bytes_allocated == sum(
+            tags.TAG_OVERHEAD_BASE + tags.TAG_OVERHEAD_PER_PID * len(entry["causes"])
+            for entry in model.dirty.values()
+        )
         for inode_id in INODES:
             for index in range(self.file_pages):
                 key = PageKey(inode_id, index)

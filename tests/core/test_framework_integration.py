@@ -27,7 +27,9 @@ def make_spied_stack(scheduler):
     """A stack whose scheduler records each memory hook it receives."""
     machine = OS(Environment(), device=SSD(), scheduler=scheduler, memory_bytes=64 * MB)
     calls = []
-    scheduler.on_buffer_dirty = lambda page, old: calls.append(("dirty", page, old))
+    scheduler.on_buffers_dirty = lambda pages, old: calls.extend(
+        ("dirty", page, old) for page in pages
+    )
     scheduler.on_buffer_free = lambda page: calls.append(("free", page))
     return machine, calls
 
@@ -39,7 +41,7 @@ def test_split_scheduler_owns_the_memory_hooks():
     freed = machine.bus.listeners(PageFreed)
     assert len(dirtied) == 1 and len(freed) == 1
     page, old = object(), CauseSet([7])
-    dirtied[0](PageDirtied(0.0, page, old))
+    dirtied[0](PageDirtied(0.0, (page,), old))
     freed[0](PageFreed(0.0, page))
     assert calls == [("dirty", page, old), ("free", page)]
 
@@ -48,7 +50,9 @@ def test_scheduler_hook_precedes_tracing_subscribers():
     machine, calls = make_spied_stack(SplitNoop())
     SpanBuilder.attach(machine)
     assert len(machine.bus.listeners(PageDirtied)) == 1
-    machine.bus.subscribe(PageDirtied, lambda e: calls.append(("traced", e.page)))
+    machine.bus.subscribe(
+        PageDirtied, lambda e: calls.extend(("traced", page) for page in e.pages)
+    )
     task = machine.spawn("t")
 
     def proc():

@@ -38,7 +38,7 @@ def test_default_hooks_are_noops():
     task = Task("t")
     assert hooks.syscall_entry(task, "write", {}) is None
     hooks.syscall_return(task, "write", {})  # must not raise
-    hooks.on_buffer_dirty(None, None)
+    hooks.on_buffers_dirty((), None)
     hooks.on_buffer_free(None)
 
 

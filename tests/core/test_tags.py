@@ -158,3 +158,64 @@ def test_tag_accounting_with_many_writers_on_shared_dirty_pages():
     assert tags.bytes_allocated == 16 * per_page
     assert tags.max_bytes_allocated == 16 * per_page
     assert cache.overwrites == 16 * (2 * len(writers) - 1)
+
+
+class _TagReference:
+    """Tag accounting one object at a time, from the cost formula."""
+
+    def __init__(self):
+        self.costs = {}
+        self.bytes_allocated = self.max_bytes_allocated = 0
+
+    def account(self, obj, npids):
+        cost = TagManager.TAG_OVERHEAD_BASE + TagManager.TAG_OVERHEAD_PER_PID * npids
+        self.bytes_allocated += cost - self.costs.pop(id(obj), 0)
+        self.costs[id(obj)] = cost
+        self.max_bytes_allocated = max(self.max_bytes_allocated, self.bytes_allocated)
+
+    def release(self, obj):
+        self.bytes_allocated -= self.costs.pop(id(obj), 0)
+
+
+PAGES, TXNS = 12, 3
+
+tag_steps = st.one_of(
+    # A run re-price: distinct pages in order, one cause set.
+    st.tuples(
+        st.just("run"),
+        st.lists(st.integers(0, PAGES - 1), min_size=1, max_size=PAGES, unique=True),
+        st.integers(1, 6),
+    ),
+    st.tuples(st.just("page"), st.integers(0, PAGES - 1), st.integers(1, 6)),
+    st.tuples(st.just("txn"), st.integers(0, TXNS - 1), st.integers(1, 6)),
+    st.tuples(st.just("release_page"), st.integers(0, PAGES - 1), st.just(0)),
+    st.tuples(st.just("release_txn"), st.integers(0, TXNS - 1), st.just(0)),
+)
+
+
+@given(st.lists(tag_steps, max_size=60))
+def test_run_reprice_matches_per_object_accounting(steps):
+    """``account_tags`` over a run equals one ``account_tag`` per object,
+    interleaved with single tags, journal-transaction tags and releases:
+    the total, its peak and the live count agree after every step."""
+    tags, reference = TagManager(), _TagReference()
+    pages = [object() for _ in range(PAGES)]
+    txns = [object() for _ in range(TXNS)]
+    for kind, target, npids in steps:
+        causes = CauseSet(range(npids))
+        if kind == "run":
+            run = [pages[i] for i in target]
+            tags.account_tags(run, causes)
+            for page in run:
+                reference.account(page, npids)
+        elif kind in ("page", "txn"):
+            obj = (pages if kind == "page" else txns)[target]
+            tags.account_tag(obj, causes)
+            reference.account(obj, npids)
+        else:
+            obj = (pages if kind == "release_page" else txns)[target]
+            tags.release_tag(obj)
+            reference.release(obj)
+        assert tags.bytes_allocated == reference.bytes_allocated
+        assert tags.max_bytes_allocated == reference.max_bytes_allocated
+        assert tags.live_tags == len(reference.costs)

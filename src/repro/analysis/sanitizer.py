@@ -200,7 +200,9 @@ class StackSanitizer:
       charges, and the balance never exceeds the burst cap;
     - **page-cache accounting**: clean plus dirty pages make up the
       cache's length, the cache exceeds its capacity only with dirty
-      pages, and the dirty-byte counter matches the dirty pages.
+      pages, and the dirty-byte counter matches the dirty pages;
+    - **CPU cores**: ``0 <= busy cores <= cores``, and tasks wait for a
+      core only while every core is busy.
     """
 
     #: Relative slack for float token accounting.
@@ -265,6 +267,19 @@ class StackSanitizer:
             )
         self._check_token_buckets()
         self._check_page_cache()
+        self._check_cpu()
+
+    def _check_cpu(self) -> None:
+        cpu = self.machine.cpu
+        busy, waiting = cpu.busy_cores, len(cpu.waiters)
+        if not 0 <= busy <= cpu.cores or (waiting and busy < cpu.cores):
+            self._fail(
+                "CPU accounting violation: busy cores outside [0, cores], "
+                "or a task waits while a core is free",
+                busy_cores=busy,
+                cores=cpu.cores,
+                waiting=waiting,
+            )
 
     def _check_page_cache(self) -> None:
         cache = self.machine.cache

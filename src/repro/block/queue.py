@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
-from repro.block.request import BlockRequest
+from repro.block.request import READ, BlockRequest
 from repro.devices.base import DeviceError
 from repro.obs.bus import (
     BlockAdd,
@@ -55,6 +55,7 @@ from repro.obs.bus import (
     DeviceStart,
     StackBus,
 )
+from repro.sim.events import Event
 from repro.units import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -260,7 +261,7 @@ class BlockQueue:
     def submit(self, request: BlockRequest):
         """Enter *request* into the block layer; returns its done event."""
         request.submit_time = self.env.now
-        request.done = self.env.event()
+        request.done = Event(self.env)
         self.submitted += 1
         if self._sub_add:
             self.bus.publish(BlockAdd(self.env.now, request))
@@ -292,6 +293,7 @@ class BlockQueue:
 
     def _slot_loop(self, slot: DispatchSlot):
         env = self.env
+        device = self.device
         while True:
             # Sync with the kick counter *before* polling, so a kick
             # that arrives during next_request() (a submit issued from
@@ -332,7 +334,44 @@ class BlockQueue:
             slot.request = request
             self.outstanding.append(request)
             self.scheduler.on_dispatch(request)
-            yield from self._serve(request, slot)
+            request.attempts = 1
+            if self._sub_devstart:
+                self.bus.publish(
+                    DeviceStart(
+                        env.now, device.name, request.op,
+                        request.block, request.nblocks, 1,
+                    )
+                )
+            if self._device_serve is not None:
+                # Asynchronous device (e.g. a VM disk backed by a host
+                # file): service time emerges from the backing stack.
+                yield from self._device_serve(request)
+            else:
+                # Attempt 1, priced here and nowhere else.  The attempt
+                # occupies a device channel from begin_service until its
+                # wait ends; channel-aware models read `device.active`
+                # inside service_time to price contention.  A plain
+                # success costs one timeout; an error, a stall past the
+                # request timeout or a hedge goes to _serve.
+                device.begin_service()
+                device.serving_channel = slot.index
+                try:
+                    outcome = device.service_time(
+                        request.op, request.block, request.nblocks
+                    )
+                except DeviceError as exc:
+                    outcome = exc
+                device.serving_channel = None
+                timeout = self.request_timeout
+                if (
+                    isinstance(outcome, DeviceError)
+                    or (timeout is not None and outcome > timeout)
+                    or (self.hedge and self._hedge_deadline(request.op, outcome) is not None)
+                ):
+                    yield from self._serve(request, slot, outcome)
+                else:
+                    yield env.timeout(outcome)
+                    device.end_service()
             slot.request = None
             self.outstanding.remove(request)
             request.complete_time = env.now
@@ -358,83 +397,50 @@ class BlockQueue:
             if not request.done.triggered:
                 request.done.succeed(request)
 
-    def _serve(self, request: BlockRequest, slot: DispatchSlot):
-        """Generator: serve one request on *slot*, retrying transient
-        failures with per-slot attempt accounting."""
-        serve = self._device_serve
-        if serve is not None:
-            # Asynchronous device (e.g. a VM disk backed by a host
-            # file): service time emerges from the backing stack.
-            request.attempts = 1
-            if self._sub_devstart:
-                self.bus.publish(
-                    DeviceStart(
-                        self.env.now, self.device.name, request.op,
-                        request.block, request.nblocks, 1,
-                    )
-                )
-            yield from serve(request)
-            return
+    def _serve(self, request: BlockRequest, slot: DispatchSlot, outcome):
+        """Generator: settle a request whose first attempt did not simply
+        succeed — the one retry, timeout and hedge path.
 
-        attempt = 0
+        The slot loop priced attempt 1 (its channel is still counted in
+        ``device.active``) and hands over its *outcome*: the
+        :class:`DeviceError` it raised, or a service time that stalls
+        past the request timeout or crosses the hedge deadline.  Each
+        retry is priced by :meth:`_start_attempt`, with per-slot attempt
+        accounting.
+        """
+        env = self.env
+        device = self.device
+        attempt = 1
         while True:
-            attempt += 1
-            request.attempts = attempt
-            if self._sub_devstart:
-                self.bus.publish(
-                    DeviceStart(
-                        self.env.now, self.device.name, request.op,
-                        request.block, request.nblocks, attempt,
-                    )
-                )
-            error: Optional[DeviceError] = None
-            # The attempt occupies a device channel from here until its
-            # yield finishes (success, error latency, or timeout stall);
-            # channel-aware models read `device.active` inside
-            # service_time to price contention.
-            self.device.begin_service()
-            self.device.serving_channel = slot.index
-            try:
-                duration = self.device.service_time(
-                    request.op, request.block, request.nblocks
-                )
-            except DeviceError as exc:
-                self.device.serving_channel = None
-                if not exc.retryable:
-                    self.device.end_service()
-                    raise  # malformed request: a bug, not a device fault
-                error = exc
+            if isinstance(outcome, DeviceError):
+                if not outcome.retryable:
+                    device.end_service()
+                    raise outcome  # malformed request: a bug, not a device fault
+                error = outcome
                 self.errors += 1
                 slot.errors += 1
-                if exc.latency > 0:
-                    yield self.env.timeout(exc.latency)
-                self.device.end_service()
+                if error.latency > 0:
+                    yield env.timeout(error.latency)
+                device.end_service()
+            elif self.request_timeout is not None and outcome > self.request_timeout:
+                # The device stalled: the timeout fires and the attempt
+                # is abandoned after request_timeout seconds.
+                self.timeouts += 1
+                slot.timeouts += 1
+                error = RequestTimeout(
+                    f"request #{request.id} timed out after "
+                    f"{self.request_timeout}s (service wanted {outcome:.3f}s)"
+                )
+                yield env.timeout(self.request_timeout)
+                device.end_service()
             else:
-                self.device.serving_channel = None
-            if error is None:
-                if self.request_timeout is not None and duration > self.request_timeout:
-                    # The device stalled: the timeout fires and the
-                    # attempt is abandoned after request_timeout seconds.
-                    self.timeouts += 1
-                    slot.timeouts += 1
-                    error = RequestTimeout(
-                        f"request #{request.id} timed out after "
-                        f"{self.request_timeout}s (service wanted {duration:.3f}s)"
-                    )
-                    yield self.env.timeout(self.request_timeout)
-                    self.device.end_service()
+                deadline = self._hedge_deadline(request.op, outcome)
+                if deadline is not None:
+                    yield from self._race_hedge(request, slot, outcome, deadline)
                 else:
-                    if self.hedge:
-                        deadline = self._hedge_deadline(request.op)
-                        if deadline is not None and deadline < duration:
-                            yield from self._race_hedge(
-                                request, slot, duration, deadline
-                            )
-                            self.device.end_service()
-                            return
-                    yield self.env.timeout(duration)
-                    self.device.end_service()
-                    return
+                    yield env.timeout(outcome)
+                device.end_service()
+                return
 
             if attempt > self.max_retries:
                 request.failed = True
@@ -444,23 +450,55 @@ class BlockQueue:
             slot.retries += 1
             backoff = self.retry_backoff * (2 ** (attempt - 1))
             if backoff > 0:
-                yield self.env.timeout(backoff)
+                yield env.timeout(backoff)
+            attempt += 1
+            request.attempts = attempt
+            outcome = self._start_attempt(request, slot)
+
+    def _start_attempt(self, request: BlockRequest, slot: DispatchSlot):
+        """Begin one more attempt of *request* on *slot* (a retry or a
+        hedge clone): publish ``DeviceStart``, count the channel busy and
+        price the attempt.  Returns its service time or the
+        :class:`DeviceError` it raised; the caller ends the service.
+        """
+        device = self.device
+        if self._sub_devstart:
+            self.bus.publish(
+                DeviceStart(
+                    self.env.now, device.name, request.op,
+                    request.block, request.nblocks, request.attempts,
+                )
+            )
+        device.begin_service()
+        device.serving_channel = slot.index
+        try:
+            return device.service_time(request.op, request.block, request.nblocks)
+        except DeviceError as exc:
+            return exc
+        finally:
+            device.serving_channel = None
 
     # -- hedged dispatch -----------------------------------------------------
 
-    def _hedge_deadline(self, op: str) -> Optional[float]:
-        """Service time beyond which an attempt is hedged.
+    def _hedge_deadline(self, op: str, duration: float) -> Optional[float]:
+        """The deadline past which an attempt of *duration* is hedged, or
+        None when it is not (hedging off, or the attempt is fast enough).
 
         Adaptive when a health monitor has warmed up (a percentile of
         recent service latencies times a margin), else the static
         ``request_timeout`` — which the timeout path preempts, so
         hedging effectively waits for the monitor's first verdicts.
         """
+        if not self.hedge:
+            return None
+        deadline = None
         if self.health is not None:
             deadline = self.health.deadline(op)
-            if deadline is not None:
-                return deadline
-        return self.request_timeout
+        if deadline is None:
+            deadline = self.request_timeout
+        if deadline is not None and deadline < duration:
+            return deadline
+        return None
 
     def _race_hedge(
         self,
@@ -505,31 +543,18 @@ class BlockQueue:
         env = self.env
         request = state.request
         slot.hedges += 1
-        if self._sub_devstart:
-            self.bus.publish(
-                DeviceStart(
-                    env.now, self.device.name, request.op,
-                    request.block, request.nblocks, request.attempts,
-                )
-            )
-        self.device.begin_service()
-        self.device.serving_channel = slot.index
-        try:
-            duration = self.device.service_time(
-                request.op, request.block, request.nblocks
-            )
-        except DeviceError as exc:
-            self.device.serving_channel = None
-            if not exc.retryable:
+        outcome = self._start_attempt(request, slot)
+        if isinstance(outcome, DeviceError):
+            if not outcome.retryable:
                 self.device.end_service()
-                raise
+                raise outcome
             self.errors += 1
             slot.errors += 1
-            if exc.latency > 0:
-                yield env.timeout(exc.latency)
+            if outcome.latency > 0:
+                yield env.timeout(outcome.latency)
             self.device.end_service()
             return
-        self.device.serving_channel = None
+        duration = outcome
         if self.request_timeout is not None and duration > self.request_timeout:
             self.device.end_service()
             return  # the clone stalled too; leave the race to the primary
@@ -542,14 +567,17 @@ class BlockQueue:
 
     def _account(self, request: BlockRequest) -> None:
         """Charge completed bytes to the true causes, split evenly."""
-        if self.process_table is None or not request.causes:
+        table = self.process_table
+        pids = request.causes.pids
+        if table is None or not pids:
             return
-        share = request.nblocks * PAGE_SIZE / len(request.causes)
-        for pid in request.causes:
-            task = self.process_table.get(pid)
+        share = request.nblocks * PAGE_SIZE / len(pids)
+        is_read = request.op == READ
+        for pid in pids:
+            task = table.get(pid)
             if task is None:
                 continue
-            if request.is_read:
+            if is_read:
                 task.bytes_read += share
             else:
                 task.bytes_written += share

@@ -42,6 +42,8 @@ def _block_runs(pairs: List[Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
     page), so a sorted list spanning exactly ``len(pairs)`` blocks is a
     single run — the common case of a sequential read.
     """
+    if len(pairs) == 1:
+        return [pairs]
     pairs.sort(key=itemgetter(1))
     if pairs[-1][1] - pairs[0][1] == len(pairs) - 1:
         return [pairs]

@@ -20,7 +20,6 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process, ProcessDied
-from repro.sim.resources import Resource
 from repro.sim.rand import RandomStreams
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "Process",
     "ProcessDied",
     "RandomStreams",
-    "Resource",
     "StopSimulation",
     "Timeout",
 ]

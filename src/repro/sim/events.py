@@ -320,12 +320,46 @@ class Condition(Event):
 
 
 class AllOf(Condition):
-    """Triggers when all of the given events have triggered."""
+    """Triggers when all of the given events have triggered.
+
+    Waiting on one pending event (a single block request's ``done``) is
+    the common case, so it skips the generic bookkeeping: one callback
+    on that event settles the condition exactly as :meth:`_check` would,
+    at the same point in the event order.
+    """
 
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
+        if type(events) is list and len(events) == 1:
+            event = events[0]
+            callbacks = event.callbacks
+            if callbacks is not None and event.env is env:
+                self.env = env
+                pool = env._cb_pool
+                self.callbacks = pool.pop() if pool else []
+                self._value = PENDING
+                self._ok = True
+                self.defused = False
+                self._evaluate = Condition.all_events
+                self._events = [event]
+                self._count = 0
+                callbacks.append(self._check_one)
+                return
         super().__init__(env, Condition.all_events, events)
+
+    def _check_one(self, event: Event) -> None:
+        """:meth:`_check` for a condition on the single *event*."""
+        if self._value is not PENDING:
+            if not event._ok:
+                event.defused = True
+            return
+        self._count = 1
+        if event._ok:
+            self.succeed(ConditionValue((event,)))
+        else:
+            event.defused = True
+            self.fail(event._value)
 
 
 class AnyOf(Condition):

@@ -1,4 +1,4 @@
-"""A simple CPU model: N cores as a shared resource.
+"""A simple CPU model: N cores shared by every task.
 
 I/O scheduling cannot isolate CPU-bound interference (paper Figure 15:
 memory-bound and spin-loop B threads slow A despite perfect I/O
@@ -7,9 +7,10 @@ throttling); modelling cores lets that effect emerge.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from collections import deque
+from typing import TYPE_CHECKING, Deque
 
-from repro.sim.resources import Resource
+from repro.sim.events import Event
 from repro.units import GB
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -23,24 +24,47 @@ COPY_BANDWIDTH = 3 * GB
 
 
 class CPU:
-    """A pool of cores; tasks consume core-time via :meth:`consume`."""
+    """A pool of cores; tasks consume core-time via :meth:`consume`.
+
+    Cores are granted in FIFO order.  A grant is an event succeeded
+    when the core is handed over, so a task that finds a free core
+    still waits for its grant to be processed.
+    """
 
     def __init__(self, env: "Environment", cores: int = 8):
         if cores <= 0:
             raise ValueError("need at least one core")
         self.env = env
         self.cores = cores
-        self._resource = Resource(env, capacity=cores)
+        #: Cores held by a task right now.
+        self.busy_cores = 0
+        #: Grant events of tasks waiting for a core, oldest first.
+        self.waiters: Deque[Event] = deque()
         self.busy_time = 0.0
 
     def consume(self, task: "Task", seconds: float):
         """Generator: occupy one core for *seconds* of compute."""
         if seconds <= 0:
             return
-        with self._resource.request() as req:
-            yield req
+        grant = Event(self.env)
+        if self.busy_cores < self.cores:
+            self.busy_cores += 1
+            grant.succeed()
+        else:
+            self.waiters.append(grant)
+        try:
+            yield grant
             yield self.env.timeout(seconds)
             self.busy_time += seconds
+        finally:
+            if not grant.triggered:
+                # Interrupted while queued: withdraw, holding no core.
+                self.waiters.remove(grant)
+            elif self.waiters:
+                # Hand the core straight to the oldest waiter.
+                self.waiters.popleft().succeed()
+            else:
+                self.busy_cores -= 1
 
     def syscall_cost(self, nbytes: int = 0) -> float:
         """CPU seconds for a syscall moving *nbytes* through the cache."""

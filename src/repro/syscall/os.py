@@ -159,6 +159,9 @@ class OS:
     # -- hook plumbing --------------------------------------------------------
 
     def _entry(self, task: Task, call: str, info: Dict[str, Any]):
+        """Run the syscall-entry hooks; returns what the caller must
+        ``yield from`` before the call body: the scheduler's entry
+        generator, or ``()`` when it lets the call proceed at once."""
         if self._sub_sys_enter:
             self.bus.publish(SyscallEnter(self.env.now, task, call, info))
         if self.fastforward is not None:
@@ -166,7 +169,8 @@ class OS:
         if self.scheduler is not None:
             gen = self.scheduler.syscall_entry(task, call, info)
             if gen is not None:
-                yield from gen
+                return gen
+        return ()
 
     def _return(self, task: Task, call: str, info: Dict[str, Any]) -> None:
         if self.scheduler is not None:

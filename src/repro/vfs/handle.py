@@ -106,9 +106,15 @@ class OpenFile:
             raise ValueError(f"file not open for writing (mode {self.mode!r})")
 
     def _tagged(self, gen):
-        """Run *gen* with this handle's causes installed as a proxy tag."""
+        """*gen* run with this handle's causes installed as a proxy tag;
+        *gen* itself, with no wrapping frame, when the handle has none."""
+        if self.causes is None:
+            return gen
+        return self._with_causes(gen)
+
+    def _with_causes(self, gen):
         tags = self.os.tags
-        if self.causes is None or tags.is_proxy(self.task):
+        if tags.is_proxy(self.task):
             return (yield from gen)
         tags.set_proxy(self.task, self.causes)
         try:
@@ -168,16 +174,17 @@ class OpenFile:
 
     # -- positional I/O (cursor untouched) ------------------------------------
 
+    # pread, pwrite and fsync check their arguments when called and
+    # return the syscall's generator itself: no frame of their own.
+
     def pread(self, offset: int, nbytes: int, direct: bool = False):
         self._check_readable()
         if offset < 0:
             raise ValueError(f"negative offset: {offset}")
         if nbytes < 0:
             raise ValueError(f"negative read length: {nbytes}")
-        return (
-            yield from self._tagged(
-                self.os.read(self.task, self.inode, offset, nbytes, direct=direct)
-            )
+        return self._tagged(
+            self.os.read(self.task, self.inode, offset, nbytes, direct=direct)
         )
 
     def pwrite(self, offset: int, nbytes: int, direct: bool = False):
@@ -186,17 +193,15 @@ class OpenFile:
             raise ValueError(f"negative offset: {offset}")
         if nbytes < 0:
             raise ValueError(f"negative write length: {nbytes}")
-        return (
-            yield from self._tagged(
-                self.os.write(self.task, self.inode, offset, nbytes, direct=direct)
-            )
+        return self._tagged(
+            self.os.write(self.task, self.inode, offset, nbytes, direct=direct)
         )
 
     # -- metadata / durability -------------------------------------------------
 
     def fsync(self):
         self._check_open()
-        return (yield from self._tagged(self.os.fsync(self.task, self.inode)))
+        return self._tagged(self.os.fsync(self.task, self.inode))
 
     def truncate(self, new_size: int):
         self._check_writable()

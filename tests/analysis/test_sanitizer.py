@@ -342,6 +342,26 @@ def test_tag_accounting_drift_detected():
         machine.bus.publish(_fake_complete(env))
 
 
+def test_cpu_core_drift_detected():
+    env, machine, _san = _sanitized_machine()
+    cpu = machine.cpu
+    machine.bus.publish(_fake_complete(env))  # consistent: passes
+    cpu.busy_cores = cpu.cores + 1  # a core released twice the wrong way
+    with pytest.raises(SanitizerError, match="CPU accounting") as excinfo:
+        machine.bus.publish(_fake_complete(env))
+    assert excinfo.value.context["busy_cores"] == cpu.cores + 1
+    cpu.busy_cores = -1  # a core released twice
+    with pytest.raises(SanitizerError, match="CPU accounting"):
+        machine.bus.publish(_fake_complete(env))
+    cpu.busy_cores = cpu.cores - 1
+    cpu.waiters.append(env.event())  # a waiter left behind by a release
+    with pytest.raises(SanitizerError, match="CPU accounting") as excinfo:
+        machine.bus.publish(_fake_complete(env))
+    assert excinfo.value.context["waiting"] == 1
+    cpu.busy_cores = cpu.cores  # every core busy: waiting is legal
+    machine.bus.publish(_fake_complete(env))
+
+
 def test_clean_machine_passes_all_checks():
     env, machine, _san = _sanitized_machine()
     task = machine.spawn("t")

@@ -17,7 +17,7 @@ from repro.devices import SSD
 from repro.devices.base import Device
 from repro.health import HealthMonitor
 from repro.metrics.recorders import fault_summary
-from repro.obs.bus import BlockComplete
+from repro.obs.bus import BlockComplete, DeviceStart
 from repro.proc import ProcessTable
 from repro.schedulers.noop import Noop
 from repro.sim import Environment
@@ -207,3 +207,30 @@ def test_unhedged_summary_has_no_hedging_key():
     summary = fault_summary(queue)
     assert "hedging" not in summary
     assert "health" not in summary
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+def test_first_attempt_past_the_deadline_races(depth):
+    """Attempt 1 crossing the deadline still races at depth 4; at depth
+    1 the lone slot has nowhere to race, so it serves out the stall."""
+    env, table, queue = make_stack(SkewedDevice(), depth=depth, warm_monitor=32)
+    starts = []
+    queue.bus.subscribe(DeviceStart, lambda e: starts.append((e.block, e.attempt)))
+    completions = []
+    queue.bus.subscribe(BlockComplete, lambda e: completions.append(e.request))
+    latencies = submit_serial(env, table, queue, 1)
+
+    [request] = completions
+    assert request.attempts == 1
+    assert queue.device.active == 0
+    if depth == 1:
+        assert latencies == [pytest.approx(20 * BASE)]
+        assert queue.hedges_issued == 0 and not request.hedged
+        assert starts == [(0, 1)]
+    else:
+        assert latencies == [pytest.approx(4 * BASE)]
+        assert queue.hedges_issued == 1 and queue.hedge_wins == 1
+        assert request.hedged
+        # The clone is another start of attempt 1, on a healthy slot.
+        assert starts == [(0, 1), (0, 1)]
+        assert sum(slot.hedges for slot in queue.slots[1:]) == 1

@@ -2,26 +2,25 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Environment, Interrupt, Resource
+from repro.proc import Task
+from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.syscall.cpu import CPU
 
 
 def test_interrupt_while_waiting_on_resource_releases_cleanly():
+    """A task interrupted while queued for a CPU core withdraws."""
     env = Environment()
-    res = Resource(env, capacity=1)
+    cpu = CPU(env, cores=1)
     outcome = []
 
     def holder():
-        with res.request() as req:
-            yield req
-            yield env.timeout(10)
+        yield from cpu.consume(Task("holder"), 10.0)
 
     def waiter():
-        req = res.request()
         try:
-            yield req
+            yield from cpu.consume(Task("waiter"), 1.0)
             outcome.append("acquired")
         except Interrupt:
-            req.cancel()
             outcome.append("interrupted")
 
     def interrupter(victim):
@@ -33,7 +32,8 @@ def test_interrupt_while_waiting_on_resource_releases_cleanly():
     env.process(interrupter(victim))
     env.run()
     assert outcome == ["interrupted"]
-    assert not res.queue  # the cancelled request left the queue
+    assert not cpu.waiters  # the interrupted waiter left the queue
+    assert cpu.busy_cores == 0
 
 
 def test_condition_with_pre_triggered_events():

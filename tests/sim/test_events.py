@@ -87,6 +87,68 @@ def test_allof_propagates_failure():
     assert p.value == "bad"
 
 
+def _one_event_trace(make_condition, fail=False):
+    """Resumption order and event count when a process waits on a
+    condition over one pending event that another process triggers."""
+    env = Environment()
+    trace = []
+    target = env.event()
+
+    def waiter():
+        try:
+            result = yield make_condition(env, target)
+            trace.append(("waiter", env.now, list(result.todict().values())))
+        except ValueError as exc:
+            trace.append(("waiter", env.now, str(exc)))
+
+    def bystander(name):
+        yield env.timeout(1)
+        trace.append((name, env.now))
+
+    def trigger():
+        yield env.timeout(1)
+        if fail:
+            target.fail(ValueError("bad"))
+        else:
+            target.succeed("v")
+        trace.append(("trigger", env.now))
+
+    env.process(bystander("before"))
+    env.process(waiter())
+    env.process(trigger())
+    env.process(bystander("after"))
+    env.run()
+    return trace, env._eid
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_allof_of_one_pending_event_matches_the_generic_condition(fail):
+    from repro.sim.events import Condition
+
+    fast = _one_event_trace(lambda env, ev: AllOf(env, [ev]), fail)
+    generic = _one_event_trace(
+        lambda env, ev: Condition(env, Condition.all_events, [ev]), fail
+    )
+    assert fast == generic
+    expected = "bad" if fail else ["v"]
+    assert ("waiter", 1, expected) in fast[0]
+
+
+def test_allof_of_one_processed_event_triggers_at_once():
+    env = Environment()
+    done = env.event()
+    done.succeed("x")
+    env.run()  # done is processed now
+
+    def proc():
+        result = yield AllOf(env, [done])
+        return env.now, result[done]
+
+    p = env.process(proc())
+    env.run()
+    assert p.value == (0, "x")
+
+
 def test_random_streams_deterministic():
     a = RandomStreams(seed=7).stream("disk").random()
     b = RandomStreams(seed=7).stream("disk").random()

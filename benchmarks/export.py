@@ -41,6 +41,7 @@ from repro.block import BlockQueue, BlockRequest  # noqa: E402
 from repro.block.request import READ  # noqa: E402
 from repro.cache import PageCache, PageKey  # noqa: E402
 from repro.core.tags import TagManager  # noqa: E402
+from repro.fs import BlockMap  # noqa: E402
 from repro.devices import HDD  # noqa: E402
 from repro.proc import ProcessTable, Task  # noqa: E402
 from repro.schedulers import Noop  # noqa: E402
@@ -257,7 +258,7 @@ def bench_cache_overwrite_shared(repeats: int) -> dict:
     env = Environment()
     cache = PageCache(env, TagManager(), memory_bytes=64 * MB)
     writers = [Task(f"w{i}") for i in range(tasks)]
-    block_map = {i: i for i in range(pages)}
+    block_map = BlockMap({i: i for i in range(pages)})
 
     def run():
         for task in writers:
@@ -273,8 +274,8 @@ def bench_cache_hit_lookup(repeats: int) -> dict:
     lookups = 4096
     env = Environment()
     cache = PageCache(env, TagManager(), memory_bytes=64 * MB)
-    block_map = {i: i for i in range(lookups)}
-    cache.insert_clean_run(1, list(block_map.items()))
+    block_map = BlockMap({i: i for i in range(lookups)})
+    cache.insert_clean_run(1, block_map.runs())
 
     def run():
         cache.lookup_range(1, 0, lookups, block_map)

@@ -11,6 +11,7 @@ import pytest
 from repro import Environment, OS, SSD, KB, MB
 from repro.cache import PageCache, PageKey
 from repro.core.tags import TagManager
+from repro.fs import BlockMap
 from repro.proc import Task
 from repro.schedulers import Noop
 
@@ -82,7 +83,7 @@ def test_cache_overwrite_shared_hot_path(benchmark):
     tags = TagManager()
     cache = PageCache(env, tags, memory_bytes=64 * MB)
     writers = [Task(f"w{i}") for i in range(256)]
-    block_map = {i: i for i in range(16)}
+    block_map = BlockMap({i: i for i in range(16)})
 
     def overwrite_batch():
         for task in writers:
@@ -98,8 +99,8 @@ def test_cache_overwrite_shared_hot_path(benchmark):
 def test_cache_hit_lookup_hot_path(benchmark):
     env = Environment()
     cache = PageCache(env, TagManager(), memory_bytes=64 * MB)
-    block_map = {i: i for i in range(4096)}
-    cache.insert_clean_run(1, list(block_map.items()))
+    block_map = BlockMap({i: i for i in range(4096)})
+    cache.insert_clean_run(1, block_map.runs())
 
     def lookup_batch():
         return cache.lookup_range(1, 0, 4096, block_map)

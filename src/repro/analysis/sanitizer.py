@@ -202,7 +202,11 @@ class StackSanitizer:
       cache's length, the cache exceeds its capacity only with dirty
       pages, and the dirty-byte counter matches the dirty pages;
     - **CPU cores**: ``0 <= busy cores <= cores``, and tasks wait for a
-      core only while every core is busy.
+      core only while every core is busy;
+    - **block conservation**: the data blocks the allocator counts as
+      allocated are exactly those the files' block maps hold (named
+      files plus unlinked-but-open ones), so no block leaks and none
+      is freed twice.
     """
 
     #: Relative slack for float token accounting.
@@ -268,6 +272,20 @@ class StackSanitizer:
         self._check_token_buckets()
         self._check_page_cache()
         self._check_cpu()
+        self._check_blocks()
+
+    def _check_blocks(self) -> None:
+        fs = self.machine.fs
+        mapped = sum(len(inode.block_map) for inode in fs._namespace.values())
+        mapped += sum(len(inode.block_map) for inode in self.machine.vfs._orphans.values())
+        if fs.allocator.allocated != mapped:
+            self._fail(
+                "block conservation violation: the allocator's allocated "
+                "blocks disagree with the blocks the files map — a block "
+                "leaked or was freed twice",
+                allocated=fs.allocator.allocated,
+                mapped=mapped,
+            )
 
     def _check_cpu(self) -> None:
         cpu = self.machine.cpu

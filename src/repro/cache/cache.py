@@ -5,7 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.page import Page, PageKey
 from repro.core.tags import EMPTY_CAUSES, TagManager
@@ -13,6 +13,7 @@ from repro.obs.bus import PageCleaned, PageDirtied, PageFreed, StackBus
 from repro.units import GB, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.fs.inode import BlockMap, Run
     from repro.proc import Task
     from repro.sim.core import Environment
 
@@ -177,22 +178,23 @@ class PageCache:
         inode_id: int,
         first: int,
         stop: int,
-        block_map: Dict[int, int],
+        block_map: "BlockMap",
         readahead: bool = False,
-    ) -> List[Tuple[int, int]]:
+    ) -> List["Run"]:
         """Look up pages ``first..stop-1`` of a file for a read.
 
-        Returns the ``(index, disk block)`` pairs the caller must fetch
-        (and then add with :meth:`insert_clean_run`).  For a read, each
-        cached page is a hit and moves to the MRU end; a page with no
-        disk block is a sparse hole, zero-filled as a clean hit; the
-        rest are misses.  A *readahead* probe only reports the uncached
-        pages that have a disk block: it touches and counts nothing.
+        Returns the ``(index, disk block, count)`` runs the caller must
+        fetch (and then add with :meth:`insert_clean_run`), in index
+        order.  For a read, each cached page is a hit and moves to the
+        MRU end; a page with no disk block is a sparse hole, zero-filled
+        as a clean hit; the rest are misses.  A *readahead* probe only
+        reports the uncached pages that have a disk block: it touches
+        and counts nothing.
         """
         pages = self._pages
         dirty = inode_id in self._dirty_by_inode
-        get = block_map.get
-        missing: List[Tuple[int, int]] = []
+        mapped = block_map.runs
+        missing: List["Run"] = []
         hits = 0
         index = first
         while index < stop:
@@ -203,47 +205,60 @@ class PageCache:
                     hits += end - index
                 index = end
                 continue
-            # A gap: no page here is clean; a dirty one is a hit.
-            gap = range(index, end)
+            # A gap: no page here is clean; a dirty one is a hit, and
+            # the uncached pages between dirty ones are looked up apart.
             if dirty:
-                gap = [i for i in gap if (inode_id, i) not in pages]
-                hits += end - index - len(gap)
-            found = [(i, block) for i in gap if (block := get(i)) is not None]
-            missing += found
-            if not readahead and len(found) < len(gap):
-                # Zero-fill the holes.  They join the MRU end in order;
-                # evicting once after them pops the same pages as
-                # evicting after each, since each insert pops the front.
-                for i in gap:
-                    if get(i) is None:
-                        self._append(inode_id, i, i + 1, None)
-                hits += len(gap) - len(found)
+                pieces = []
+                lo = index
+                for i in range(index, end):
+                    if (inode_id, i) in pages:
+                        if lo < i:
+                            pieces.append((lo, i))
+                        lo = i + 1
+                        hits += 1
+                if lo < end:
+                    pieces.append((lo, end))
+            else:
+                pieces = ((index, end),)
+            holes = 0
+            for lo, hi in pieces:
+                found = mapped(lo, hi)
+                missing += found
+                if readahead:
+                    continue
+                # Zero-fill the holes between the runs.  They join the
+                # MRU end in order; evicting once after them pops the
+                # same pages as evicting after each, since each insert
+                # pops the front.
+                for i, _, count in found:
+                    if lo < i:
+                        self._append(inode_id, lo, i, None)
+                        holes += i - lo
+                    lo = i + count
+                if lo < hi:
+                    self._append(inode_id, lo, hi, None)
+                    holes += hi - lo
+            if holes:
+                hits += holes
                 self._maybe_evict()
             index = end
         if not readahead:
             self.hits += hits
-            self.misses += len(missing)
+            self.misses += sum(count for _, _, count in missing)
         return missing
 
-    def insert_clean_run(self, inode_id: int, pairs: List[Tuple[int, int]]) -> None:
+    def insert_clean_run(self, inode_id: int, runs: List["Run"]) -> None:
         """Add pages just read from disk, none of them cached yet.
 
-        *pairs* are ``(index, disk block)``; the pages join the MRU end
-        in order, then the LRU front is evicted down to capacity — the
-        same pages a page-at-a-time insert would evict.  Pages that
-        continue each other in both index and block (a sequential
-        read's run) join as one extent.
+        *runs* are ``(index, disk block, count)``; their pages join the
+        MRU end in the order given, each run as one extent (or as the
+        continuation of the newest one), then the LRU front is evicted
+        down to capacity: the same pages a page-at-a-time insert would
+        evict.
         """
-        if not pairs:
-            return
-        (first, block), (last, last_block) = pairs[0], pairs[-1]
-        if last - first == last_block - block == len(pairs) - 1 and pairs == list(
-            zip(range(first, last + 1), range(block, last_block + 1))
-        ):
-            self._append(inode_id, first, last + 1, block)
-        else:
-            for index, block in pairs:
-                self._append(inode_id, index, index + 1, block)
+        append = self._append
+        for index, block, count in runs:
+            append(inode_id, index, index + count, block)
         self._maybe_evict()
 
     def mark_dirty_range(
@@ -251,7 +266,7 @@ class PageCache:
         inode_id: int,
         first: int,
         stop: int,
-        block_map: Mapping[int, int],
+        block_map: Optional["BlockMap"],
         task: "Task",
     ) -> Optional[Page]:
         """Dirty pages ``first..stop-1`` of a file on behalf of *task*.
@@ -267,14 +282,14 @@ class PageCache:
         publishes one buffer-dirty event with its old causes, so a
         scheduler can skip overwrites or shift accounting to the last
         writer if its policy wants that (§4.2).  After its run's event,
-        a page takes its disk block from *block_map* when the file has
-        one there (otherwise its allocation stays delayed).  Returns the
-        last page dirtied.
+        the run's pages take their disk blocks from the extents of
+        *block_map* there (a page outside them keeps its allocation
+        delayed; without a *block_map*, every page keeps its block).
+        Returns the last page dirtied.
         """
         causes = self.tags.current_causes(task)
         pages, by_inode = self._pages, self._dirty_by_inode
         account_tags, subscribers = self.tags.account_tags, self._sub_dirtied
-        get_block = block_map.get
         now = self.env.now
         run: List[Page] = []
         index = first
@@ -328,16 +343,24 @@ class PageCache:
                 account_tags(run, merged)
             if subscribers:
                 self.bus.publish(PageDirtied(now, tuple(run), old_causes))
-            for i, page in enumerate(run, start):
-                block = get_block(i)
-                if block is not None:
-                    page.disk_block = block
+            if block_map is not None:
+                for i, block, count in block_map.runs(start, index):
+                    for page in run[i - start:i - start + count]:
+                        page.disk_block = block
+                        block += 1
         return run[-1] if run else None
 
     def mark_dirty(self, key: PageKey, task: "Task") -> Page:
         """Dirty one page: :meth:`mark_dirty_range` over *key* alone,
         leaving its disk block as it is."""
-        return self.mark_dirty_range(key.inode_id, key.index, key.index + 1, {}, task)
+        return self.mark_dirty_range(key.inode_id, key.index, key.index + 1, None, task)
+
+    def assign_block(self, inode_id: int, index: int, block: int) -> None:
+        """A dirty page waiting for delayed allocation takes *block*,
+        which its file just allocated for it (an O_DIRECT write)."""
+        page = self._pages.get((inode_id, index))
+        if page is not None and page.disk_block is None:
+            page.disk_block = block
 
     def page_cleaned(self, page: Page) -> None:
         """Writeback for *page* finished and it was not re-dirtied.

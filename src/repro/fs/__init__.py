@@ -14,11 +14,11 @@ schedulers (paper §2.3):
 - **write amplification**: metadata and journal writes accompany data.
 """
 
-from repro.fs.inode import Inode
+from repro.fs.inode import BlockMap, Inode
 from repro.fs.alloc import Allocator
 from repro.fs.journal import Journal, Transaction
 from repro.fs.base import FileSystem
 from repro.fs.ext4 import Ext4
 from repro.fs.xfs import XFS
 
-__all__ = ["Allocator", "Ext4", "FileSystem", "Inode", "Journal", "Transaction", "XFS"]
+__all__ = ["Allocator", "BlockMap", "Ext4", "FileSystem", "Inode", "Journal", "Transaction", "XFS"]

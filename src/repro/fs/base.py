@@ -10,12 +10,12 @@ integration.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Set
 
 from repro.block.request import READ, WRITE, BlockRequest
 from repro.faults.errors import EIO
 from repro.fs.alloc import Allocator
-from repro.fs.inode import Inode
+from repro.fs.inode import Inode, Run
 from repro.fs.journal import Journal
 from repro.sim.events import AllOf
 from repro.units import PAGE_SIZE
@@ -35,26 +35,26 @@ def raise_on_failed(events) -> None:
             raise EIO(request.error or request)
 
 
-def _block_runs(pairs: List[Tuple[int, int]]) -> List[List[Tuple[int, int]]]:
-    """Split ``(index, disk block)`` pairs into runs of consecutive blocks.
+def _block_runs(runs: List[Run]) -> List[List[Run]]:
+    """Group ``(index, disk block, count)`` runs by consecutive blocks.
 
-    Sorts *pairs* by block in place.  The blocks are distinct (one per
-    page), so a sorted list spanning exactly ``len(pairs)`` blocks is a
-    single run — the common case of a sequential read.
+    Sorts *runs* by block in place, then puts each run in the group of
+    the one before it when its blocks continue that run's, even where
+    the page indices jump: one block request per stretch of
+    consecutive blocks, as a page-by-page split would make.
     """
-    if len(pairs) == 1:
-        return [pairs]
-    pairs.sort(key=itemgetter(1))
-    if pairs[-1][1] - pairs[0][1] == len(pairs) - 1:
-        return [pairs]
-    runs = []
+    if len(runs) == 1:
+        return [runs]
+    runs.sort(key=itemgetter(1))
+    groups = []
     start = 0
-    for i in range(1, len(pairs)):
-        if pairs[i][1] != pairs[i - 1][1] + 1:
-            runs.append(pairs[start:i])
+    for i in range(1, len(runs)):
+        _, block, count = runs[i - 1]
+        if runs[i][1] != block + count:
+            groups.append(runs[start:i])
             start = i
-    runs.append(pairs[start:])
-    return runs
+    groups.append(runs[start:])
+    return groups
 
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -203,8 +203,8 @@ class FileSystem:
     def release_inode(self, inode: Inode) -> None:
         """Free an inode's cached pages and disk blocks (last unref)."""
         self.cache.free_file(inode.id)
-        for index, block in inode.block_map.items():
-            self.allocator.free(block, 1)
+        for _, block, count in inode.block_map.runs():
+            self.allocator.free(block, count)
         inode.block_map.clear()
         self._inodes.pop(inode.id, None)
         self._last_read_end.pop(inode.id, None)
@@ -254,10 +254,8 @@ class FileSystem:
         inode.size = new_size
         new_pages = inode.size_pages
         self.cache.free_range(inode.id, new_pages, old_pages)
-        for index in range(new_pages, old_pages):
-            block = inode.block_map.pop(index, None)
-            if block is not None:
-                self.allocator.free(block, 1)
+        for _, block, count in inode.block_map.unmap(new_pages, old_pages):
+            self.allocator.free(block, count)
         self.journal.add_metadata(task, inode.metadata_block)
 
     # -- data path --------------------------------------------------------------
@@ -313,28 +311,28 @@ class FileSystem:
                 raise_on_failed(events)
         return nbytes
 
-    def _read_blocks(
-        self, task: "Task", inode: Inode, missing: List[Tuple[int, int]], cached: bool = True
-    ):
-        """Submit one block read per run of consecutive missing blocks.
+    def _read_blocks(self, task: "Task", inode: Inode, missing: List[Run], cached: bool = True):
+        """Submit one block read per stretch of consecutive missing blocks.
 
-        With *cached*, each run's pages join the page cache as soon as
-        its request is submitted.
+        With *cached*, each request's pages join the page cache, in
+        block order, as soon as it is submitted.
         """
         causes = self.tags.current_causes(task)
         events = []
-        for run in _block_runs(missing):
+        for group in _block_runs(missing):
+            block = group[0][1]
+            _, last_block, last_count = group[-1]
             request = BlockRequest(
                 READ,
-                block=run[0][1],
-                nblocks=len(run),
+                block=block,
+                nblocks=last_block + last_count - block,
                 submitter=task,
                 causes=causes,
                 sync=True,
             )
             events.append(self.block_queue.submit(request))
             if cached:
-                self.cache.insert_clean_run(inode.id, run)
+                self.cache.insert_clean_run(inode.id, group)
         return events
 
     # -- direct I/O (O_DIRECT) -------------------------------------------------------
@@ -352,11 +350,7 @@ class FileSystem:
         nbytes = min(nbytes, inode.size - offset)
         first_page = offset // PAGE_SIZE
         last_page = (offset + nbytes - 1) // PAGE_SIZE
-        missing = []
-        for index in range(first_page, last_page + 1):
-            block = inode.block_of(index)
-            if block is not None:
-                missing.append((index, block))
+        missing = inode.block_map.runs(first_page, last_page + 1)
         if missing:
             events = self._read_blocks(task, inode, missing, cached=False)
             if events:
@@ -369,7 +363,9 @@ class FileSystem:
 
         Unallocated ranges are allocated immediately (no delayed
         allocation without a cache), and the call returns only when the
-        device has the data.
+        device has the data.  A dirty page still waiting for delayed
+        allocation takes the block allocated here, so its writeback
+        goes there instead of allocating (and leaking) a second one.
         """
         if nbytes <= 0:
             return 0
@@ -378,11 +374,13 @@ class FileSystem:
         last_page = (offset + nbytes - 1) // PAGE_SIZE
         causes = self.tags.current_causes(task)
         runs: List[List[int]] = []
+        block_map = inode.block_map
         for index in range(first_page, last_page + 1):
-            block = inode.block_of(index)
+            block = block_map.get(index)
             if block is None:
                 block = self.allocator.allocate(inode.id, 1)
-                inode.map_block(index, block)
+                block_map[index] = block
+                self.cache.assign_block(inode.id, index, block)
                 self.journal.add_metadata(task, inode.metadata_block)
             if runs and runs[-1][-1] == block - 1:
                 runs[-1].append(block)
@@ -487,9 +485,9 @@ class FileSystem:
             run = pages[run_start:i]
             run_start = i
             start_block = self.allocator.allocate(inode.id, len(run))
-            for j, page in enumerate(run):
-                page.disk_block = start_block + j
-                inode.map_block(page.key.index, start_block + j)
+            for block, page in enumerate(run, start_block):
+                page.disk_block = block
+            inode.block_map.map_run(run[0].key.index, start_block, len(run))
 
     def _track_inflight(self, inode_id: int, done) -> None:
         pending = self._inflight.setdefault(inode_id, set())

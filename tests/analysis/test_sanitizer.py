@@ -362,6 +362,52 @@ def test_cpu_core_drift_detected():
     machine.bus.publish(_fake_complete(env))
 
 
+def test_block_conservation_drift_detected():
+    env, machine, _san = _sanitized_machine()
+    task = machine.spawn("t")
+    allocator = machine.fs.allocator
+
+    def work():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.write(64 * KB)
+        yield from handle.fsync()
+        keep = yield from machine.creat(task, "/open")
+        yield from keep.write(16 * KB)
+        yield from keep.fsync()
+        yield from machine.unlink(task, "/open")  # an orphan: its blocks stay mapped
+        return handle.inode
+
+    inode = drive(env, work())
+    assert allocator.allocated == 20 and machine.vfs._orphans
+    machine.bus.publish(_fake_complete(env))  # consistent: passes
+    allocator.allocated += 1  # a block allocated but never mapped
+    with pytest.raises(SanitizerError, match="block conservation") as excinfo:
+        machine.bus.publish(_fake_complete(env))
+    assert excinfo.value.context == {"allocated": 21, "mapped": 20}
+    allocator.allocated -= 1
+    inode.block_map.pop(3)  # a mapped block forgotten without a free
+    with pytest.raises(SanitizerError, match="block conservation"):
+        machine.bus.publish(_fake_complete(env))
+
+
+def test_direct_write_leak_is_caught_by_block_conservation():
+    """The O_DIRECT-over-delayed-allocation leak, reintroduced: the
+    dirty page forgets the block the direct write gave it."""
+    env, machine, _san = _sanitized_machine()
+    task = machine.spawn("t")
+
+    def work():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.pwrite(0, 4 * KB)
+        yield from handle.pwrite(0, 4 * KB, direct=True)
+        machine.cache.dirty_pages_of(handle.inode.id)[0].disk_block = None
+        yield from handle.fsync()
+
+    with pytest.raises(SanitizerError, match="block conservation") as excinfo:
+        drive(env, work())
+    assert excinfo.value.context == {"allocated": 2, "mapped": 1}
+
+
 def test_clean_machine_passes_all_checks():
     env, machine, _san = _sanitized_machine()
     task = machine.spawn("t")

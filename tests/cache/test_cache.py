@@ -4,6 +4,7 @@ import pytest
 
 from repro.cache import PageCache, PageKey
 from repro.core.tags import CauseSet, TagManager
+from repro.fs import BlockMap
 from repro.obs.bus import PageDirtied, PageFreed
 from repro.proc import Task
 from repro.sim import Environment
@@ -72,7 +73,7 @@ def test_page_freed_fires_for_dirty_page_only():
     cache.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key))
     dirty_key, clean_key = PageKey(1, 0), PageKey(1, 1)
     cache.mark_dirty(dirty_key, task)
-    cache.insert_clean_run(1, [(1, 500)])
+    cache.insert_clean_run(1, [(1, 500, 1)])
     cache.free(dirty_key)
     cache.free(clean_key)
     assert freed == [dirty_key]
@@ -135,7 +136,7 @@ def test_eviction_drops_clean_lru_pages_only():
     env, tags, cache = make_cache(memory=4 * PAGE_SIZE)
     task = Task("t")
     cache.mark_dirty(PageKey(1, 0), task)
-    cache.insert_clean_run(1, [(index, 100 + index) for index in range(1, 8)])
+    cache.insert_clean_run(1, [(1, 101, 7)])
     assert len(cache) == 4
     assert cache.contains(PageKey(1, 0))  # dirty page survived
     # The oldest clean pages went first; the newest three stayed.
@@ -148,7 +149,7 @@ def test_free_file_drops_all_pages():
     task = Task("t")
     for index in range(5):
         cache.mark_dirty(PageKey(3, index), task)
-    cache.insert_clean_run(4, [(0, 900)])
+    cache.insert_clean_run(4, [(0, 900, 1)])
     assert cache.free_file(3) == 5
     assert cache.dirty_bytes == 0
     assert cache.contains(PageKey(4, 0))
@@ -183,10 +184,10 @@ def test_stale_writeback_completion_is_ignored():
 
 def test_lookup_range_counts_hits_zero_fills_holes_and_returns_misses():
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(0, 10), (1, 11)])
+    cache.insert_clean_run(1, [(0, 10, 2)])
     cache.mark_dirty(PageKey(1, 2), Task("t"))
-    missing = cache.lookup_range(1, 0, 5, {0: 10, 1: 11, 2: 12, 4: 14})
-    assert missing == [(4, 14)]
+    missing = cache.lookup_range(1, 0, 5, BlockMap({0: 10, 1: 11, 2: 12, 4: 14}))
+    assert missing == [(4, 14, 1)]
     assert (cache.hits, cache.misses) == (4, 1)  # pages 0-2 plus hole 3
     assert cache.contains(PageKey(1, 3))  # the hole is now a clean page
     assert not cache.contains(PageKey(1, 4))  # the caller fetches misses
@@ -194,9 +195,9 @@ def test_lookup_range_counts_hits_zero_fills_holes_and_returns_misses():
 
 def test_readahead_probe_has_no_side_effects():
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(1, 11)])
-    found = cache.lookup_range(1, 0, 4, {0: 10, 1: 11, 3: 13}, readahead=True)
-    assert found == [(0, 10), (3, 13)]
+    cache.insert_clean_run(1, [(1, 11, 1)])
+    found = cache.lookup_range(1, 0, 4, BlockMap({0: 10, 1: 11, 3: 13}), readahead=True)
+    assert found == [(0, 10, 1), (3, 13, 1)]
     assert (cache.hits, cache.misses, len(cache)) == (0, 0, 1)
 
 
@@ -218,10 +219,10 @@ def test_range_dirty_evicts_page_by_page():
     (and are then born uncached)."""
     env, tags, cache = make_cache(memory=3 * PAGE_SIZE)
     task = Task("t")
-    cache.insert_clean_run(1, [(1, 11), (2, 12)])
+    cache.insert_clean_run(1, [(1, 11, 2)])
     cache.mark_dirty(PageKey(2, 0), task)
     assert len(cache) == 3 and cache.evictions == 0
-    cache.mark_dirty_range(1, 0, 3, {0: 10, 1: 11, 2: 12}, task)
+    cache.mark_dirty_range(1, 0, 3, BlockMap({0: 10, 1: 11, 2: 12}), task)
     assert cache.evictions == 2
     assert cache.dirty_pages == 4
     assert [cache._pages[(1, i)].disk_block for i in range(3)] == [10, 11, 12]
@@ -236,7 +237,7 @@ def test_range_dirty_takes_disk_blocks_after_the_hook():
     cache.bus.subscribe(
         PageDirtied, lambda e: seen.extend((page.key.index, page.disk_block) for page in e.pages)
     )
-    last = cache.mark_dirty_range(1, 0, 3, {0: 50, 2: 52}, task)
+    last = cache.mark_dirty_range(1, 0, 3, BlockMap({0: 50, 2: 52}), task)
     assert seen == [(0, None), (1, None), (2, None)]
     assert [cache._pages[(1, i)].disk_block for i in range(3)] == [50, None, 52]
     assert last is cache._pages[(1, 2)]
@@ -250,9 +251,9 @@ def mixed_run_cache(a, b):
     1 uncached, 2 and 3 dirty by *a* (one cause set object), 4 dirty by
     *b*, and 5 clean on disk block 105."""
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(5, 105)])
-    cache.mark_dirty_range(1, 2, 4, {}, a)
-    cache.mark_dirty_range(1, 4, 5, {}, b)
+    cache.insert_clean_run(1, [(5, 105, 1)])
+    cache.mark_dirty_range(1, 2, 4, None, a)
+    cache.mark_dirty_range(1, 4, 5, None, b)
     return cache
 
 
@@ -266,7 +267,7 @@ def test_range_dirty_publishes_one_event_per_run_in_file_order():
     """Born pages, dirty pages of two old sets, then a born page again
     make four runs; expanded page by page, they are exactly the events
     one-page writes would publish, and both leave the same state."""
-    block_map = {i: 100 + i for i in range(6)}
+    block_map = BlockMap({i: 100 + i for i in range(6)})
     a, b, writer = Task("a"), Task("b"), Task("c")
     cache = mixed_run_cache(a, b)
     runs = record_runs(cache)
@@ -300,10 +301,10 @@ def test_range_dirty_publishes_one_event_per_run_in_file_order():
 def test_page_under_writeback_in_an_overwrite_run_is_redirtied():
     env, tags, cache = make_cache()
     a, b = Task("a"), Task("b")
-    cache.mark_dirty_range(1, 0, 3, {}, a)
+    cache.mark_dirty_range(1, 0, 3, None, a)
     cache._pages[(1, 1)].write_submitted()
     runs = record_runs(cache)
-    cache.mark_dirty_range(1, 0, 3, {}, b)
+    cache.mark_dirty_range(1, 0, 3, None, b)
     assert len(runs) == 1 and runs[0].old_causes == CauseSet([a.pid])
     assert [page.redirtied for page in runs[0].pages] == [False, True, False]
     assert cache.overwrites == 3
@@ -323,10 +324,10 @@ def test_page_under_writeback_in_an_overwrite_run_is_redirtied():
 def test_range_dirty_returns_the_last_page_for_every_run_shape(dirty_first, first, stop):
     env, tags, cache = make_cache()
     if dirty_first:
-        cache.mark_dirty_range(1, *dirty_first, {}, Task("a"))
-    last = cache.mark_dirty_range(1, first, stop, {}, Task("b"))
+        cache.mark_dirty_range(1, *dirty_first, None, Task("a"))
+    last = cache.mark_dirty_range(1, first, stop, None, Task("b"))
     assert last is cache._pages[(1, stop - 1)]
-    assert cache.mark_dirty_range(1, 2, 2, {}, Task("b")) is None  # nothing dirtied
+    assert cache.mark_dirty_range(1, 2, 2, None, Task("b")) is None  # nothing dirtied
 
 
 # -- clean extents ------------------------------------------------------------
@@ -340,21 +341,21 @@ def clean_runs(cache, inode_id):
 
 def test_consecutive_pages_and_blocks_share_one_extent():
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(0, 100), (1, 101), (2, 102)])
-    cache.insert_clean_run(1, [(3, 103)])  # continues the newest extent
+    cache.insert_clean_run(1, [(0, 100, 3)])
+    cache.insert_clean_run(1, [(3, 103, 1)])  # continues the newest extent
     assert clean_runs(cache, 1) == [(0, 4)]
-    cache.insert_clean_run(1, [(4, 200)])  # next page, but not the next block
-    cache.insert_clean_run(1, [(6, 201)])  # next block, but not the next page
+    cache.insert_clean_run(1, [(4, 200, 1)])  # next page, but not the next block
+    cache.insert_clean_run(1, [(6, 201, 1)])  # next block, but not the next page
     assert clean_runs(cache, 1) == [(0, 4), (4, 5), (6, 7)]
     assert list(cache.clean_keys()) == [(1, i) for i in (0, 1, 2, 3, 4, 6)]
     assert cache.clean_pages == len(cache) == 6
 
 
 def test_run_in_block_order_keeps_its_page_order():
-    """A run whose pages descend on disk joins page by page, in the
-    order given, as a per-page LRU would take it."""
+    """Runs whose pages descend on disk join one by one, in the order
+    given, as a per-page LRU would take them."""
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(2, 10), (1, 11), (0, 12)])
+    cache.insert_clean_run(1, [(2, 10, 1), (1, 11, 1), (0, 12, 1)])
     assert list(cache.clean_keys()) == [(1, 2), (1, 1), (1, 0)]
     assert clean_runs(cache, 1) == [(0, 1), (1, 2), (2, 3)]
     assert cache.mark_dirty(PageKey(1, 1), Task("t")).disk_block == 11
@@ -362,17 +363,17 @@ def test_run_in_block_order_keeps_its_page_order():
 
 def test_extent_joins_only_the_newest_extent():
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(0, 100)])
-    cache.insert_clean_run(2, [(0, 500)])
-    cache.insert_clean_run(1, [(1, 101)])  # continues (1, 0), which is no longer newest
+    cache.insert_clean_run(1, [(0, 100, 1)])
+    cache.insert_clean_run(2, [(0, 500, 1)])
+    cache.insert_clean_run(1, [(1, 101, 1)])  # continues (1, 0), which is no longer newest
     assert clean_runs(cache, 1) == [(0, 1), (1, 2)]
     assert list(cache.clean_keys()) == [(1, 0), (2, 0), (1, 1)]
 
 
 def test_mid_extent_hit_splits_it_and_moves_the_pages_to_the_mru_end():
     env, tags, cache = make_cache()
-    block_map = {i: 100 + i for i in range(8)}
-    cache.insert_clean_run(1, [(i, 100 + i) for i in range(8)])
+    block_map = BlockMap({i: 100 + i for i in range(8)})
+    cache.insert_clean_run(1, [(0, 100, 8)])
     assert cache.lookup_range(1, 3, 5, block_map) == []
     assert [key.index for key in cache.clean_keys()] == [0, 1, 2, 5, 6, 7, 3, 4]
     assert clean_runs(cache, 1) == [(0, 3), (3, 5), (5, 8)]
@@ -384,26 +385,26 @@ def test_mid_extent_hit_splits_it_and_moves_the_pages_to_the_mru_end():
 
 def test_hit_on_the_newest_pages_keeps_the_order():
     env, tags, cache = make_cache()
-    cache.insert_clean_run(2, [(0, 50)])
-    cache.insert_clean_run(1, [(i, 100 + i) for i in range(6)])
-    cache.lookup_range(1, 4, 6, {i: 100 + i for i in range(6)})
+    cache.insert_clean_run(2, [(0, 50, 1)])
+    cache.insert_clean_run(1, [(0, 100, 6)])
+    cache.lookup_range(1, 4, 6, BlockMap({i: 100 + i for i in range(6)}))
     assert list(cache.clean_keys()) == [(2, 0)] + [(1, i) for i in range(6)]
     assert clean_runs(cache, 1) == [(0, 6)]
 
 
 def test_hit_on_a_whole_extent_merges_it_into_the_newest_it_continues():
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(i, 100 + i) for i in range(3, 6)])
-    cache.insert_clean_run(1, [(i, 100 + i) for i in range(3)])
+    cache.insert_clean_run(1, [(3, 103, 3)])
+    cache.insert_clean_run(1, [(0, 100, 3)])
     assert clean_runs(cache, 1) == [(0, 3), (3, 6)]
-    cache.lookup_range(1, 3, 6, {i: 100 + i for i in range(6)})
+    cache.lookup_range(1, 3, 6, BlockMap({i: 100 + i for i in range(6)}))
     assert clean_runs(cache, 1) == [(0, 6)]
     assert [key.index for key in cache.clean_keys()] == list(range(6))
 
 
 def test_dirtying_a_mid_extent_page_splits_it():
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(i, 100 + i) for i in range(8)])
+    cache.insert_clean_run(1, [(0, 100, 8)])
     page = cache.mark_dirty(PageKey(1, 3), Task("t"))
     assert page.disk_block == 103
     assert clean_runs(cache, 1) == [(0, 3), (4, 8)]
@@ -414,7 +415,7 @@ def test_dirtying_a_mid_extent_page_splits_it():
 def test_in_order_writeback_completions_coalesce():
     env, tags, cache = make_cache()
     task = Task("t")
-    cache.mark_dirty_range(1, 0, 4, {i: 300 + i for i in range(4)}, task)
+    cache.mark_dirty_range(1, 0, 4, BlockMap({i: 300 + i for i in range(4)}), task)
     for page in cache.dirty_pages_by_age():
         page.write_submitted()
         page.write_completed()
@@ -424,8 +425,8 @@ def test_in_order_writeback_completions_coalesce():
 
 def test_zero_filled_holes_form_blockless_extents():
     env, tags, cache = make_cache()
-    missing = cache.lookup_range(1, 0, 5, {0: 10, 4: 14})
-    assert missing == [(0, 10), (4, 14)]
+    missing = cache.lookup_range(1, 0, 5, BlockMap({0: 10, 4: 14}))
+    assert missing == [(0, 10, 1), (4, 14, 1)]
     assert clean_runs(cache, 1) == [(1, 4)]  # pages 1-3, no disk block
     cache.insert_clean_run(1, missing)
     # A page with a block never joins a blockless extent.
@@ -435,9 +436,9 @@ def test_zero_filled_holes_form_blockless_extents():
 
 def test_eviction_pops_whole_extents_then_trims_the_last():
     env, tags, cache = make_cache(memory=6 * PAGE_SIZE)
-    cache.insert_clean_run(1, [(0, 10), (1, 11)])
-    cache.insert_clean_run(2, [(i, 20 + i) for i in range(4)])
-    cache.insert_clean_run(3, [(i, 30 + i) for i in range(3)])
+    cache.insert_clean_run(1, [(0, 10, 2)])
+    cache.insert_clean_run(2, [(0, 20, 4)])
+    cache.insert_clean_run(3, [(0, 30, 3)])
     assert cache.evictions == 3
     assert clean_runs(cache, 1) == []
     assert clean_runs(cache, 2) == [(1, 4)]
@@ -447,9 +448,9 @@ def test_eviction_pops_whole_extents_then_trims_the_last():
 
 def test_free_file_unlinks_only_that_files_extents():
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(0, 10), (1, 11)])
-    cache.insert_clean_run(2, [(0, 20)])
-    cache.insert_clean_run(1, [(5, 15)])
+    cache.insert_clean_run(1, [(0, 10, 2)])
+    cache.insert_clean_run(2, [(0, 20, 1)])
+    cache.insert_clean_run(1, [(5, 15, 1)])
     assert cache.free_file(1) == 3
     assert list(cache.clean_keys()) == [(2, 0)]
     assert cache.clean_pages == len(cache) == 1
@@ -461,7 +462,7 @@ def test_free_range_cuts_extents_and_frees_dirty_pages_in_index_order():
     task = Task("t")
     freed = []
     cache.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key.index))
-    cache.insert_clean_run(1, [(i, 100 + i) for i in range(8)])
+    cache.insert_clean_run(1, [(0, 100, 8)])
     cache.mark_dirty(PageKey(1, 5), task)
     cache.mark_dirty(PageKey(1, 3), task)
     cache.mark_dirty(PageKey(1, 9), task)
@@ -474,8 +475,8 @@ def test_free_range_cuts_extents_and_frees_dirty_pages_in_index_order():
 
 def test_contains_range_checks_gaps_against_dirty_pages():
     env, tags, cache = make_cache()
-    cache.insert_clean_run(1, [(0, 10), (1, 11)])
-    cache.insert_clean_run(1, [(4, 14)])
+    cache.insert_clean_run(1, [(0, 10, 2)])
+    cache.insert_clean_run(1, [(4, 14, 1)])
     assert cache.contains_range(1, 0, 2)
     assert not cache.contains_range(1, 0, 5)  # pages 2 and 3 are not cached
     task = Task("t")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.cache import PageCache, PageKey
 from repro.core.tags import TagManager
+from repro.fs import BlockMap
 from repro.obs.bus import PageDirtied, PageFreed
 from repro.proc import Task
 from repro.sim import Environment
@@ -25,6 +26,13 @@ def descending_block_map_of(inode_id, file_pages=FILE_PAGES):
     """A file laid out back to front, so no two pages continue each
     other on disk, with a hole every seventh page."""
     return {i: inode_id * 1000 + file_pages - i for i in range(file_pages) if i % 7 != 6}
+
+
+def expand(runs):
+    """``(index, block, count)`` runs as the ``(index, block)`` pairs of
+    their pages, in order."""
+    assert all(count > 0 for _, _, count in runs)
+    return [(index + k, block + k) for index, block, count in runs for k in range(count)]
 
 
 class LruModel:
@@ -141,7 +149,9 @@ class CacheMachine:
         self.cache = PageCache(self.env, self.tags, memory_bytes=capacity_pages * PAGE_SIZE)
         self.model = LruModel(capacity_pages)
         self.file_pages = file_pages
+        #: The model reads plain dicts; the cache reads the same maps as extents.
         self.block_maps = {inode_id: block_maps(inode_id, file_pages) for inode_id in INODES}
+        self.extent_maps = {inode_id: BlockMap(pages) for inode_id, pages in self.block_maps.items()}
         self.tasks = [Task(f"t{i}") for i in range(3)]
         #: Pages whose writeback was submitted and has not completed.
         self.in_flight = []
@@ -167,14 +177,14 @@ class CacheMachine:
         cache, model = self.cache, self.model
         key = PageKey(inode_id, index)
         stop = min(index + 1 + arg, self.file_pages)
-        block_map = self.block_maps[inode_id]
+        block_map, extent_map = self.block_maps[inode_id], self.extent_maps[inode_id]
         if kind == 0:
-            missing = cache.lookup_range(inode_id, index, stop, block_map)
+            missing = cache.lookup_range(inode_id, index, stop, extent_map)
             cache.insert_clean_run(inode_id, missing)
-            assert missing == model.read(inode_id, index, stop, block_map)
+            assert expand(missing) == model.read(inode_id, index, stop, block_map)
         elif kind == 1:
-            found = cache.lookup_range(inode_id, index, stop, block_map, readahead=True)
-            assert found == model.readahead(inode_id, index, stop, block_map)
+            found = cache.lookup_range(inode_id, index, stop, extent_map, readahead=True)
+            assert expand(found) == model.readahead(inode_id, index, stop, block_map)
         elif kind == 2:
             task = self.tasks[arg % len(self.tasks)]
             was_dirty = key in model.dirty
@@ -218,7 +228,7 @@ class CacheMachine:
             assert cache.contains_range(inode_id, index, stop) == expected
         else:
             task = self.tasks[arg % len(self.tasks)]
-            cache.mark_dirty_range(inode_id, index, stop, block_map, task)
+            cache.mark_dirty_range(inode_id, index, stop, extent_map, task)
             expected = []
             for i in range(index, stop):
                 page = cache._pages[(inode_id, i)]

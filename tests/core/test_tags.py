@@ -152,7 +152,7 @@ def test_tag_accounting_with_many_writers_on_shared_dirty_pages():
     writers = [Task(f"w{i}") for i in range(256)]
     for _ in range(2):  # the second pass adds no pid
         for task in writers:
-            cache.mark_dirty_range(1, 0, 16, {}, task)
+            cache.mark_dirty_range(1, 0, 16, None, task)
     per_page = TagManager.TAG_OVERHEAD_BASE + TagManager.TAG_OVERHEAD_PER_PID * len(writers)
     assert tags.live_tags == 16
     assert tags.bytes_allocated == 16 * per_page

@@ -97,3 +97,31 @@ def test_direct_read_of_unwritten_range_is_free():
     n, reads = drive(env, proc())
     assert n == 64 * KB
     assert reads == 0
+
+
+def test_direct_write_over_a_delayed_allocation_page_leaks_no_block():
+    """A buffered write leaves page 0 dirty and unallocated; an O_DIRECT
+    write over it allocates its block, and the dirty page's writeback
+    goes to that block instead of allocating a second one."""
+    env, machine = make_os()
+    task = machine.spawn("t")
+    allocator = machine.fs.allocator
+
+    def proc():
+        handle = yield from machine.creat(task, "/f")
+        inode = handle.inode
+        yield from handle.pwrite(0, 4 * KB)
+        assert len(inode.block_map) == 0  # delayed allocation
+        yield from handle.pwrite(0, 4 * KB, direct=True)
+        block = inode.block_map[0]
+        assert allocator.allocated == 1
+        assert machine.cache.dirty_pages_of(inode.id)[0].disk_block == block
+        writes_before = machine.device.stats.writes
+        yield from handle.fsync()
+        return inode, block, machine.device.stats.writes - writes_before
+
+    inode, block, writes = drive(env, proc())
+    assert dict(inode.block_map) == {0: block}
+    assert allocator.allocated == 1
+    assert writes >= 1  # the dirty page still went to the device
+    assert machine.cache.dirty_bytes_of(inode.id) == 0

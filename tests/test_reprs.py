@@ -49,8 +49,7 @@ def test_inode_allocated_fraction():
     inode = Inode("/f")
     inode.size = 4 * 4096
     assert inode.allocated_fraction() == 0.0
-    inode.map_block(0, 100)
-    inode.map_block(1, 101)
+    inode.block_map.map_run(0, 100, 2)
     assert inode.allocated_fraction() == 0.5
     empty = Inode("/e")
     assert empty.allocated_fraction() == 1.0

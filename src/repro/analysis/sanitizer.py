@@ -114,7 +114,7 @@ class SanitizedEnvironment(Environment):
             raise SanitizerError(
                 "schedule() with a negative delay would rewind the clock",
                 history=list(self._san_history),
-                context={"delay": delay, "now": self._now, "event": type(event).__name__},
+                context={"delay": delay, "now": self.now, "event": type(event).__name__},
             )
         super().schedule(event, priority, delay)
 
@@ -206,7 +206,13 @@ class StackSanitizer:
     - **block conservation**: the data blocks the allocator counts as
       allocated are exactly those the files' block maps hold (named
       files plus unlinked-but-open ones), so no block leaks and none
-      is freed twice.
+      is freed twice;
+    - **dirty-page blocks and hints**: each page of a completed write
+      that is still the cache's dirty page at its key has either no
+      disk block or its file's block-map entry, and its live dirty-run
+      hint lists exactly the cache's dirty pages at the hint's
+      indices, all with one cause set object (and all with a block if
+      the hint says so) — what lets an overwrite skip block work.
     """
 
     #: Relative slack for float token accounting.
@@ -273,6 +279,57 @@ class StackSanitizer:
         self._check_page_cache()
         self._check_cpu()
         self._check_blocks()
+        pages = getattr(event.request, "pages", None)
+        if pages:
+            self._check_dirty_pages(pages)
+
+    def _check_dirty_pages(self, pages) -> None:
+        fs, cache = self.machine.fs, self.machine.cache
+        current = cache._pages
+        checked = set()
+        for page in pages:
+            key = page.key
+            if current.get(key) is not page:
+                continue  # cleaned, or freed while in flight
+            block = page.disk_block
+            if block is not None:
+                inode = fs.inode_by_id(key.inode_id)
+                mapped = None if inode is None else inode.block_map.get(key.index)
+                if block != mapped:
+                    self._fail(
+                        "dirty-page block violation: a dirty page's disk "
+                        "block is not its file's block-map entry",
+                        page=tuple(key),
+                        disk_block=block,
+                        mapped=mapped,
+                    )
+            hint = page.hint
+            # Live hints of one file are disjoint: a start names one.
+            if hint is None or not hint.live or (key.inode_id, hint.start) in checked:
+                continue
+            checked.add((key.inode_id, hint.start))
+            causes = hint.pages[0].causes
+            for offset, listed in enumerate(hint.pages):
+                index = hint.start + offset
+                if (
+                    current.get((key.inode_id, index)) is not listed
+                    or listed.hint is not hint
+                    or listed.causes is not causes
+                ):
+                    self._fail(
+                        "dirty-run hint violation: a live hint does not list "
+                        "the cache's dirty pages of one cause set",
+                        page=(key.inode_id, index),
+                        hint_start=hint.start,
+                        hint_pages=len(hint.pages),
+                    )
+                if hint.allocated and listed.disk_block is None:
+                    self._fail(
+                        "dirty-run hint violation: a hint marked allocated "
+                        "lists a page without a disk block",
+                        page=(key.inode_id, index),
+                        hint_start=hint.start,
+                    )
 
     def _check_blocks(self) -> None:
         fs = self.machine.fs

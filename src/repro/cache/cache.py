@@ -40,6 +40,30 @@ class _Extent:
         return None if block is None else block + index - self.start
 
 
+class _DirtyRun:
+    """A hint: dirty pages ``start..start+len(pages)-1`` of one file,
+    all sharing one cause set object.
+
+    Each listed page points back here through ``Page.hint``.  While
+    ``live``, *pages* are exactly the cache's dirty pages at those
+    indices, so an overwrite run inside the hint is a slice of it
+    instead of a page-by-page scan.  Removing one of its pages (clean
+    or free) or changing the set of some of them kills the hint in
+    O(1); its other pages keep pointing at the dead hint until a later
+    scanned run gives them a new one.  ``allocated`` records that every
+    listed page has a disk block, so an overwrite inside the hint has
+    no block work to do.
+    """
+
+    __slots__ = ("start", "pages", "live", "allocated")
+
+    def __init__(self, start: int, pages: List[Page], allocated: bool):
+        self.start = start
+        self.pages = pages
+        self.live = True
+        self.allocated = allocated
+
+
 class PageCache:
     """An LRU page cache with dirty-page accounting and split hooks.
 
@@ -286,6 +310,13 @@ class PageCache:
         *block_map* there (a page outside them keeps its allocation
         delayed; without a *block_map*, every page keeps its block).
         Returns the last page dirtied.
+
+        An overwrite run takes the pages of a live dirty-run hint as
+        one slice.  A run that merged a new writer into its set, or had
+        to be scanned page by page, gets a new hint over its pages.  A
+        run made only of allocated hints' pages does no block work: a
+        dirty page's block, once set, is its file's block-map entry, so
+        taking the map's blocks again would change nothing.
         """
         causes = self.tags.current_causes(task)
         pages, by_inode = self._pages, self._dirty_by_inode
@@ -322,32 +353,67 @@ class PageCache:
                     if index == stop or (inode_id, index) in pages:
                         break
                 self.dirty_bytes += PAGE_SIZE * len(run)
+                hints = ()
+                fresh = None
+                allocated = False
             else:
-                # Overwrites: the dirty pages that share this page's set.
+                # Overwrites: the dirty pages that share this page's set,
+                # a live hint's pages as one slice, others one by one.
                 old_causes = page.causes
                 merged = old_causes | causes
+                hints = []
+                scanned = False
+                allocated = True
                 while True:
-                    if merged is not old_causes:
-                        page.causes = merged
-                    if page.under_writeback:
-                        page.redirtied = True
-                    run.append(page)
-                    index += 1
+                    hint = page.hint
+                    if hint is not None and hint.live:
+                        offset = hint.start
+                        end = offset + len(hint.pages)
+                        if end > stop:
+                            end = stop
+                        run += hint.pages[index - offset:end - offset]
+                        hints.append(hint)
+                        if not hint.allocated:
+                            allocated = False
+                        index = end
+                    else:
+                        run.append(page)
+                        scanned = True
+                        allocated = False
+                        index += 1
                     if index == stop:
                         break
                     page = pages.get((inode_id, index))
                     if page is None or page.causes is not old_causes:
                         break
+                for page in run:
+                    if page.under_writeback:
+                        page.redirtied = True
                 self.overwrites += len(run)
+                fresh = None
+                if scanned or merged is not old_causes:
+                    for hint in hints:
+                        hint.live = False
+                    fresh = _DirtyRun(start, run, allocated)
+                    for page in run:
+                        page.causes = merged
+                        page.hint = fresh
             if merged is not old_causes:
                 account_tags(run, merged)
             if subscribers:
                 self.bus.publish(PageDirtied(now, tuple(run), old_causes))
-            if block_map is not None:
-                for i, block, count in block_map.runs(start, index):
-                    for page in run[i - start:i - start + count]:
-                        page.disk_block = block
-                        block += 1
+            if not allocated:
+                if block_map is not None:
+                    for i, block, count in block_map.runs(start, index):
+                        for page in run[i - start:i - start + count]:
+                            page.disk_block = block
+                            block += 1
+                if fresh is not None:
+                    fresh.allocated = all(page.disk_block is not None for page in run)
+                else:
+                    for hint in hints:
+                        if not hint.allocated:
+                            hint.allocated = all(page.disk_block is not None for page in hint.pages)
         return run[-1] if run else None
 
     def mark_dirty(self, key: PageKey, task: "Task") -> Page:
@@ -375,6 +441,8 @@ class PageCache:
             return
         page.dirty = False
         page.dirtied_at = None
+        if page.hint is not None:
+            page.hint.live = False
         del self._pages[key]
         self._discard_dirty(key)
         self.dirty_bytes -= PAGE_SIZE
@@ -398,6 +466,8 @@ class PageCache:
             if extent is not None:
                 self._take(extent, index, index + 1)
             return
+        if page.hint is not None:
+            page.hint.live = False
         self._discard_dirty(key)
         self.dirty_bytes -= PAGE_SIZE
         self.tags.release_tag(page)
@@ -431,8 +501,9 @@ class PageCache:
 
         DRAM contents are gone, so dirty pages are lost *without*
         firing buffer-free hooks or releasing tags — there is no
-        orderly teardown in a crash.  Returns the number of pages
-        dropped.  Only meaningful on a halted environment.
+        orderly teardown in a crash.  Their dirty-run hints become
+        unreachable with them.  Returns the number of pages dropped.
+        Only meaningful on a halted environment.
         """
         count = len(self)
         self._pages.clear()

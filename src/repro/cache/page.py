@@ -40,6 +40,7 @@ class Page:
         "causes",
         "dirtied_at",
         "disk_block",
+        "hint",
     )
 
     def __init__(self, key: PageKey, cache: "PageCache", disk_block: Optional[int] = None):
@@ -53,6 +54,9 @@ class Page:
         self.dirtied_at: Optional[float] = None
         #: Disk block backing this page; None while allocation is delayed.
         self.disk_block = disk_block
+        #: The dirty-run hint listing this page, if any (live or dead;
+        #: see ``_DirtyRun`` in :mod:`repro.cache.cache`).
+        self.hint = None
 
     @property
     def size(self) -> int:

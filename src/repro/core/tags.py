@@ -40,8 +40,7 @@ class CauseSet:
             return other
         return CauseSet(mine | theirs)
 
-    def __or__(self, other: "CauseSet") -> "CauseSet":
-        return self.union(other)
+    __or__ = union
 
     def __contains__(self, item) -> bool:
         pid = item.pid if isinstance(item, Task) else item

@@ -276,8 +276,9 @@ class FileSystem:
             inode.size = offset + nbytes
         # mtime (and size, for appends) updates join the running txn.
         self.journal.add_metadata(task, inode.metadata_block)
-        if self.writeback is not None:
-            yield from self.writeback.balance_dirty_pages(task)
+        writeback = self.writeback
+        if writeback is not None and writeback.enabled and writeback.over_limit():
+            yield from writeback.balance_dirty_pages(task)
         return nbytes
 
     def read(self, task: "Task", inode: Inode, offset: int, nbytes: int):

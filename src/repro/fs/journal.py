@@ -150,10 +150,16 @@ class Journal:
         """Record a metadata update by *task* (or its proxied causes)."""
         txn = self.running
         txn.metadata_blocks.add(block)
-        txn.joiners = txn.joiners | self.fs.tags.current_causes(task)
+        tags = self.fs.tags
+        joiners = txn.joiners
+        merged = joiners | tags.current_causes(task)
         if ordered_inode is not None:
             txn.ordered_inodes.add(ordered_inode)
-        self.fs.tags.account_tag(txn, txn.joiners)
+        # Re-pricing an unchanged joiner set is a no-op: price the tag
+        # on the first join and whenever the set grows.
+        if merged is not joiners or not joiners.pids:
+            txn.joiners = merged
+            tags.account_tag(txn, merged)
         return txn
 
     def transaction_of(self, inode_id: int, metadata_block: Optional[int]) -> Optional[Transaction]:

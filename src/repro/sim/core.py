@@ -44,7 +44,7 @@ class Environment:
     """
 
     __slots__ = (
-        "_now",
+        "now",
         "_queue",
         "_eid",
         "_cb_pool",
@@ -55,7 +55,8 @@ class Environment:
     )
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time in seconds (read-only outside the kernel).
+        self.now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
         #: Recycled callback lists (see Event.__init__): the dispatch
@@ -67,11 +68,6 @@ class Environment:
         self._halt_reason: Any = None
         #: Front-slot entry bypassing the heap (see class docstring).
         self._next: Optional[Tuple[float, int, int, Event]] = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def halted(self) -> bool:
@@ -91,7 +87,7 @@ class Environment:
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         """Put *event* on the queue to be processed after *delay*."""
         self._eid += 1
-        heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self.now + delay, priority, self._eid, event))
 
     def event(self) -> Event:
         """Create a fresh, untriggered event."""
@@ -116,7 +112,7 @@ class Environment:
         event._ok = True
         event._value = value
         self._eid += 1
-        entry = (self._now + delay, NORMAL, self._eid, event)
+        entry = (self.now + delay, NORMAL, self._eid, event)
         nxt = self._next
         if nxt is None:
             self._next = entry
@@ -166,7 +162,7 @@ class Environment:
         must be mirrored there (and in :meth:`_dispatch`).
         """
         entry = self._pop()
-        self._now = entry[0]
+        self.now = entry[0]
         self._dispatch(entry)
 
     def _dispatch(self, entry: Tuple[float, int, int, Event]) -> None:
@@ -250,14 +246,14 @@ class Environment:
         """
         if until is not None and not isinstance(until, Event):
             at = float(until)
-            if at < self._now:
-                raise ValueError(f"until ({at}) is in the past (now={self._now})")
-            if at == self._now:
+            if at < self.now:
+                raise ValueError(f"until ({at}) is in the past (now={self.now})")
+            if at == self.now:
                 return (self._ALREADY_DONE, None)  # zero-length advance
             until = Event(self)
             until._ok = True
             until._value = None
-            self.schedule(until, priority=URGENT, delay=at - self._now)
+            self.schedule(until, priority=URGENT, delay=at - self.now)
         if isinstance(until, Event):
             if until.callbacks is None:
                 return (self._ALREADY_DONE, until._value)
@@ -299,7 +295,7 @@ class Environment:
                     entry = pop(queue)
                 else:
                     raise EmptySchedule()
-                self._now = entry[0]
+                self.now = entry[0]
 
                 event = entry[3]
                 callbacks = event.callbacks

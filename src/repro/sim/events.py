@@ -99,7 +99,7 @@ class Event:
         # simlint: disable=SIM005  (kernel-internal fused scheduling)
         env = self.env
         env._eid += 1
-        entry = (env._now, NORMAL, env._eid, self)
+        entry = (env.now, NORMAL, env._eid, self)
         nxt = env._next
         if nxt is None:
             env._next = entry
@@ -181,7 +181,7 @@ class Timeout(Event):
         self._value = value
         # simlint: disable=SIM005  (kernel-internal fused scheduling)
         env._eid += 1
-        entry = (env._now + delay, NORMAL, env._eid, self)
+        entry = (env.now + delay, NORMAL, env._eid, self)
         nxt = env._next
         if nxt is None:
             env._next = entry
@@ -214,7 +214,7 @@ class Initialize(Event):
         self._value = None
         # simlint: disable=SIM005  (kernel-internal fused scheduling)
         env._eid += 1
-        entry = (env._now, URGENT, env._eid, self)
+        entry = (env.now, URGENT, env._eid, self)
         nxt = env._next
         if nxt is None:
             env._next = entry

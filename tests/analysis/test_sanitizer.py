@@ -246,8 +246,8 @@ def _sanitized_machine():
     return env, machine, sanitizer
 
 
-def _fake_complete(env, request_id=1):
-    request = types.SimpleNamespace(id=request_id, failed=False)
+def _fake_complete(env, request_id=1, pages=()):
+    request = types.SimpleNamespace(id=request_id, failed=False, pages=list(pages))
     return BlockComplete(time=env.now, request=request)
 
 
@@ -406,6 +406,56 @@ def test_direct_write_leak_is_caught_by_block_conservation():
     with pytest.raises(SanitizerError, match="block conservation") as excinfo:
         drive(env, work())
     assert excinfo.value.context == {"allocated": 2, "mapped": 1}
+
+
+def _hinted_pages(env, machine):
+    """Four dirty pages of a file on allocated blocks, overwritten by
+    their writer, so they share one live, allocated dirty-run hint."""
+    task = machine.spawn("t")
+
+    def work():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.write(16 * KB)
+        yield from handle.fsync()
+        yield from handle.pwrite(0, 16 * KB)
+        yield from handle.pwrite(0, 16 * KB)
+        return handle.inode
+
+    inode = drive(env, work())
+    pages = machine.cache.dirty_pages_of(inode.id)
+    hint = pages[0].hint
+    assert hint.live and hint.allocated and hint.pages == pages
+    return inode, pages
+
+
+def test_dirty_page_block_drift_detected():
+    env, machine, _san = _sanitized_machine()
+    inode, pages = _hinted_pages(env, machine)
+    machine.bus.publish(_fake_complete(env, pages=pages))  # consistent: passes
+    block = pages[2].disk_block
+    pages[2].disk_block = block + 100  # a block its file does not map there
+    with pytest.raises(SanitizerError, match="dirty-page block") as excinfo:
+        machine.bus.publish(_fake_complete(env, pages=pages))
+    assert excinfo.value.context == {
+        "page": (inode.id, 2), "disk_block": block + 100, "mapped": block,
+    }
+    pages[2].disk_block = None  # delayed allocation is legal, but not in an allocated hint
+    with pytest.raises(SanitizerError, match="marked allocated"):
+        machine.bus.publish(_fake_complete(env, pages=pages))
+
+
+def test_hint_left_live_after_its_page_was_cleaned_is_detected():
+    env, machine, _san = _sanitized_machine()
+    inode, pages = _hinted_pages(env, machine)
+    hint = pages[0].hint
+    pages[0].write_submitted()
+    pages[0].write_completed()  # cleaned: the hint dies with it
+    assert not hint.live
+    machine.bus.publish(_fake_complete(env, pages=pages))  # consistent: passes
+    hint.live = True  # the cleaning forgot to kill the hint
+    with pytest.raises(SanitizerError, match="dirty-run hint") as excinfo:
+        machine.bus.publish(_fake_complete(env, pages=pages))
+    assert excinfo.value.context["page"] == (inode.id, 0)
 
 
 def test_clean_machine_passes_all_checks():

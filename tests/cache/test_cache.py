@@ -9,6 +9,7 @@ from repro.obs.bus import PageDirtied, PageFreed
 from repro.proc import Task
 from repro.sim import Environment
 from repro.units import MB, PAGE_SIZE
+from tests.cache.test_cache_properties import assert_hints
 
 
 def make_cache(memory=16 * MB):
@@ -308,6 +309,188 @@ def test_page_under_writeback_in_an_overwrite_run_is_redirtied():
     assert len(runs) == 1 and runs[0].old_causes == CauseSet([a.pid])
     assert [page.redirtied for page in runs[0].pages] == [False, True, False]
     assert cache.overwrites == 3
+
+
+# -- dirty-run hints ------------------------------------------------------------
+
+#: The block map of file 1 in the hint tests.
+BLOCKS = BlockMap({i: 100 + i for i in range(16)})
+
+
+def recording_cache():
+    """A fresh cache and the ``(key, old cause pids)`` of every page of
+    every buffer-dirty event it will publish, in order."""
+    env, tags, cache = make_cache()
+    events = []
+    cache.bus.subscribe(
+        PageDirtied,
+        lambda e: events.extend((tuple(page.key), e.old_causes.pids) for page in e.pages),
+    )
+    return cache, events
+
+
+def run_steps(cache, tasks, steps, per_page=False):
+    """Apply ``(op, first, stop, writer)`` steps to file 1 of *cache*,
+    checking the hint invariant after each.  With *per_page*, each
+    ``dirty`` step is split into one-page writes: the reference a
+    run-at-a-time write must match event for event, once expanded."""
+    for op, first, stop, writer in steps:
+        if op == "dirty":
+            pieces = [(i, i + 1) for i in range(first, stop)] if per_page else [(first, stop)]
+            for lo, hi in pieces:
+                cache.mark_dirty_range(1, lo, hi, BLOCKS, tasks[writer])
+        elif op == "clean":
+            page = cache._pages[(1, first)]
+            page.write_submitted()
+            page.write_completed()
+        elif op == "free":
+            cache.free(PageKey(1, first))
+        elif op == "free_range":
+            cache.free_range(1, first, stop)
+        elif op == "free_file":
+            cache.free_file(1)
+        else:
+            assert op == "drop_volatile"
+            cache.drop_volatile()
+        assert_hints(cache)
+
+
+def cache_state(cache):
+    """Everything a write can change, keyed by page, not by object."""
+    pages = {
+        key: (page.causes.pids, page.disk_block, page.redirtied)
+        for key, page in cache._pages.items()
+    }
+    tags = cache.tags
+    return (
+        pages, list(cache.clean_keys()), cache.overwrites, cache.dirty_bytes,
+        tags.bytes_allocated, tags.max_bytes_allocated, tags.live_tags,
+    )
+
+
+#: Pages 0-7 of file 1 born by writer a, then overwritten by a: the
+#: scanned overwrite leaves one live, allocated hint over all eight.
+HINTED = [("dirty", 0, 8, "a"), ("dirty", 0, 8, "a")]
+
+
+@pytest.mark.parametrize(
+    "breaker",
+    [
+        ("clean", 3, 4, None),
+        ("free", 5, 6, None),
+        ("free_range", 2, 4, None),
+        ("free_file", 0, 0, None),
+        ("drop_volatile", 0, 0, None),
+        ("dirty", 2, 4, "b"),  # a merge over part of the hint
+    ],
+)
+def test_breaking_a_hint_keeps_the_next_overwrite_exact(breaker):
+    tasks = {name: Task(name) for name in "abc"}
+    cache, events = recording_cache()
+    run_steps(cache, tasks, HINTED)
+    hint = cache._pages[(1, 0)].hint
+    assert hint.live and hint.allocated
+    assert hint.pages == [cache._pages[(1, i)] for i in range(8)]
+    run_steps(cache, tasks, [breaker])
+    if breaker[0] == "drop_volatile":
+        assert not cache._pages  # the hint is unreachable with its pages
+    else:
+        assert not hint.live
+    later = [("dirty", 0, 8, "c"), ("dirty", 0, 8, "c")]
+    run_steps(cache, tasks, later)
+    reference, reference_events = recording_cache()
+    run_steps(reference, tasks, HINTED + [breaker] + later, per_page=True)
+    assert events == reference_events
+    assert cache_state(cache) == cache_state(reference)
+
+
+def test_run_over_two_hints_of_one_set_publishes_one_event():
+    a, b = Task("a"), Task("b")
+    env, tags, cache = make_cache()
+    cache.mark_dirty_range(1, 0, 8, BLOCKS, a)
+    cache.mark_dirty_range(1, 0, 4, BLOCKS, a)
+    cache.mark_dirty_range(1, 4, 8, BLOCKS, a)
+    first, second = cache._pages[(1, 0)].hint, cache._pages[(1, 4)].hint
+    assert first is not second and first.live and second.live
+    runs = record_runs(cache)
+    cache.mark_dirty_range(1, 0, 8, BLOCKS, a)  # both hints reused
+    cache.mark_dirty_range(1, 0, 8, BLOCKS, b)  # one merge over both
+    assert [[page.key.index for page in e.pages] for e in runs] == [list(range(8))] * 2
+    assert [e.old_causes for e in runs] == [CauseSet([a.pid])] * 2
+    assert not first.live and not second.live
+    merged = cache._pages[(1, 0)].hint
+    assert merged.live and merged.pages == list(runs[1].pages)
+    assert_hints(cache)
+
+
+def test_overwrite_over_a_hint_with_an_unallocated_page_takes_the_map_blocks():
+    a = Task("a")
+    env, tags, cache = make_cache()
+    cache.mark_dirty_range(1, 0, 4, None, a)  # delayed allocation
+    cache.mark_dirty_range(1, 0, 4, None, a)
+    hint = cache._pages[(1, 0)].hint
+    assert hint.live and not hint.allocated
+    cache.mark_dirty_range(1, 0, 4, BlockMap({0: 10, 1: 11, 3: 13}), a)
+    assert [cache._pages[(1, i)].disk_block for i in range(4)] == [10, 11, None, 13]
+    assert hint.live and not hint.allocated
+    cache.mark_dirty_range(1, 0, 4, BlockMap({i: 10 + i for i in range(4)}), a)
+    assert [cache._pages[(1, i)].disk_block for i in range(4)] == [10, 11, 12, 13]
+    assert hint.live and hint.allocated
+    assert_hints(cache)
+
+
+class CountingBlockMap(BlockMap):
+    """A block map that counts its extent lookups."""
+
+    calls = 0
+
+    def runs(self, first=0, stop=None):
+        self.calls += 1
+        return super().runs(first, stop)
+
+
+class CountingDict(dict):
+    """A dict that counts ``get`` calls."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
+def test_overwrite_inside_an_allocated_hint_does_no_per_page_work():
+    a = Task("a")
+    env, tags, cache = make_cache()
+    block_map = CountingBlockMap({i: 100 + i for i in range(16)})
+    cache.mark_dirty_range(1, 0, 16, block_map, a)
+    cache.mark_dirty_range(1, 0, 16, block_map, a)  # scanned: builds the hint
+    hint = cache._pages[(1, 0)].hint
+    assert hint.live and hint.allocated and block_map.calls == 2
+    cache._pages = CountingDict(cache._pages)
+    runs = record_runs(cache)
+    cache.mark_dirty_range(1, 2, 14, block_map, a)
+    assert [page.key.index for page in runs[0].pages] == list(range(2, 14))
+    assert cache._pages.gets == 1  # the run's first page only
+    assert block_map.calls == 2
+    assert hint.live and cache.overwrites == 16 + 12
+    assert_hints(cache)
+
+
+def test_page_under_writeback_inside_a_hinted_run_is_redirtied():
+    a = Task("a")
+    env, tags, cache = make_cache()
+    cache.mark_dirty_range(1, 0, 4, BLOCKS, a)
+    cache.mark_dirty_range(1, 0, 4, BLOCKS, a)
+    hint = cache._pages[(1, 0)].hint
+    cache._pages[(1, 2)].write_submitted()
+    runs = record_runs(cache)
+    cache.mark_dirty_range(1, 0, 4, BLOCKS, a)
+    assert hint.live and list(runs[0].pages) == hint.pages
+    assert [page.redirtied for page in hint.pages] == [False, False, True, False]
+    hint.pages[2].write_completed()  # modified mid-flight: stays dirty
+    assert hint.live and hint.pages[2].dirty
+    assert_hints(cache)
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,24 @@ def expand(runs):
     return [(index + k, block + k) for index, block, count in runs for k in range(count)]
 
 
+def assert_hints(cache):
+    """Every live dirty-run hint lists exactly the cache's dirty pages
+    at its indices, all of one cause set object and each pointing back
+    at it; a hint marked allocated lists only pages with a disk block."""
+    pages = cache._pages
+    for page in pages.values():
+        hint = page.hint
+        if hint is None or not hint.live:
+            continue
+        inode_id, offset = page.key.inode_id, page.key.index - hint.start
+        assert 0 <= offset < len(hint.pages) and hint.pages[offset] is page
+        causes = hint.pages[0].causes
+        for offset, listed in enumerate(hint.pages):
+            assert pages.get((inode_id, hint.start + offset)) is listed
+            assert listed.hint is hint and listed.causes is causes
+            assert listed.disk_block is not None or not hint.allocated
+
+
 class LruModel:
     """The cache as plain lists, one page at a time.
 
@@ -261,6 +279,7 @@ class CacheMachine:
             for index in range(self.file_pages):
                 key = PageKey(inode_id, index)
                 assert cache.contains(key) == (key in model.resident())
+        assert_hints(cache)
 
     def check_invariants(self):
         cache = self.cache

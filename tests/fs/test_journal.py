@@ -1,7 +1,9 @@
 """Tests for the journal: transactions, ordered mode, proxy tagging."""
 
+import random
 
 from repro import Environment, OS, SSD, KB, MB
+from repro.core.tags import CauseSet, TagManager
 from repro.faults import DurabilityLog
 from repro.fs.journal import Journal, Transaction
 from repro.obs import SpanBuilder
@@ -314,3 +316,39 @@ def test_durability_log_keeps_one_snapshot_per_commit(monkeypatch):
     assert tids == sorted(tids) == calls
     assert {record.tid: record.data_blocks for record in records} == expected
     assert len(records[-1].data_blocks) == 2048 + 20
+
+
+def test_skipped_repricing_matches_pricing_every_join():
+    """add_metadata prices a transaction's tag only on its first join
+    and when its joiner set grows; a seeded mix of joins, proxied joins
+    and commits leaves the same totals as pricing it on every join."""
+    env, machine = make_os()
+    journal, tags = machine.fs.journal, machine.fs.tags
+    writers = [machine.spawn(f"w{i}") for i in range(5)]
+    proxy = machine.spawn("flusher", kernel=True)
+    reference = TagManager()
+    seen = []
+    rng = random.Random(11)
+
+    def commit():
+        yield from journal.commit_running()
+
+    for _ in range(600):
+        if rng.random() < 0.04:
+            drive(env, commit())
+        else:
+            task = rng.choice(writers + [proxy])
+            if task is proxy:
+                tags.set_proxy(proxy, CauseSet.of(*rng.sample(writers, 2)))
+            txn = journal.add_metadata(task, rng.randrange(40))
+            tags.clear_proxy(proxy)
+            reference.account_tag(txn, txn.joiners)
+            if txn not in seen:
+                seen.append(txn)
+        for txn in seen:
+            if txn.state == Transaction.COMMITTED and id(txn) in reference._allocations:
+                reference.release_tag(txn)
+        assert (tags.bytes_allocated, tags.max_bytes_allocated, tags.live_tags) == (
+            reference.bytes_allocated, reference.max_bytes_allocated, reference.live_tags,
+        )
+    assert journal.commits > 10 and tags.max_bytes_allocated > tags.TAG_OVERHEAD_BASE

@@ -42,7 +42,6 @@ from repro.block.request import READ  # noqa: E402
 from repro.cache import PageCache, PageKey  # noqa: E402
 from repro.core.tags import TagManager  # noqa: E402
 from repro.fs import BlockMap  # noqa: E402
-from repro.devices import HDD  # noqa: E402
 from repro.proc import ProcessTable, Task  # noqa: E402
 from repro.schedulers import Noop  # noqa: E402
 
@@ -115,62 +114,6 @@ def bench_event_cohort(repeats: int) -> dict:
         "cohort_size": workers,
         "us_per_event": round(best * 1e6 / events, 4),
         "events_per_sec": round(events / best),
-    }
-
-
-def bench_fast_forward(repeats: int) -> dict:
-    """Steady-state replay: a wrapping sequential reader, off vs on.
-
-    The stream is disk-bound (the file does not fit in memory), so
-    event-accurate execution prices every read through readahead, the
-    cache, and the block layer; with ``fast_forward`` the stream is
-    measured for a few calls per pass and replayed in closed form for
-    the rest.  ``speedup`` is the gated metric — it is host-independent
-    in a way the raw per-read times are not.
-    """
-    reads = 64
-    chunk = 1 * MB
-    size = 32 * MB
-
-    def run(fast_forward: bool) -> float:
-        """Host seconds of the read phase only (setup excluded)."""
-        env = Environment()
-        machine = OS(
-            env, device=HDD(), scheduler=Noop(), memory_bytes=16 * MB,
-            fast_forward=fast_forward,
-        )
-        task = machine.spawn("reader")
-
-        def prefill():
-            handle = yield from machine.creat(task, "/f")
-            written = 0
-            while written < size:
-                written += yield from handle.append(chunk)
-            return handle
-
-        proc = env.process(prefill())
-        env.run(until=proc)
-        handle = proc.value
-
-        def stream():
-            offset = 0
-            for _ in range(reads):
-                n = yield from handle.pread(offset, chunk)
-                offset = (offset + n) % size
-
-        proc = env.process(stream())
-        t0 = time.perf_counter()
-        env.run(until=proc)
-        return time.perf_counter() - t0
-
-    run(True)  # warm-up
-    best_off = min(run(False) for _ in range(repeats))
-    best_on = min(run(True) for _ in range(repeats))
-    return {
-        "reads": reads,
-        "us_per_read_off": round(best_off * 1e6 / reads, 3),
-        "us_per_read_on": round(best_on * 1e6 / reads, 3),
-        "speedup": round(best_off / best_on, 2),
     }
 
 
@@ -365,7 +308,6 @@ def bench_shard_sync(repeats: int) -> dict:
 MICROBENCHES = {
     "event_loop": bench_event_loop,
     "event_cohort": bench_event_cohort,
-    "fast_forward": bench_fast_forward,
     "cached_write_syscall": bench_cached_write_syscall,
     "vfs_open_close": bench_vfs_open_close,
     "cache_mark_dirty": bench_cache_mark_dirty,
@@ -447,14 +389,12 @@ def collect(
 
 
 #: Throughput metrics the --check gate watches: bench name -> rate key
-#: (higher is better for every gated metric, including the
-#: fast-forward speedup ratio).
+#: (higher is better for every gated metric).
 GATED_METRICS = (
     ("event_loop", "events_per_sec"),
     ("event_cohort", "events_per_sec"),
     ("mq_dispatch", "requests_per_sec"),
     ("vfs_open_close", "opens_per_sec"),
-    ("fast_forward", "speedup"),
     ("shard_sync", "epochs_per_sec"),
 )
 

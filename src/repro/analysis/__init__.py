@@ -2,7 +2,7 @@
 
 Two complementary halves, both targeting the same contract — bit-exact
 determinism and isolation across execution vehicles (serial, parallel,
-sharded, fast-forward):
+sharded):
 
 - :mod:`repro.analysis.simlint` — an AST-based lint pass
   (``python -m repro lint``) with custom SIM001–SIM008 rules for the

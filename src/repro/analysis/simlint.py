@@ -3,7 +3,7 @@
 ``python -m repro lint [paths…]`` — zero third-party dependencies.
 
 Generic linters cannot see this repo's core contract (bit-exact
-determinism across serial/parallel/sharded/fast-forward execution), so
+determinism across serial/parallel/sharded execution), so
 each rule here encodes a hazard class the codebase has actually hit:
 
 ========  ==============================================================

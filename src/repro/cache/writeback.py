@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.cache.page import Page
-from repro.obs.bus import WritebackBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import PageCache
@@ -74,8 +73,6 @@ class WritebackDaemon:
         #: pdflush runs at the default (4) priority — the root cause of
         #: Figure 3's unfairness under CFQ.
         self.task = process_table.spawn("pdflush", kernel=True)
-        self.bus = cache.bus
-        self._sub_batch = self.bus.listeners(WritebackBatch)
         self.enabled = enabled
         self._kick = env.event()
         self._throttle_waiters: List = []
@@ -166,19 +163,17 @@ class WritebackDaemon:
                 break  # age-ordered: the rest are younger
             expired.append(page)
         if expired:
-            yield from self._writeback_pages(expired, reason="expired")
+            yield from self._writeback_pages(expired)
 
     def _flush_batch(self, max_pages: int):
         pages = self.cache.dirty_pages_by_age(limit=max_pages)
         if not pages:
             return 0
-        yield from self._writeback_pages(pages, reason="background")
+        yield from self._writeback_pages(pages)
         return len(pages)
 
-    def _writeback_pages(self, pages: List[Page], reason: str = "background"):
+    def _writeback_pages(self, pages: List[Page]):
         """Group pages by file and hand them to the filesystem."""
-        if self._sub_batch:
-            self.bus.publish(WritebackBatch(self.env.now, len(pages), reason))
         by_inode: Dict[int, List[Page]] = {}
         for page in pages:
             by_inode.setdefault(page.key.inode_id, []).append(page)

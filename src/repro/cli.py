@@ -94,7 +94,6 @@ def cmd_run(args) -> int:
         trace=args.trace is not None,
         queue_depth=args.queue_depth,
         hedge=args.hedge,
-        fast_forward=args.fast_forward,
         shards=args.shards,
         sanitize=args.sanitize,
     )
@@ -146,7 +145,6 @@ def cmd_run_all(args) -> int:
         trace=args.trace is not None,
         queue_depth=args.queue_depth,
         hedge=args.hedge,
-        fast_forward=args.fast_forward,
         shards=args.shards,
         sanitize=args.sanitize,
         progress=lambda line: print(line, file=sys.stderr),
@@ -229,17 +227,6 @@ def _add_sanitize_arg(parser) -> None:
     )
 
 
-def _add_fast_forward_arg(parser) -> None:
-    parser.add_argument(
-        "--fast-forward", action="store_true",
-        help="replay steady-state read/write streams analytically "
-             "(closed-form clock and byte accounting) instead of "
-             "event-by-event; drops back to event-accurate mode on any "
-             "transient, and figure shapes are preserved (values may "
-             "differ in the last decimals)",
-    )
-
-
 def _add_fault_args(parser) -> None:
     faults = parser.add_argument_group(
         "fault injection",
@@ -297,7 +284,6 @@ def main(argv=None) -> int:
     )
     _add_queue_depth_arg(run_parser)
     _add_hedge_arg(run_parser)
-    _add_fast_forward_arg(run_parser)
     _add_shards_arg(run_parser)
     _add_sanitize_arg(run_parser)
     _add_fault_args(run_parser)
@@ -327,7 +313,6 @@ def main(argv=None) -> int:
     )
     _add_queue_depth_arg(all_parser)
     _add_hedge_arg(all_parser)
-    _add_fast_forward_arg(all_parser)
     _add_shards_arg(all_parser)
     _add_sanitize_arg(all_parser)
     _add_fault_args(all_parser)

@@ -174,11 +174,6 @@ class StackConfig:
     #: Health monitoring: None = auto (attach when hedging or a fault
     #: plan is active), a bool forces it, a HealthConfig/dict tunes it.
     health: Any = None
-    #: Analytical fast-forward (steady-state replay, see
-    #: repro.sim.fastforward): None defers to the session default
-    #: (off unless the CLI's ``--fast-forward`` set it); an explicit
-    #: bool pins it.
-    fast_forward: Optional[bool] = None
     #: Runtime sanitizer (repro.analysis.sanitizer): invariant checks
     #: in the sim kernel, block layer, and shard channels.  None defers
     #: to the session default (off unless ``--sanitize`` or the
@@ -252,7 +247,6 @@ class StackConfig:
             "fault_seed": self.fault_seed,
             "hedge": self.hedge,
             "health": _health_to_dict(self.health),
-            "fast_forward": self.fast_forward,
             "sanitize": self.sanitize,
         }
 

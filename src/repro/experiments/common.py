@@ -32,10 +32,6 @@ _default_queue_depth = 1
 #: Session-wide hedged-dispatch flag (the CLI's --hedge).  StackConfigs
 #: with hedge=None inherit it; an explicit config value always wins.
 _default_hedge = False
-#: Session-wide analytical fast-forward flag (the CLI's
-#: --fast-forward).  StackConfigs with fast_forward=None inherit it; an
-#: explicit config value always wins.
-_default_fast_forward = False
 #: Session-wide shard count for cluster experiments (the CLI's
 #: --shards).  Sharded runs asked for ``shards=None`` inherit it.
 _default_shards = 1
@@ -74,17 +70,6 @@ def set_default_hedge(hedge: bool) -> None:
 def default_hedge() -> bool:
     """The session hedge flag (False unless --hedge set it)."""
     return _default_hedge
-
-
-def set_default_fast_forward(fast_forward: bool) -> None:
-    """Install the session fast-forward flag for unpinned stacks."""
-    global _default_fast_forward
-    _default_fast_forward = bool(fast_forward)
-
-
-def default_fast_forward() -> bool:
-    """The session fast-forward flag (False unless --fast-forward)."""
-    return _default_fast_forward
 
 
 def set_default_shards(shards: int) -> None:
@@ -328,11 +313,6 @@ def build_node(env, config: StackConfig, node_index: Optional[int] = None):
         config.queue_depth if config.queue_depth is not None else _default_queue_depth
     )
     hedge = config.hedge if config.hedge is not None else _default_hedge
-    fast_forward = (
-        config.fast_forward
-        if config.fast_forward is not None
-        else _default_fast_forward
-    )
     os_kwargs = dict(
         device=dev,
         scheduler=scheduler,
@@ -343,7 +323,6 @@ def build_node(env, config: StackConfig, node_index: Optional[int] = None):
         queue_depth=queue_depth,
         hedge=hedge,
         health=config.health,
-        fast_forward=fast_forward,
     )
     fs_class = config.make_fs_class()
     if fs_class is not None:

@@ -110,21 +110,19 @@ def _worker_init(
     trace: bool = False,
     queue_depth: int = 1,
     hedge: bool = False,
-    fast_forward: bool = False,
     shards: int = 1,
     sanitize: bool = False,
 ) -> None:
     """Process-pool initialiser: re-install the session fault plan,
-    trace flag, block-layer queue depth, hedge flag, fast-forward
-    flag, and shard count.
+    trace flag, block-layer queue depth, hedge flag, and shard count.
 
     Workers are fresh interpreters (or forks taken before any plan was
     installed), so without this the ``--fault-*``, ``--trace``,
-    ``--queue-depth``, ``--hedge``, ``--fast-forward``, ``--shards``
-    and ``--sanitize`` flags would silently stop applying under
-    ``--jobs N``.  ``sanitize`` is only ever *raised* here (and only
-    lowered by the caller that raised it): a REPRO_SANITIZE-seeded
-    session default must survive cells that don't pass the flag.  Cells whose
+    ``--queue-depth``, ``--hedge``, ``--shards`` and ``--sanitize``
+    flags would silently stop applying under ``--jobs N``.
+    ``sanitize`` is only ever *raised* here (and only lowered by the
+    caller that raised it): a REPRO_SANITIZE-seeded session default
+    must survive cells that don't pass the flag.  Cells whose
     kwargs carry a serialized :class:`~repro.config.StackConfig`
     re-inflate it themselves via ``StackConfig.from_dict`` — configs
     pin their own depth, so only the session default travels here.
@@ -138,7 +136,6 @@ def _worker_init(
         common.enable_tracing()
     common.set_default_queue_depth(queue_depth)
     common.set_default_hedge(hedge)
-    common.set_default_fast_forward(fast_forward)
     common.set_default_shards(shards)
     if sanitize:
         common.set_default_sanitize(True)
@@ -161,7 +158,6 @@ def execute_cells(
     trace: bool = False,
     queue_depth: int = 1,
     hedge: bool = False,
-    fast_forward: bool = False,
     shards: int = 1,
     sanitize: bool = False,
     progress: Optional[Callable[[str], None]] = None,
@@ -178,7 +174,7 @@ def execute_cells(
     fault_spec = None if fault_plan is None else (fault_plan, fault_seed)
     if jobs <= 1 or len(cells) <= 1:
         _worker_init(
-            fault_spec, trace, queue_depth, hedge, fast_forward, shards, sanitize
+            fault_spec, trace, queue_depth, hedge, shards, sanitize
         )
         try:
             out = []
@@ -194,7 +190,6 @@ def execute_cells(
                 common.disable_tracing()
             common.set_default_queue_depth(1)
             common.set_default_hedge(False)
-            common.set_default_fast_forward(False)
             common.set_default_shards(1)
             if sanitize:
                 common.set_default_sanitize(False)
@@ -202,7 +197,7 @@ def execute_cells(
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=_worker_init,
         initargs=(
-            fault_spec, trace, queue_depth, hedge, fast_forward, shards, sanitize,
+            fault_spec, trace, queue_depth, hedge, shards, sanitize,
         ),
     ) as pool:
         futures = [
@@ -225,7 +220,6 @@ def run_experiments(
     trace: bool = False,
     queue_depth: int = 1,
     hedge: bool = False,
-    fast_forward: bool = False,
     shards: int = 1,
     sanitize: bool = False,
     progress: Optional[Callable[[str], None]] = None,
@@ -253,8 +247,7 @@ def run_experiments(
     outcomes = execute_cells(
         all_cells, jobs=jobs, fault_plan=fault_plan, fault_seed=fault_seed,
         trace=trace, queue_depth=queue_depth, hedge=hedge,
-        fast_forward=fast_forward, shards=shards, sanitize=sanitize,
-        progress=progress,
+        shards=shards, sanitize=sanitize, progress=progress,
     )
 
     merged: Dict[str, ExperimentResult] = {}
@@ -281,7 +274,6 @@ def run_experiment(
     trace: bool = False,
     queue_depth: int = 1,
     hedge: bool = False,
-    fast_forward: bool = False,
     shards: int = 1,
     sanitize: bool = False,
     progress: Optional[Callable[[str], None]] = None,
@@ -290,6 +282,5 @@ def run_experiment(
     return run_experiments(
         [(key, overrides)], jobs=jobs, fault_plan=fault_plan,
         fault_seed=fault_seed, trace=trace, queue_depth=queue_depth,
-        hedge=hedge, fast_forward=fast_forward, shards=shards,
-        sanitize=sanitize, progress=progress,
+        hedge=hedge, shards=shards, sanitize=sanitize, progress=progress,
     )[key]

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set
 from repro.block.request import WRITE, BlockRequest
 from repro.core.tags import CauseSet
 from repro.faults.errors import EIO
-from repro.obs.bus import JournalCheckpoint, JournalCommitRecord, JournalTxnCommit, JournalTxnOpen
+from repro.obs.bus import JournalCommitRecord, JournalTxnCommit
 from repro.sim.events import AllOf
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,11 +103,9 @@ class Journal:
         #: The jbd2 kernel task (a proxy when committing).
         self.task = fs.process_table.spawn(f"jbd2-{fs.name}", kernel=True)
         self.bus = fs.bus
-        self._sub_txn_open = self.bus.listeners(JournalTxnOpen)
         self._sub_txn_commit = self.bus.listeners(JournalTxnCommit)
-        self._sub_checkpoint = self.bus.listeners(JournalCheckpoint)
         self._sub_commit_record = self.bus.listeners(JournalCommitRecord)
-        self.running = self._open_transaction()
+        self.running = Transaction(env)
         self.committing: Optional[Transaction] = None
         self._journal_head = area_start
         #: Metadata blocks committed but not yet checkpointed in place,
@@ -122,13 +120,6 @@ class Journal:
         self.checkpoint_errors = 0
         env.process(self._commit_timer(), name=f"jbd2-timer-{fs.name}")
         env.process(self._checkpointer(), name=f"jbd2-checkpoint-{fs.name}")
-
-    def _open_transaction(self) -> Transaction:
-        """Open a fresh running transaction (publishing TxnOpen)."""
-        txn = Transaction(self.env)
-        if self._sub_txn_open:
-            self.bus.publish(JournalTxnOpen(self.env.now, txn.tid))
-        return txn
 
     def _publish_commit(self, txn: Transaction, causes: CauseSet, nblocks: int, aborted: bool) -> None:
         if self._sub_txn_commit:
@@ -216,7 +207,7 @@ class Journal:
         txn.state = Transaction.COMMITTING
         txn.commit_start = self.env.now
         self.committing = txn
-        self.running = self._open_transaction()
+        self.running = Transaction(self.env)
 
         try:
             # Step 1: ordered data — flush dirty pages of every inode
@@ -370,14 +361,6 @@ class Journal:
                         requeue[entry.tid] = retry
                     retry.blocks.add(block)
                 self._checkpoint_queue.extend(requeue.values())
-                if self._sub_checkpoint:
-                    for entry in due:
-                        failed = len(requeue.get(entry.tid).blocks) if entry.tid in requeue else 0
-                        self.bus.publish(
-                            JournalCheckpoint(
-                                self.env.now, entry.tid, len(entry.blocks) - failed
-                            )
-                        )
 
 
 class LogicalJournal(Journal):

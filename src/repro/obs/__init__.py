@@ -17,10 +17,8 @@ from repro.obs.bus import (
     DeviceStart,
     FaultInjected,
     HealthTransition,
-    JournalCheckpoint,
     JournalCommitRecord,
     JournalTxnCommit,
-    JournalTxnOpen,
     PageCleaned,
     PageDirtied,
     PageFreed,
@@ -29,7 +27,6 @@ from repro.obs.bus import (
     SyscallReturn,
     VfsClose,
     VfsOpen,
-    WritebackBatch,
 )
 from repro.obs.export import (
     SpanSchemaError,
@@ -50,10 +47,8 @@ __all__ = [
     "DeviceStart",
     "FaultInjected",
     "HealthTransition",
-    "JournalCheckpoint",
     "JournalCommitRecord",
     "JournalTxnCommit",
-    "JournalTxnOpen",
     "PageCleaned",
     "PageDirtied",
     "PageFreed",
@@ -64,7 +59,6 @@ __all__ = [
     "SyscallReturn",
     "VfsClose",
     "VfsOpen",
-    "WritebackBatch",
     "bytes_by_cause",
     "format_report",
     "latency_breakdown",

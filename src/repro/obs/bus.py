@@ -1,8 +1,8 @@
 """The cross-layer stack event bus and its typed event vocabulary.
 
 Every layer of the simulated stack — syscall facade, page cache,
-writeback daemon, journal, block queue, device models, fault injector —
-publishes its lifecycle transitions as *typed events* on one shared
+journal, block queue, device models, fault injector — publishes its
+lifecycle transitions as *typed events* on one shared
 :class:`StackBus` per stack.  Consumers (split schedulers' memory
 hooks, :class:`~repro.obs.span.SpanBuilder`, tests) subscribe per event
 type.
@@ -45,7 +45,7 @@ class VfsOpen(NamedTuple):
     Published by the descriptor-table layer, not the syscall hooks:
     handle bookkeeping is free of simulated cost, so this event exists
     for attribution (which tenant owns which fd) without perturbing
-    scheduler hook sequences or fast-forward disturbance counters.
+    scheduler hook sequences.
     """
 
     time: float
@@ -100,21 +100,6 @@ class PageFreed(NamedTuple):
     page: Any
 
 
-class WritebackBatch(NamedTuple):
-    """The writeback daemon handed one batch of dirty pages to the fs."""
-
-    time: float
-    npages: int
-    reason: str  # "background", "expired", ...
-
-
-class JournalTxnOpen(NamedTuple):
-    """A new running transaction opened."""
-
-    time: float
-    tid: int
-
-
 class JournalTxnCommit(NamedTuple):
     """A transaction finished committing (or aborted mid-commit)."""
 
@@ -139,14 +124,6 @@ class JournalCommitRecord(NamedTuple):
     tid: int
     metadata_blocks: frozenset
     data_blocks: frozenset
-
-
-class JournalCheckpoint(NamedTuple):
-    """Committed metadata of one transaction was checkpointed in place."""
-
-    time: float
-    tid: int
-    nblocks: int
 
 
 class BlockAdd(NamedTuple):
@@ -229,11 +206,8 @@ EVENT_TYPES = (
     PageDirtied,
     PageCleaned,
     PageFreed,
-    WritebackBatch,
-    JournalTxnOpen,
     JournalTxnCommit,
     JournalCommitRecord,
-    JournalCheckpoint,
     BlockAdd,
     BlockDispatch,
     BlockComplete,

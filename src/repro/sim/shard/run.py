@@ -82,7 +82,7 @@ def _shard_worker(conn, cluster_dict, shard_index, node_indices, specs, duration
     """Worker-process main: host one shard and speak the epoch protocol.
 
     ``session`` carries the coordinator's session defaults (fault spec,
-    trace flag, queue depth, hedge, fast-forward) so --fault-*/--trace
+    trace flag, queue depth, hedge, sanitize) so --fault-*/--trace
     style settings keep applying inside shard workers, mirroring the
     experiment runner's pool initialiser.  State is cleared first: a
     forked worker inherits the parent's tracked queues and span
@@ -100,7 +100,6 @@ def _shard_worker(conn, cluster_dict, shard_index, node_indices, specs, duration
             common.enable_tracing()
         common.set_default_queue_depth(session.get("queue_depth", 1))
         common.set_default_hedge(session.get("hedge", False))
-        common.set_default_fast_forward(session.get("fast_forward", False))
         common.set_default_sanitize(session.get("sanitize", False))
 
         cluster = ClusterConfig.from_dict(cluster_dict)
@@ -241,7 +240,6 @@ class ShardedRun:
             "trace": common.tracing_enabled(),
             "queue_depth": common.default_queue_depth(),
             "hedge": common.default_hedge(),
-            "fast_forward": common.default_fast_forward(),
             "sanitize": common.default_sanitize(),
         }
 

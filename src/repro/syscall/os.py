@@ -58,7 +58,6 @@ class OS:
         queue_depth: int = 1,
         hedge: bool = False,
         health: Any = None,
-        fast_forward: bool = False,
     ):
         self.env = env
         #: One stack event bus shared by every layer of this machine.
@@ -106,18 +105,6 @@ class OS:
             )
         self.health = monitor
 
-        # Fast-forward: replay steady-state read/write streams in
-        # closed form (see repro.sim.fastforward).  Stacks with a fault
-        # injector stay event-accurate — injected faults must hit every
-        # real operation — and when the flag is off no controller (and
-        # no bus subscriber) exists at all, so default runs are
-        # byte-identical.
-        self.fastforward = None
-        if fast_forward and not hasattr(self.device, "injector"):
-            from repro.sim.fastforward import FastForward
-
-            self.fastforward = FastForward(env, self.bus)
-
         self.block_queue = BlockQueue(
             env, self.device, elevator, self.process_table, bus=self.bus,
             queue_depth=queue_depth, hedge=hedge, health=monitor,
@@ -164,8 +151,6 @@ class OS:
         generator, or ``()`` when it lets the call proceed at once."""
         if self._sub_sys_enter:
             self.bus.publish(SyscallEnter(self.env.now, task, call, info))
-        if self.fastforward is not None:
-            self.fastforward.enter(task, call, info)
         if self.scheduler is not None:
             gen = self.scheduler.syscall_entry(task, call, info)
             if gen is not None:
@@ -223,8 +208,7 @@ class OS:
         ``"a"``, ``"x"``, …) implies its own create/truncate/append
         behaviour.  Opening an existing file publishes no syscall hook
         events — only the zero-cost ``VfsOpen`` bus event — so
-        scheduler hook sequences and fast-forward disturbance counters
-        do not move.
+        scheduler hook sequences do not move.
         """
         flags = parse_mode(mode) if mode is not None else None
         inode = self.fs.lookup(path)
@@ -310,8 +294,6 @@ class OS:
         if direct:
             yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.read_direct(task, inode, offset, nbytes)
-        elif self.fastforward is not None:
-            n = yield from self.fastforward.read(self, task, inode, offset, nbytes)
         else:
             yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.read(task, inode, offset, nbytes)
@@ -331,8 +313,6 @@ class OS:
         if direct:
             yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.write_direct(task, inode, offset, nbytes)
-        elif self.fastforward is not None:
-            n = yield from self.fastforward.write(self, task, inode, offset, nbytes)
         else:
             yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.write(task, inode, offset, nbytes)

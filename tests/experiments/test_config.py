@@ -111,6 +111,11 @@ def test_legacy_field_spellings_are_rejected():
         StackConfig(fs_class=XFS)
     with pytest.raises(TypeError):
         StackConfig(writeback_config=WritebackConfig(dirty_ratio=0.4))
+    # A removed option is rejected, not silently ignored.
+    with pytest.raises(TypeError):
+        StackConfig(fast_forward=True)
+    with pytest.raises(TypeError):
+        StackConfig.from_dict(dict(StackConfig().to_dict(), fast_forward=None))
 
 
 def test_build_stack_consumes_config():

@@ -212,7 +212,12 @@ class StackSanitizer:
       disk block or its file's block-map entry, and its live dirty-run
       hint lists exactly the cache's dirty pages at the hint's
       indices, all with one cause set object (and all with a block if
-      the hint says so) — what lets an overwrite skip block work.
+      the hint says so) — what lets an overwrite skip block work;
+    - **cleaned pages**: after a write that did not fail, no page of it
+      is under writeback, and each one neither dirtied again mid-flight
+      nor freed is clean — out of the dirty pages, holding no tag, and
+      in a clean extent on its disk block unless the cache, full, evicted
+      it at once.
     """
 
     #: Relative slack for float token accounting.
@@ -279,18 +284,33 @@ class StackSanitizer:
         self._check_page_cache()
         self._check_cpu()
         self._check_blocks()
-        pages = getattr(event.request, "pages", None)
+        request = event.request
+        pages = getattr(request, "pages", None)
         if pages:
-            self._check_dirty_pages(pages)
+            self._check_written_pages(pages, completed=not request.failed)
 
-    def _check_dirty_pages(self, pages) -> None:
+    def _check_written_pages(self, pages, completed: bool) -> None:
         fs, cache = self.machine.fs, self.machine.cache
         current = cache._pages
         checked = set()
         for page in pages:
             key = page.key
+            if page.under_writeback:
+                self._fail(
+                    "written-page violation: a page is still under "
+                    "writeback after its write finished",
+                    page=tuple(key),
+                )
             if current.get(key) is not page:
+                if completed and not page.dirty:
+                    self._check_cleaned(page)
                 continue  # cleaned, or freed while in flight
+            if completed and not page.redirtied:
+                self._fail(
+                    "written-page violation: a page neither dirtied again "
+                    "nor freed while its write was in flight is still dirty",
+                    page=tuple(key),
+                )
             block = page.disk_block
             if block is not None:
                 inode = fs.inode_by_id(key.inode_id)
@@ -330,6 +350,27 @@ class StackSanitizer:
                         page=(key.inode_id, index),
                         hint_start=hint.start,
                     )
+
+    def _check_cleaned(self, page) -> None:
+        """A page its completed write cleaned: out of the dirty pages,
+        holding no tag, and in a clean extent on its disk block, unless
+        the cache was full enough to evict it at once."""
+        cache = self.machine.cache
+        inode_id, index = key = page.key
+        extent = cache._locate(inode_id, index, index + 1)[1]
+        if extent is None:
+            misplaced = len(cache) < cache.capacity_pages
+        else:
+            misplaced = extent.block_of(index) != page.disk_block
+        tag = cache.tags._allocations.get(id(page))  # its cost, if still tagged
+        if key in cache._pages or tag is not None or misplaced:
+            self._fail(
+                "cleaned-page violation: a page its write cleaned is still "
+                "dirty, still holds a tag, or is not clean on its disk block",
+                page=tuple(key),
+                disk_block=page.disk_block,
+                clean_block=None if extent is None else extent.block_of(index),
+            )
 
     def _check_blocks(self) -> None:
         fs = self.machine.fs

@@ -389,8 +389,11 @@ class BlockQueue:
             else:
                 self.completed += 1
                 self._account(request)
-                for page in request.pages:
-                    page.write_completed()
+                pages = request.pages
+                if pages:
+                    # One cache call cleans the whole write (a request's
+                    # pages are all of one page cache).
+                    pages[0].cache.write_completed(pages)
                 self.scheduler.request_completed(request)
             if self._sub_complete:
                 self.bus.publish(BlockComplete(self.env.now, request))

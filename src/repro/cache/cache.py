@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import OrderedDict
-from itertools import islice
+from itertools import filterfalse, islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.page import Page, PageKey
-from repro.core.tags import EMPTY_CAUSES, TagManager
+from repro.core.tags import EMPTY_CAUSES, CauseSet, TagManager
 from repro.obs.bus import PageCleaned, PageDirtied, PageFreed, StackBus
 from repro.units import GB, PAGE_SIZE
 
@@ -16,6 +17,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.inode import BlockMap, Run
     from repro.proc import Task
     from repro.sim.core import Environment
+
+
+_under_writeback = attrgetter("under_writeback")
 
 
 class _Extent:
@@ -174,11 +178,10 @@ class PageCache:
         index = self._dirty_by_inode.get(inode_id)
         if not index:
             return []
-        pages = [
-            self._pages[key] for key in index if not self._pages[key].under_writeback
+        pages = self._pages
+        return [
+            page for page in map(pages.__getitem__, sorted(index)) if not page.under_writeback
         ]
-        pages.sort(key=lambda p: p.key.index)
-        return pages
 
     def dirty_bytes_of(self, inode_id: int) -> int:
         """Dirty bytes of one file (including pages under writeback)."""
@@ -187,9 +190,7 @@ class PageCache:
 
     def iter_dirty_by_age(self) -> Iterator[Page]:
         """Dirty pages not under writeback, oldest first, lazily."""
-        for page in self._pages.values():
-            if not page.under_writeback:
-                yield page
+        return filterfalse(_under_writeback, self._pages.values())
 
     def dirty_pages_by_age(self, limit: Optional[int] = None) -> List[Page]:
         """Dirty pages not under writeback, oldest first."""
@@ -292,8 +293,11 @@ class PageCache:
         stop: int,
         block_map: Optional["BlockMap"],
         task: "Task",
+        causes: Optional[CauseSet] = None,
     ) -> Optional[Page]:
-        """Dirty pages ``first..stop-1`` of a file on behalf of *task*.
+        """Dirty pages ``first..stop-1`` of a file on behalf of *task*
+        (*causes* is *task*'s current cause set, if the caller already
+        looked it up).
 
         This is the buffered write path's one cache call.  Pages are
         dirtied in file order, in *runs*: consecutive pages that carried
@@ -311,6 +315,14 @@ class PageCache:
         delayed; without a *block_map*, every page keeps its block).
         Returns the last page dirtied.
 
+        Births go a stretch at a time: a clean stretch leaves its extent
+        with one take, and an uncached stretch evicts once after its
+        pages are born.  A born page is dirty, never in the clean LRU,
+        so births cannot reorder the LRU front: evicting once after the
+        stretch pops the same pages as evicting after each birth, and
+        the next stretch is located after that eviction, as the next
+        page would be.
+
         An overwrite run takes the pages of a live dirty-run hint as
         one slice.  A run that merged a new writer into its set, or had
         to be scanned page by page, gets a new hint over its pages.  A
@@ -318,7 +330,8 @@ class PageCache:
         dirty page's block, once set, is its file's block-map entry, so
         taking the map's blocks again would change nothing.
         """
-        causes = self.tags.current_causes(task)
+        if causes is None:
+            causes = self.tags.current_causes(task)
         pages, by_inode = self._pages, self._dirty_by_inode
         account_tags, subscribers = self.tags.account_tags, self._sub_dirtied
         now = self.env.now
@@ -336,20 +349,25 @@ class PageCache:
                 if dirty is None:
                     dirty = by_inode[inode_id] = OrderedDict()
                 while True:
-                    extent = self._locate(inode_id, index, index + 1)[1]
-                    key = PageKey(inode_id, index)
+                    end, extent = self._locate(inode_id, index, stop)
                     if extent is None:
-                        page = pages[key] = Page(key, self)
-                        self._maybe_evict()
+                        block = None
                     else:
-                        page = pages[key] = Page(key, self, extent.block_of(index))
-                        self._take(extent, index, index + 1)
-                    page.dirty = True
-                    page.dirtied_at = now
-                    page.causes = causes
-                    dirty[key] = None
-                    run.append(page)
-                    index += 1
+                        block = extent.block_of(index)
+                        self._take(extent, index, end)
+                    while True:
+                        key = PageKey(inode_id, index)
+                        page = pages[key] = Page(key, self, block, causes, now)
+                        dirty[key] = None
+                        run.append(page)
+                        index += 1
+                        if block is not None:
+                            block += 1
+                        # A clean stretch holds no dirty page.
+                        if index == end or (extent is None and (inode_id, index) in pages):
+                            break
+                    if extent is None:
+                        self._maybe_evict()
                     if index == stop or (inode_id, index) in pages:
                         break
                 self.dirty_bytes += PAGE_SIZE * len(run)
@@ -428,30 +446,70 @@ class PageCache:
         if page is not None and page.disk_block is None:
             page.disk_block = block
 
-    def page_cleaned(self, page: Page) -> None:
-        """Writeback for *page* finished and it was not re-dirtied.
+    def write_completed(self, pages: List[Page]) -> None:
+        """The block write carrying *pages* finished (block-layer callback).
 
-        A completion for a page the cache no longer holds (freed or
-        dropped while its write was in flight) is ignored: the page's
+        Each page, in request order, leaves writeback.  One re-dirtied
+        while its write was in flight stays dirty.  One the cache no
+        longer holds (freed or dropped while in flight) is ignored: its
         accounting already left with it, and a newer page may now hold
-        the same key.
+        the same key.  The rest turn clean: their tags are released with
+        one call, they join the MRU end as one extent per run of
+        consecutive indices on consecutive blocks, ``PageCleaned`` is
+        published for each in order, and the LRU front is evicted once.
+
+        Cleaning moves a page from dirty to clean, so the cache's length
+        never changes, and a cache that must evict held no clean page
+        before this call.  Its LRU front is then this call's first
+        cleaned pages, in order: evicting once pops the same pages as
+        evicting after each clean (the argument of
+        :meth:`insert_clean_run`).
         """
-        key = page.key
-        if not page.dirty or self._pages.get(key) is not page:
-            return
-        page.dirty = False
-        page.dirtied_at = None
-        if page.hint is not None:
-            page.hint.live = False
-        del self._pages[key]
-        self._discard_dirty(key)
-        self.dirty_bytes -= PAGE_SIZE
-        self.tags.release_tag(page)
-        page.causes = EMPTY_CAUSES
-        self._append(key.inode_id, key.index, key.index + 1, page.disk_block)
-        if self._sub_cleaned:
-            self.bus.publish(PageCleaned(self.env.now, page))
-        self._maybe_evict()
+        current, by_inode = self._pages, self._dirty_by_inode
+        append = self._append
+        cleaned = []
+        # The run of cleaned pages not yet appended: file, indices
+        # start..stop-1, first disk block.
+        run_inode = run_start = run_stop = run_block = None
+        for page in pages:
+            page.under_writeback = False
+            if page.redirtied:
+                continue  # still dirty: it was modified mid-flight
+            key = page.key
+            if not page.dirty or current.get(key) is not page:
+                continue
+            page.dirty = False
+            page.dirtied_at = None
+            page.causes = EMPTY_CAUSES
+            if page.hint is not None:
+                page.hint.live = False
+            del current[key]
+            inode_id, index = key
+            dirty = by_inode[inode_id]
+            del dirty[key]
+            if not dirty:
+                del by_inode[inode_id]
+            cleaned.append(page)
+            block = page.disk_block
+            if (
+                index == run_stop
+                and inode_id == run_inode
+                and (block is None if run_block is None else block == run_block + index - run_start)
+            ):
+                run_stop += 1
+            else:
+                if run_inode is not None:
+                    append(run_inode, run_start, run_stop, run_block)
+                run_inode, run_start, run_stop, run_block = inode_id, index, index + 1, block
+        if cleaned:
+            append(run_inode, run_start, run_stop, run_block)
+            self.dirty_bytes -= PAGE_SIZE * len(cleaned)
+            self.tags.release_tags(cleaned)
+            if self._sub_cleaned:
+                now = self.env.now
+                for page in cleaned:
+                    self.bus.publish(PageCleaned(now, page))
+            self._maybe_evict()
 
     def free(self, key: PageKey) -> None:
         """Drop a page (file deletion / truncation).

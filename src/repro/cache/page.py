@@ -43,15 +43,24 @@ class Page:
         "hint",
     )
 
-    def __init__(self, key: PageKey, cache: "PageCache", disk_block: Optional[int] = None):
+    def __init__(
+        self,
+        key: PageKey,
+        cache: "PageCache",
+        disk_block: Optional[int] = None,
+        causes: CauseSet = EMPTY_CAUSES,
+        dirtied_at: Optional[float] = None,
+    ):
+        # Born on its clean->dirty transition, by *causes* at *dirtied_at*.
         self.key = key
         self.cache = cache
-        self.dirty = False
+        self.dirty = True
         self.under_writeback = False
-        #: Dirtied again while its writeback I/O was in flight.
+        #: Dirtied again while its last writeback I/O was in flight
+        #: (reset when the next one is submitted).
         self.redirtied = False
-        self.causes: CauseSet = EMPTY_CAUSES
-        self.dirtied_at: Optional[float] = None
+        self.causes: CauseSet = causes
+        self.dirtied_at: Optional[float] = dirtied_at
         #: Disk block backing this page; None while allocation is delayed.
         self.disk_block = disk_block
         #: The dirty-run hint listing this page, if any (live or dead;
@@ -62,23 +71,15 @@ class Page:
     def size(self) -> int:
         return PAGE_SIZE
 
-    @property
-    def allocated(self) -> bool:
-        return self.disk_block is not None
-
     def write_submitted(self) -> None:
         """The page's writeback I/O entered the block layer."""
         self.under_writeback = True
         self.redirtied = False
 
     def write_completed(self) -> None:
-        """The device finished writing this page (block-layer callback)."""
-        self.under_writeback = False
-        if self.redirtied:
-            self.redirtied = False
-            return  # still dirty: it was modified mid-flight
-        if self.dirty:
-            self.cache.page_cleaned(self)
+        """The device finished writing this page alone: the one-page form
+        of :meth:`PageCache.write_completed`."""
+        self.cache.write_completed((self,))
 
     def write_failed(self) -> None:
         """The page's writeback I/O failed permanently.

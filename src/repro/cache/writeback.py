@@ -16,14 +16,31 @@ caused.  Its behaviour follows Linux:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.cache.page import Page
+
+_page_key = attrgetter("key")
+_inode_of = attrgetter("key.inode_id")
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import PageCache
     from repro.proc import ProcessTable, Task
     from repro.sim.core import Environment
+
+
+def pages_by_file(pages: List[Page]) -> Dict[int, List[Page]]:
+    """*pages* grouped by file, files in order of first appearance, each
+    file's pages sorted by index (their keys compare as tuples, so the
+    sort needs no per-page key function)."""
+    inode_ids = list(map(_inode_of, pages))
+    by_inode: Dict[int, List[Page]] = {inode_id: [] for inode_id in dict.fromkeys(inode_ids)}
+    for inode_id, page in zip(inode_ids, pages):
+        by_inode[inode_id].append(page)
+    for file_pages in by_inode.values():
+        file_pages.sort(key=_page_key)
+    return by_inode
 
 
 class WritebackConfig:
@@ -173,17 +190,13 @@ class WritebackDaemon:
         return len(pages)
 
     def _writeback_pages(self, pages: List[Page]):
-        """Group pages by file and hand them to the filesystem."""
-        by_inode: Dict[int, List[Page]] = {}
-        for page in pages:
-            by_inode.setdefault(page.key.inode_id, []).append(page)
-
+        """Group pages by file and hand them to the filesystem, each
+        file's in index order."""
         done_events = []
-        for inode_id, file_pages in by_inode.items():
+        for inode_id, file_pages in pages_by_file(pages).items():
             inode = self.fs.inode_by_id(inode_id)
             if inode is None:
                 continue
-            file_pages.sort(key=lambda p: p.key.index)
             events = self.fs.writepages(self.task, inode, file_pages)
             done_events.extend(events)
         self.flushes += 1

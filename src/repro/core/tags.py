@@ -13,6 +13,7 @@ proxy itself (Figure 7 in the paper).
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, FrozenSet, Iterable
 
 from repro.proc import Task
@@ -165,6 +166,12 @@ class TagManager:
         """Record that *obj*'s tag was freed."""
         cost = self._allocations.pop(id(obj), 0)
         self.bytes_allocated -= cost
+
+    def release_tags(self, objs: Iterable[object]) -> None:
+        """Record that the tags of *objs* were freed, as one
+        :meth:`release_tag` call each would (the total only falls, so
+        the peak cannot move)."""
+        self.bytes_allocated -= sum(map(self._allocations.pop, map(id, objs), repeat(0)))
 
     @property
     def live_tags(self) -> int:

@@ -265,17 +265,18 @@ class FileSystem:
         if nbytes <= 0:
             return 0
         self.writes += 1
+        causes = self.tags.current_causes(task)
         # A page the block map lacks keeps delayed allocation: its
         # location stays unknown and the allocation joins the journal
         # at writeback time.
         self.cache.mark_dirty_range(
             inode.id, offset // PAGE_SIZE, (offset + nbytes - 1) // PAGE_SIZE + 1,
-            inode.block_map, task,
+            inode.block_map, task, causes,
         )
         if offset + nbytes > inode.size:
             inode.size = offset + nbytes
         # mtime (and size, for appends) updates join the running txn.
-        self.journal.add_metadata(task, inode.metadata_block)
+        self.journal.add_metadata(task, inode.metadata_block, causes=causes)
         writeback = self.writeback
         if writeback is not None and writeback.enabled and writeback.over_limit():
             yield from writeback.balance_dirty_pages(task)
@@ -404,8 +405,9 @@ class FileSystem:
     # -- writeback path ------------------------------------------------------------
 
     def writepages(self, task: "Task", inode: Inode, pages: List["Page"], sync: bool = False):
-        """Flush dirty *pages* of *inode*: allocate (delayed allocation),
-        tag proxies, and submit block writes.  Returns completion events.
+        """Flush dirty *pages* of *inode*, given in index order: allocate
+        (delayed allocation), tag proxies, and submit block writes.
+        Returns completion events.
 
         Callers: the writeback daemon, fsync, the journal's ordered-data
         step, and schedulers initiating async writeback.
@@ -414,27 +416,47 @@ class FileSystem:
         if not pages:
             return []
 
-        unallocated = [p for p in pages if not p.allocated]
+        unallocated = [p for p in pages if p.disk_block is None]
         if unallocated:
             self._allocate_pages(inode, unallocated)
 
-        # One block request per run of consecutive disk blocks, tagged
-        # with the union of its pages' causes.
-        pages.sort(key=lambda p: p.disk_block)
+        # One block request per stretch of consecutive disk blocks,
+        # tagged with the union of its pages' causes.  Chains of pages
+        # on consecutive blocks come out of index order; sorted by
+        # block, a chain joins the one before it when its blocks
+        # continue that chain's, so each request lists its pages in
+        # block order, as sorting every page by block would.
+        chains = []
+        chain = expected = None
+        for page in pages:
+            block = page.disk_block
+            if block == expected:
+                chain.append(page)
+            else:
+                chain = [page]
+                chains.append(chain)
+            expected = block + 1
+        if len(chains) > 1:
+            chains.sort(key=lambda chain: chain[0].disk_block)
+            merged = [chains[0]]
+            for chain in chains[1:]:
+                last = merged[-1]
+                if chain[0].disk_block == last[-1].disk_block + 1:
+                    last += chain
+                else:
+                    merged.append(chain)
+            chains = merged
         runs = []
-        run_start = 0
-        for i in range(1, len(pages) + 1):
-            end_of_run = (
-                i == len(pages)
-                or pages[i].disk_block != pages[i - 1].disk_block + 1
-            )
-            if not end_of_run:
-                continue
-            run = pages[run_start:i]
-            run_start = i
-            run_causes = run[0].causes
+        for run in chains:
+            # A run's pages mostly share a few set objects: union only
+            # where the object changes (a set already merged in adds
+            # nothing, so the result is the same object).
+            run_causes = last_causes = run[0].causes
             for page in run:
-                run_causes = run_causes | page.causes
+                causes = page.causes
+                if causes is not last_causes:
+                    last_causes = causes
+                    run_causes = run_causes | causes
             runs.append((run, run_causes))
 
         proxying = task.kernel and self.full_integration
@@ -459,7 +481,7 @@ class FileSystem:
                     submitter=task,
                     causes=run_causes,
                     sync=sync,
-                    pages=list(run),
+                    pages=run,
                 )
                 for page in run:
                     page.write_submitted()
@@ -473,22 +495,25 @@ class FileSystem:
 
     def _allocate_pages(self, inode: Inode, pages: List["Page"]) -> None:
         """Delayed allocation at flush time: assign contiguous extents,
-        one per run of consecutive page indices."""
-        pages = sorted(pages, key=lambda p: p.key.index)
-        run_start = 0
-        for i in range(1, len(pages) + 1):
-            end_of_run = (
-                i == len(pages)
-                or pages[i].key.index != pages[i - 1].key.index + 1
-            )
-            if not end_of_run:
-                continue
-            run = pages[run_start:i]
-            run_start = i
-            start_block = self.allocator.allocate(inode.id, len(run))
-            for block, page in enumerate(run, start_block):
+        one per run of consecutive page indices (*pages* are in index
+        order)."""
+        runs = []
+        run = expected = None
+        for page in pages:
+            index = page.key.index
+            if index == expected:
+                run.append(page)
+            else:
+                run = [page]
+                runs.append(run)
+            expected = index + 1
+        allocate, map_run = self.allocator.allocate, inode.block_map.map_run
+        for run in runs:
+            block = allocate(inode.id, len(run))
+            map_run(run[0].key.index, block, len(run))
+            for page in run:
                 page.disk_block = block
-            inode.block_map.map_run(run[0].key.index, start_block, len(run))
+                block += 1
 
     def _track_inflight(self, inode_id: int, done) -> None:
         pending = self._inflight.setdefault(inode_id, set())

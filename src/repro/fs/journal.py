@@ -137,13 +137,23 @@ class Journal:
 
     # -- joining the running transaction ------------------------------------
 
-    def add_metadata(self, task: "Task", block: int, ordered_inode: Optional[int] = None) -> Transaction:
-        """Record a metadata update by *task* (or its proxied causes)."""
+    def add_metadata(
+        self,
+        task: "Task",
+        block: int,
+        ordered_inode: Optional[int] = None,
+        causes: Optional[CauseSet] = None,
+    ) -> Transaction:
+        """Record a metadata update by *task* (or its proxied causes;
+        *causes* is *task*'s current cause set, if the caller already
+        looked it up)."""
         txn = self.running
         txn.metadata_blocks.add(block)
         tags = self.fs.tags
+        if causes is None:
+            causes = tags.current_causes(task)
         joiners = txn.joiners
-        merged = joiners | tags.current_causes(task)
+        merged = joiners | causes
         if ordered_inode is not None:
             txn.ordered_inodes.add(ordered_inode)
         # Re-pricing an unchanged joiner set is a no-op: price the tag

@@ -28,6 +28,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.block.request import BlockRequest
+from repro.cache.writeback import pages_by_file
 from repro.core.hooks import SplitScheduler
 from repro.sim.events import AllOf
 from repro.units import MB
@@ -179,15 +180,11 @@ class SplitDeadline(SplitScheduler):
             if self._deadline_imminent():
                 continue  # stay out of the way
             pages = cache.dirty_pages_by_age(limit=self.drain_chunk_pages)
-            by_inode: Dict[int, list] = {}
-            for page in pages:
-                by_inode.setdefault(page.key.inode_id, []).append(page)
             events = []
-            for inode_id, file_pages in by_inode.items():
+            for inode_id, file_pages in pages_by_file(pages).items():
                 inode = self.os.fs.inode_by_id(inode_id)
                 if inode is None:
                     continue
-                file_pages.sort(key=lambda p: p.key.index)
                 events.extend(
                     self.os.fs.writepages(self.os.writeback.task, inode, file_pages)
                 )

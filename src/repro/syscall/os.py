@@ -145,6 +145,13 @@ class OS:
 
     # -- hook plumbing --------------------------------------------------------
 
+    def _hooked(self) -> bool:
+        """Whether a syscall runs its entry and return hooks: a split
+        scheduler or a ``SyscallEnter``/``SyscallReturn`` subscriber is
+        watching.  Without one, a call builds no ``info`` and runs
+        neither hook."""
+        return self.scheduler is not None or bool(self._sub_sys_enter) or bool(self._sub_sys_return)
+
     def _entry(self, task: Task, call: str, info: Dict[str, Any]):
         """Run the syscall-entry hooks; returns what the caller must
         ``yield from`` before the call body: the scheduler's entry
@@ -168,11 +175,14 @@ class OS:
     def creat(self, task: Task, path: str, mode: str = "r+",
               causes=None, readahead: int = 0):
         """Generator: create a file, returning an open handle."""
-        info = {"path": path}
-        yield from self._entry(task, "creat", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"path": path}
+            yield from self._entry(task, "creat", info)
         yield from self.cpu.consume(task, self.cpu.syscall_cost())
         inode = self.fs.create(task, path)
-        self._return(task, "creat", info)
+        if hooked:
+            self._return(task, "creat", info)
         return self.vfs.register(
             task, inode, mode=mode, causes=causes, readahead=readahead
         )
@@ -192,11 +202,14 @@ class OS:
                 return inode
             for ancestor in self.vfs.missing_parents(path):
                 yield from self.mkdir(task, ancestor)
-        info = {"path": path}
-        yield from self._entry(task, "mkdir", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"path": path}
+            yield from self._entry(task, "mkdir", info)
         yield from self.cpu.consume(task, self.cpu.syscall_cost())
         inode = self.fs.create(task, path, is_dir=True)
-        self._return(task, "mkdir", info)
+        if hooked:
+            self._return(task, "mkdir", info)
         return inode
 
     def open(self, task: Task, path: str, create: bool = False,
@@ -248,37 +261,49 @@ class OS:
 
     def rmdir(self, task: Task, path: str):
         """Generator: remove an empty directory."""
-        info = {"path": path}
-        yield from self._entry(task, "rmdir", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"path": path}
+            yield from self._entry(task, "rmdir", info)
         yield from self.cpu.consume(task, self.cpu.syscall_cost())
         self.vfs.rmdir(task, path)
-        self._return(task, "rmdir", info)
+        if hooked:
+            self._return(task, "rmdir", info)
 
     def rename(self, task: Task, old_path: str, new_path: str):
         """Generator: move a file or directory (subtrees move whole)."""
-        info = {"path": old_path, "new_path": new_path}
-        yield from self._entry(task, "rename", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"path": old_path, "new_path": new_path}
+            yield from self._entry(task, "rename", info)
         yield from self.cpu.consume(task, self.cpu.syscall_cost())
         inode = self.vfs.rename(task, old_path, new_path)
-        self._return(task, "rename", info)
+        if hooked:
+            self._return(task, "rename", info)
         return inode
 
     def stat(self, task: Task, path: str):
         """Generator: file metadata (fsspec-shaped info dict)."""
-        info = {"path": path}
-        yield from self._entry(task, "stat", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"path": path}
+            yield from self._entry(task, "stat", info)
         yield from self.cpu.consume(task, self.cpu.syscall_cost())
         result = self.vfs.info(path)
-        self._return(task, "stat", info)
+        if hooked:
+            self._return(task, "stat", info)
         return result
 
     def ls(self, task: Task, path: str, detail: bool = False):
         """Generator: list a directory (one getdents-ish syscall)."""
-        info = {"path": path}
-        yield from self._entry(task, "ls", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"path": path}
+            yield from self._entry(task, "ls", info)
         yield from self.cpu.consume(task, self.cpu.syscall_cost())
         result = self.vfs.ls(path, detail=detail)
-        self._return(task, "ls", info)
+        if hooked:
+            self._return(task, "ls", info)
         return result
 
     def read(self, task: Task, inode: Inode, offset: int, nbytes: int, direct: bool = False):
@@ -289,16 +314,19 @@ class OS:
         """
         if offset < 0 or nbytes < 0:
             raise ValueError(f"negative read range: offset={offset} nbytes={nbytes}")
-        info = {"inode": inode, "offset": offset, "nbytes": nbytes, "direct": direct}
-        yield from self._entry(task, "read", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"inode": inode, "offset": offset, "nbytes": nbytes, "direct": direct}
+            yield from self._entry(task, "read", info)
         if direct:
             yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.read_direct(task, inode, offset, nbytes)
         else:
             yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.read(task, inode, offset, nbytes)
-        info["result"] = n
-        self._return(task, "read", info)
+        if hooked:
+            info["result"] = n
+            self._return(task, "read", info)
         return n
 
     def write(self, task: Task, inode: Inode, offset: int, nbytes: int, direct: bool = False):
@@ -308,33 +336,42 @@ class OS:
         """
         if offset < 0 or nbytes < 0:
             raise ValueError(f"negative write range: offset={offset} nbytes={nbytes}")
-        info = {"inode": inode, "offset": offset, "nbytes": nbytes, "direct": direct}
-        yield from self._entry(task, "write", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"inode": inode, "offset": offset, "nbytes": nbytes, "direct": direct}
+            yield from self._entry(task, "write", info)
         if direct:
             yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.write_direct(task, inode, offset, nbytes)
         else:
             yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.write(task, inode, offset, nbytes)
-        info["result"] = n
-        self._return(task, "write", info)
+        if hooked:
+            info["result"] = n
+            self._return(task, "write", info)
         return n
 
     def fsync(self, task: Task, inode: Inode):
         """Generator: force the file durable."""
-        info = {"inode": inode, "dirty_bytes": self.cache.dirty_bytes_of(inode.id)}
-        yield from self._entry(task, "fsync", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"inode": inode, "dirty_bytes": self.cache.dirty_bytes_of(inode.id)}
+            yield from self._entry(task, "fsync", info)
         yield from self.cpu.consume(task, self.cpu.syscall_cost())
         yield from self.fs.fsync(task, inode)
-        self._return(task, "fsync", info)
+        if hooked:
+            self._return(task, "fsync", info)
 
     def truncate(self, task: Task, inode: Inode, new_size: int):
         """Generator: resize a file (shrinking discards dirty buffers)."""
-        info = {"inode": inode, "new_size": new_size}
-        yield from self._entry(task, "truncate", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"inode": inode, "new_size": new_size}
+            yield from self._entry(task, "truncate", info)
         yield from self.cpu.consume(task, self.cpu.syscall_cost())
         self.fs.truncate(task, inode, new_size)
-        self._return(task, "truncate", info)
+        if hooked:
+            self._return(task, "truncate", info)
 
     def unlink(self, task: Task, path: str):
         """Generator: delete a file (dirty buffers are discarded).
@@ -343,8 +380,11 @@ class OS:
         inode's pages and blocks survive until the last close (POSIX
         deferred free, bookkeeping in the VFS layer).
         """
-        info = {"path": path}
-        yield from self._entry(task, "unlink", info)
+        hooked = self._hooked()
+        if hooked:
+            info = {"path": path}
+            yield from self._entry(task, "unlink", info)
         yield from self.cpu.consume(task, self.cpu.syscall_cost())
         self.vfs.unlink(task, path)
-        self._return(task, "unlink", info)
+        if hooked:
+            self._return(task, "unlink", info)

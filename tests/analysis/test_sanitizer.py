@@ -410,7 +410,9 @@ def test_direct_write_leak_is_caught_by_block_conservation():
 
 def _hinted_pages(env, machine):
     """Four dirty pages of a file on allocated blocks, overwritten by
-    their writer, so they share one live, allocated dirty-run hint."""
+    their writer, so they share one live, allocated dirty-run hint; then
+    written and dirtied again while in flight, so a completed write of
+    them leaves them dirty."""
     task = machine.spawn("t")
 
     def work():
@@ -423,8 +425,13 @@ def _hinted_pages(env, machine):
 
     inode = drive(env, work())
     pages = machine.cache.dirty_pages_of(inode.id)
+    for page in pages:
+        page.write_submitted()
+    machine.cache.mark_dirty_range(inode.id, 0, 4, inode.block_map, task)
+    machine.cache.write_completed(pages)
     hint = pages[0].hint
     assert hint.live and hint.allocated and hint.pages == pages
+    assert all(page.dirty and page.redirtied for page in pages)
     return inode, pages
 
 
@@ -456,6 +463,74 @@ def test_hint_left_live_after_its_page_was_cleaned_is_detected():
     with pytest.raises(SanitizerError, match="dirty-run hint") as excinfo:
         machine.bus.publish(_fake_complete(env, pages=pages))
     assert excinfo.value.context["page"] == (inode.id, 0)
+
+
+def _write_and_fsync(env, machine):
+    """Sixteen pages written to a new file and fsynced: one block write
+    whose completion cleans them all."""
+    task = machine.spawn("t")
+
+    def work():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.write(64 * KB)
+        yield from handle.fsync()
+
+    drive(env, work())
+
+
+def test_written_page_left_dirty_is_detected(monkeypatch):
+    env, machine, _san = _sanitized_machine()
+    cache = machine.cache
+    complete = cache.write_completed
+
+    def forgetful(pages):  # the last page of each write is never cleaned
+        pages[-1].under_writeback = False
+        complete(pages[:-1])
+
+    monkeypatch.setattr(cache, "write_completed", forgetful)
+    with pytest.raises(SanitizerError, match="still dirty") as excinfo:
+        _write_and_fsync(env, machine)
+    assert excinfo.value.context["page"][1] == 15
+
+
+def test_cleaned_page_keeping_its_tag_is_detected(monkeypatch):
+    env, machine, _san = _sanitized_machine()
+    monkeypatch.setattr(machine.cache.tags, "release_tags", lambda objs: None)
+    with pytest.raises(SanitizerError, match="cleaned-page") as excinfo:
+        _write_and_fsync(env, machine)
+    assert excinfo.value.context["page"][1] == 0
+
+
+def test_cleaned_page_on_the_wrong_block_is_detected(monkeypatch):
+    env, machine, _san = _sanitized_machine()
+    cache = machine.cache
+    append = cache._append
+
+    def shifted(inode_id, start, stop, block):  # clean runs land one block off
+        append(inode_id, start, stop, block + 1)
+
+    monkeypatch.setattr(cache, "_append", shifted)
+    with pytest.raises(SanitizerError, match="cleaned-page") as excinfo:
+        _write_and_fsync(env, machine)
+    context = excinfo.value.context
+    assert context["clean_block"] == context["disk_block"] + 1
+
+
+def test_cleaned_pages_evicted_at_once_from_a_full_cache_pass():
+    """A cache holding only dirty pages, two over capacity: the write
+    cleaning them evicts the first two it cleaned, which is legal."""
+    env, machine, _san = _sanitized_machine()
+    cache = machine.cache
+    cache.mark_dirty_range(99, 0, cache.capacity_pages + 2, None, machine.spawn("t"))
+    pages = cache.dirty_pages_of(99)
+    for page in pages:
+        page.write_submitted()
+    cache.write_completed(pages)
+    assert cache.evictions == 2 and len(cache) == cache.capacity_pages
+    machine.bus.publish(_fake_complete(env, pages=pages))  # consistent: passes
+    cache._extents[99][1][0].block = 5  # a clean page off its disk block
+    with pytest.raises(SanitizerError, match="cleaned-page"):
+        machine.bus.publish(_fake_complete(env, pages=pages))
 
 
 def test_clean_machine_passes_all_checks():

@@ -5,11 +5,11 @@ import pytest
 from repro.cache import PageCache, PageKey
 from repro.core.tags import CauseSet, TagManager
 from repro.fs import BlockMap
-from repro.obs.bus import PageDirtied, PageFreed
+from repro.obs.bus import PageCleaned, PageDirtied, PageFreed
 from repro.proc import Task
 from repro.sim import Environment
 from repro.units import MB, PAGE_SIZE
-from tests.cache.test_cache_properties import assert_hints
+from tests.cache.test_cache_properties import assert_hints, clean_with_blocks
 
 
 def make_cache(memory=16 * MB):
@@ -604,6 +604,84 @@ def test_in_order_writeback_completions_coalesce():
         page.write_completed()
     assert clean_runs(cache, 1) == [(0, 4)]
     assert cache.mark_dirty(PageKey(1, 2), task).disk_block == 302
+
+
+def test_completion_evicting_its_own_cleaned_pages_matches_page_at_a_time():
+    """A cache over capacity with dirty pages only: one call completing
+    a write of eight pages (one dirtied again and one freed mid-flight)
+    cleans six, and its one eviction pops the first three it cleaned,
+    exactly as completing the pages one at a time does, event for event
+    and state for state."""
+
+    task = Task("w")
+
+    def complete(one_call):
+        env, tags, cache = make_cache(memory=4 * PAGE_SIZE)
+        cache.mark_dirty_range(1, 0, 8, BlockMap({i: 100 + i for i in range(8)}), task)
+        pages = cache.dirty_pages_of(1)
+        for page in pages:
+            page.write_submitted()
+        cache.mark_dirty(PageKey(1, 1), task)  # dirtied again mid-flight
+        cache.free(PageKey(1, 3))  # freed mid-flight
+        events = []
+        cache.bus.subscribe(PageCleaned, lambda e: events.append((e.time, tuple(e.page.key))))
+        if one_call:
+            cache.write_completed(pages)
+        else:
+            for page in pages:
+                page.write_completed()
+        return events, cache_state(cache), clean_with_blocks(cache), cache.evictions
+
+    batched = complete(one_call=True)
+    assert batched == complete(one_call=False)
+    events, state, clean, evictions = batched
+    assert [key for _, key in events] == [(1, 0), (1, 2), (1, 4), (1, 5), (1, 6), (1, 7)]
+    assert clean == [(1, 5, 105), (1, 6, 106), (1, 7, 107)] and evictions == 3
+    assert list(state[0]) == [(1, 1)]  # the re-dirtied page stays dirty
+
+
+@pytest.mark.parametrize("ahead", [3, 1])
+def test_birth_stretch_at_capacity_crossing_a_clean_extent_matches_page_at_a_time(ahead):
+    """A full cache of eight clean pages: pages 3-6 of file 1 on blocks
+    103-106, behind *ahead* pages of file 2 in LRU order.  One write of
+    pages 0-9 of file 1 births them a stretch at a time, exactly as ten
+    one-page writes do, event for event and state for state.  With
+    three pages ahead, the births before the extent evict only file 2's
+    pages and the extent is taken whole, its pages keeping their
+    blocks; with one, they evict into it, and each later birth evicts
+    its next page before the write reaches it."""
+
+    task = Task("w")
+
+    def write(one_call):
+        env, tags, cache = make_cache(memory=8 * PAGE_SIZE)
+        cache.insert_clean_run(2, [(0, 200, ahead)])
+        cache.insert_clean_run(1, [(3, 103, 4)])
+        cache.insert_clean_run(2, [(ahead, 200 + ahead, 4 - ahead)])
+        assert len(cache) == cache.capacity_pages
+        events = []
+        cache.bus.subscribe(
+            PageDirtied,
+            lambda e: events.extend((tuple(page.key), e.old_causes.pids) for page in e.pages),
+        )
+        if one_call:
+            cache.mark_dirty_range(1, 0, 10, None, task)
+        else:
+            for index in range(10):
+                cache.mark_dirty(PageKey(1, index), task)
+        blocks = [cache._pages[(1, index)].disk_block for index in range(10)]
+        return events, cache_state(cache), cache.evictions, blocks
+
+    batched = write(one_call=True)
+    assert batched == write(one_call=False)
+    _, state, evictions, blocks = batched
+    assert state[1] == []  # every clean page evicted or born
+    if ahead == 3:
+        assert blocks == [None] * 3 + [103, 104, 105, 106] + [None] * 3
+        assert evictions == 4
+    else:
+        assert blocks == [None] * 10
+        assert evictions == 8
 
 
 def test_zero_filled_holes_form_blockless_extents():

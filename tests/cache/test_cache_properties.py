@@ -35,6 +35,17 @@ def expand(runs):
     return [(index + k, block + k) for index, block, count in runs for k in range(count)]
 
 
+def clean_with_blocks(cache):
+    """The clean pages in LRU order, each as ``(file, index, block)``."""
+    pages = []
+    lru = cache._lru
+    extent = lru.next
+    while extent is not lru:
+        pages += [(extent.inode_id, i, extent.block_of(i)) for i in range(extent.start, extent.stop)]
+        extent = extent.next
+    return pages
+
+
 def assert_hints(cache):
     """Every live dirty-run hint lists exactly the cache's dirty pages
     at its indices, all of one cause set object and each pointing back
@@ -228,6 +239,16 @@ class CacheMachine:
         elif kind == 5:
             cache.free(key)
             model.free(key)
+        elif kind == 10:
+            # One write's completion: several in-flight pages in one
+            # call, some of them dirtied again, freed or stale since.
+            if self.in_flight:
+                first = index % len(self.in_flight)
+                batch = self.in_flight[first:first + arg + 1]
+                del self.in_flight[first:first + arg + 1]
+                cache.write_completed(batch)
+                for page in batch:
+                    model.completed(page)
         elif kind == 6:
             # Dirty pages go oldest first (model dicts keep dirtying order).
             expected = [k for k in model.dirty if k[0] == inode_id]
@@ -266,6 +287,7 @@ class CacheMachine:
         assert cache.overwrites == model.overwrites
         assert set(cache.clean_keys()) | set(cache._pages) == model.resident()
         assert list(cache.clean_keys()) == model.clean
+        assert clean_with_blocks(cache) == [(*key, model.blocks[key]) for key in model.clean]
         # Causes and tags: each dirty page holds one tag priced by its set.
         tags = self.tags
         for key, entry in model.dirty.items():
@@ -307,15 +329,15 @@ class CacheMachine:
 
 
 operations = st.tuples(
-    st.integers(min_value=0, max_value=9),   # op kind
+    st.integers(min_value=0, max_value=10),  # op kind
     st.sampled_from(INODES),                 # inode
     st.integers(min_value=0, max_value=FILE_PAGES - 1),  # page index
-    st.integers(min_value=0, max_value=5),   # run length / task / pick
+    st.integers(min_value=0, max_value=5),   # run length / task / pick / batch size
 )
 #: Mostly reads and writeback completions, so clean pages stay cached
 #: long enough to be hit again: a uniform mix fills the cache with
 #: dirty pages and evicts every clean one at once.
-READ_HEAVY_KINDS = (0,) * 6 + (1, 2) + (3,) * 4 + (4,) * 4 + (5, 6, 7, 8, 9, 9)
+READ_HEAVY_KINDS = (0,) * 6 + (1, 2) + (3,) * 4 + (4,) * 4 + (5, 6, 7, 8, 9, 9, 10, 10)
 #: Long runs over files wider than the cache: extents split on
 #: mid-extent hits, get trimmed by partial eviction, and coalesce as
 #: writebacks complete.

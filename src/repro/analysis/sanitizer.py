@@ -10,13 +10,12 @@ later.  Three attachment points:
 - :class:`SanitizedEnvironment` — a drop-in :class:`Environment`
   subclass whose dispatch path verifies, per event, that the virtual
   clock never runs backwards and that no pending same-instant entry
-  with a smaller ``(time, priority, eid)`` key was skipped (the exact
-  class of the PR 8 same-instant ordering bug, where URGENT
-  interlopers parked in the front slot were dispatched after other
-  same-instant entries).  The checked loop replaces the inlined fast
-  path of :meth:`Environment.run`, so the production kernel keeps zero
-  sanitizer attributes and zero extra branches when the sanitizer is
-  off — enabling it swaps the class, not the code.
+  with a smaller ``(time, priority, eid)`` key was skipped (the class
+  of the PR 8 same-instant ordering bug, where URGENT interlopers ran
+  after other same-instant entries).  The checked loop replaces the
+  inlined fast path of :meth:`Environment.run`, so the production
+  kernel keeps zero sanitizer attributes and zero extra branches when
+  the sanitizer is off — enabling it swaps the class, not the code.
 - :class:`StackSanitizer` — per-machine checks (dispatch-slot count
   bounded by device channels, block-layer request conservation, token
   conservation per tenant bucket, page-cache accounting) implemented
@@ -78,20 +77,18 @@ class SanitizerError(AssertionError):
 class SanitizedEnvironment(Environment):
     """An :class:`Environment` whose dispatch path checks invariants.
 
-    Semantics are identical to the base class — same queue structures,
-    same entry selection (``_pop`` is *inherited*, so kernel bugs there
-    are caught, not masked), same results — but every dispatched entry
-    is verified:
+    Semantics are identical to the base class — same queue, same entry
+    selection (``_pop`` is *inherited*, so kernel bugs there are
+    caught, not masked), same results — but every dispatched entry is
+    verified:
 
     - **monotonic clock**: an entry's time is never below the previous
       dispatch's time;
-    - **dispatch order**: at the moment an entry is dispatched, no
-      pending entry (heap head or front slot) sorts before it.  In a
-      correct kernel the dispatched entry is always the minimum of
-      everything pending; picking from one of the two structures
-      without consulting the other (the PR 8 bug: front-slot URGENT
-      interlopers run after other same-instant entries) breaks
-      exactly this.
+    - **dispatch order**: at the moment an entry is dispatched, the
+      heap head does not sort before it.  In a correct kernel the
+      dispatched entry is always the minimum of everything pending; a
+      selection that skips it (the PR 8 bug: URGENT interlopers run
+      after other same-instant entries) breaks exactly this.
     - **scheduling sanity**: ``schedule()`` rejects negative delays
       (the unchecked fast path would silently rewind the clock).
 
@@ -127,28 +124,23 @@ class SanitizedEnvironment(Environment):
                 context={"entry_time": t, "previous_time": self._san_prev_time},
             )
         self._san_prev_time = t
-        pending = self._next
-        if pending is not None and pending < entry:
-            self._dispatch_order_violation(entry, pending, "front slot")
         queue = self._queue
         if queue and queue[0] < entry:
-            self._dispatch_order_violation(entry, queue[0], "heap head")
+            pending = queue[0]
+            raise SanitizerError(
+                "dispatch order violation: dispatching an entry while the heap "
+                "head holds a pending entry that sorts before it — events run "
+                "out of (time, priority, eid) order",
+                history=list(self._san_history),
+                context={
+                    "dispatching": (entry[0], entry[1], entry[2], type(entry[3]).__name__),
+                    "pending": (pending[0], pending[1], pending[2], type(pending[3]).__name__),
+                },
+            )
         self._san_history.append(
             (entry[0], entry[1], entry[2], type(entry[3]).__name__)
         )
         super()._dispatch(entry)
-
-    def _dispatch_order_violation(self, entry, pending, where: str) -> None:
-        raise SanitizerError(
-            f"dispatch order violation: dispatching an entry while the {where} "
-            "holds a pending entry that sorts before it — same-instant "
-            "(priority, eid) order depends on unrelated traffic",
-            history=list(self._san_history),
-            context={
-                "dispatching": (entry[0], entry[1], entry[2], type(entry[3]).__name__),
-                "pending": (pending[0], pending[1], pending[2], type(pending[3]).__name__),
-            },
-        )
 
     # -- checked run loop ---------------------------------------------------
 

@@ -20,10 +20,10 @@ SIM003    ``id()`` in an ordering key or tie-break — object identity is
 SIM004    float arithmetic in a tie-break element of a heap entry —
           accumulated rounding can reorder "equal" entries; keep
           tie-break positions integral.
-SIM005    direct pokes at another object's ``_queue``/``_next``/
-          ``_heap``/``_eid`` — bypassing ``Environment.schedule``
-          silently skips sanitizer/bookkeeping hooks; go through the
-          public API (the kernel's own fused paths carry suppressions).
+SIM005    direct pokes at another object's ``_queue``/``_eid`` —
+          bypassing ``Environment.schedule`` silently skips
+          sanitizer/bookkeeping hooks; go through the public API (the
+          kernel's own fused paths carry suppressions).
 SIM006    mutable default argument — shared across calls; plans/configs
           built from it alias state between experiment cells.
 SIM007    unguarded ``bus.publish(...)`` — event construction on the
@@ -109,7 +109,7 @@ RULES: Dict[str, Rule] = {
         Rule(
             "SIM005",
             "direct manipulation of another object's scheduling internals",
-            "writing _queue/_next/_heap/_eid from outside bypasses "
+            "writing _queue/_eid from outside bypasses "
             "Environment.schedule and skips sanitizer and bookkeeping "
             "hooks",
             "call schedule()/timeout() instead; kernel-internal fused "
@@ -393,7 +393,7 @@ _RANDOM_FUNCS = {
     "getrandbits",
 }
 
-_SCHED_INTERNALS = {"_queue", "_next", "_heap", "_eid"}
+_SCHED_INTERNALS = {"_queue", "_eid"}
 
 _ORDERING_FUNCS = {"sorted", "min", "max", "heappush", "heappushpop", "heapreplace"}
 

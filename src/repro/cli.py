@@ -18,6 +18,7 @@ import sys
 from typing import Any, Dict
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.export import _jsonable
 
 
 def _parse_override(text: str) -> Any:
@@ -29,19 +30,6 @@ def _parse_override(text: str) -> Any:
     except json.JSONDecodeError:
         value = raw
     return key, value
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce experiment results into JSON-friendly structures."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, float):
-        return round(value, 6)
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    return repr(value)
 
 
 def cmd_list(_args) -> int:

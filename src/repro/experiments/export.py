@@ -23,6 +23,7 @@ from repro.experiments import EXPERIMENTS
 
 
 def _jsonable(value: Any) -> Any:
+    """Coerce experiment results into JSON-friendly structures."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -34,27 +35,39 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
-def run_experiment(
-    key: str, overrides: Optional[Dict[str, Any]] = None, jobs: int = 1
-) -> Dict[str, Any]:
-    """Run one experiment by id; returns {key, title, seconds, result}.
+def _payload(key: str, outcome: Any) -> Dict[str, Any]:
+    """The ``<key>.json`` body for a finished experiment *outcome* (a
+    :class:`~repro.experiments.runner.ExperimentResult`).
 
     ``wall_seconds`` is the summed cell time (the serial-equivalent
     cost), so the recorded payload does not depend on ``jobs``.
     """
-    try:
-        _module_name, title = EXPERIMENTS[key]
-    except KeyError:
-        raise ValueError(f"unknown experiment {key!r}") from None
-    from repro.experiments import runner
-
-    outcome = runner.run_experiment(key, overrides, jobs=jobs)
     return {
         "experiment": key,
-        "title": title,
+        "title": EXPERIMENTS[key][1],
         "wall_seconds": round(outcome.seconds, 1),
         "result": _jsonable(outcome.result),
     }
+
+
+def _write_payload(out_path: Path, payload: Dict[str, Any], written: Dict[str, str]) -> str:
+    """Write *payload* to ``<key>.json``; returns its ``REPORT.md`` line."""
+    key = payload["experiment"]
+    target = out_path / f"{key}.json"
+    target.write_text(json.dumps(payload, indent=2) + "\n")
+    written[key] = str(target)
+    return f"- **{key}** — {payload['title']} ({payload['wall_seconds']}s) -> `{target.name}`"
+
+
+def run_experiment(
+    key: str, overrides: Optional[Dict[str, Any]] = None, jobs: int = 1
+) -> Dict[str, Any]:
+    """Run one experiment by id; returns its ``<key>.json`` payload."""
+    if key not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {key!r}")
+    from repro.experiments import runner
+
+    return _payload(key, runner.run_experiment(key, overrides, jobs=jobs))
 
 
 def write_results(out_dir, outcomes: Dict[str, Any]) -> Dict[str, str]:
@@ -69,19 +82,7 @@ def write_results(out_dir, outcomes: Dict[str, Any]) -> Dict[str, str]:
     written: Dict[str, str] = {}
     report_lines = ["# Reproduction run", ""]
     for key, outcome in outcomes.items():
-        _module_name, title = EXPERIMENTS[key]
-        payload = {
-            "experiment": key,
-            "title": title,
-            "wall_seconds": round(outcome.seconds, 1),
-            "result": _jsonable(outcome.result),
-        }
-        target = out_path / f"{key}.json"
-        target.write_text(json.dumps(payload, indent=2) + "\n")
-        written[key] = str(target)
-        report_lines.append(
-            f"- **{key}** — {title} ({payload['wall_seconds']}s) -> `{target.name}`"
-        )
+        report_lines.append(_write_payload(out_path, _payload(key, outcome), written))
     (out_path / "REPORT.md").write_text("\n".join(report_lines) + "\n")
     return written
 
@@ -112,11 +113,6 @@ def export_all(
         except Exception as exc:  # record, keep going
             report_lines.append(f"- **{key}**: FAILED — {exc!r}")
             continue
-        target = out_path / f"{key}.json"
-        target.write_text(json.dumps(payload, indent=2) + "\n")
-        written[key] = str(target)
-        report_lines.append(
-            f"- **{key}** — {payload['title']} ({payload['wall_seconds']}s) -> `{target.name}`"
-        )
+        report_lines.append(_write_payload(out_path, payload, written))
     (out_path / "REPORT.md").write_text("\n".join(report_lines) + "\n")
     return written

@@ -31,16 +31,10 @@ class Environment:
     Time advances only as events are processed; the clock unit is the
     *second* throughout the storage simulation.
 
-    Two queue structures back the schedule: the classic binary heap in
-    :attr:`_queue` and a one-entry front slot in :attr:`_next`.  The
-    dominant scheduling pattern — a process sleeps, wakes, and
-    immediately schedules the next thing it waits on — makes the most
-    recently created entry very often the next one dispatched, so the
-    fused constructors park it in the front slot and the run loop
-    consumes it without ever touching the heap.  The slot holds *a*
-    pending entry, not necessarily the minimum: every consumer compares
-    it against the heap head, so correctness never depends on the
-    placement heuristic.
+    Every pending event is one ``(time, priority, eid, event)`` entry
+    in the binary heap :attr:`_queue`; ``eid`` is unique, so dispatch
+    follows one total order and same-instant events run in
+    ``(priority, eid)`` order.
     """
 
     __slots__ = (
@@ -51,7 +45,6 @@ class Environment:
         "active_process",
         "_halted",
         "_halt_reason",
-        "_next",
     )
 
     def __init__(self, initial_time: float = 0.0):
@@ -66,8 +59,6 @@ class Environment:
         self.active_process: Optional[Process] = None
         self._halted = False
         self._halt_reason: Any = None
-        #: Front-slot entry bypassing the heap (see class docstring).
-        self._next: Optional[Tuple[float, int, int, Event]] = None
 
     @property
     def halted(self) -> bool:
@@ -94,63 +85,18 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that triggers after *delay* seconds.
-
-        Fused fast path: ``yield env.timeout(d)`` happens once per
-        simulated tick, so the Timeout is built inline (no constructor
-        frame) with a pooled callback list and a direct queue insert
-        (front slot when free, heap otherwise).
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        event = Timeout.__new__(Timeout)
-        event.env = self
-        pool = self._cb_pool
-        event.callbacks = pool.pop() if pool else []
-        event.defused = False
-        event.delay = delay
-        event._ok = True
-        event._value = value
-        self._eid += 1
-        entry = (self.now + delay, NORMAL, self._eid, event)
-        nxt = self._next
-        if nxt is None:
-            self._next = entry
-        elif entry < nxt:
-            heappush(self._queue, nxt)
-            self._next = entry
-        else:
-            heappush(self._queue, entry)
-        return event
+        """Create an event that triggers after *delay* seconds."""
+        return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: Optional[str] = None) -> Process:
         """Start a new process running *generator*."""
         return Process(self, generator, name=name)
 
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        nxt = self._next
-        queue = self._queue
-        if nxt is not None:
-            if queue and queue[0][0] < nxt[0]:
-                return queue[0][0]
-            return nxt[0]
-        return queue[0][0] if queue else float("inf")
-
     def _pop(self) -> Tuple[float, int, int, Event]:
         """Remove and return the smallest pending ``(time, priority, eid)``
-        entry: the front slot unless the heap head sorts before it.
-
-        :meth:`run` inlines this choice in its hot loop; keep the two
-        in sync.
-        """
-        nxt = self._next
-        queue = self._queue
-        if nxt is not None and not (queue and queue[0] < nxt):
-            self._next = None
-            return nxt
+        entry.  :meth:`run` inlines this pop in its hot loop."""
         try:
-            return heappop(queue)
+            return heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
 
@@ -277,9 +223,9 @@ class Environment:
             return until[1]
 
         # The hot dispatch loop: _pop() and _dispatch() inlined with the
-        # queue, front slot, pop, callback-list pool, and hot globals
-        # hoisted into locals.  One entry per iteration, always the
-        # smallest pending (time, priority, eid).
+        # queue, pop, callback-list pool, and hot globals hoisted into
+        # locals.  One entry per iteration, always the smallest pending
+        # (time, priority, eid).
         queue = self._queue
         pool = self._cb_pool
         pool_max = _CB_POOL_MAX
@@ -287,14 +233,9 @@ class Environment:
         pop = heappop
         try:
             while not self._halted:
-                nxt = self._next
-                if nxt is not None and not (queue and queue[0] < nxt):
-                    self._next = None
-                    entry = nxt
-                elif queue:
-                    entry = pop(queue)
-                else:
+                if not queue:
                     raise EmptySchedule()
+                entry = pop(queue)
                 self.now = entry[0]
 
                 event = entry[3]

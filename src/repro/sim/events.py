@@ -94,20 +94,10 @@ class Event:
         self._value = value
         # Fused fast path for env.schedule(self): succeed() dominates
         # event scheduling, so skip the method call and insert directly.
-        # A succeeded event fires at the current instant, so it usually
-        # wins the environment's front slot and bypasses the heap.
         # simlint: disable=SIM005  (kernel-internal fused scheduling)
         env = self.env
         env._eid += 1
-        entry = (env.now, NORMAL, env._eid, self)
-        nxt = env._next
-        if nxt is None:
-            env._next = entry
-        elif entry < nxt:
-            heappush(env._queue, nxt)
-            env._next = entry
-        else:
-            heappush(env._queue, entry)
+        heappush(env._queue, (env.now, NORMAL, env._eid, self))
         # simlint: enable=SIM005
         return self
 
@@ -181,15 +171,7 @@ class Timeout(Event):
         self._value = value
         # simlint: disable=SIM005  (kernel-internal fused scheduling)
         env._eid += 1
-        entry = (env.now + delay, NORMAL, env._eid, self)
-        nxt = env._next
-        if nxt is None:
-            env._next = entry
-        elif entry < nxt:
-            heappush(env._queue, nxt)
-            env._next = entry
-        else:
-            heappush(env._queue, entry)
+        heappush(env._queue, (env.now + delay, NORMAL, env._eid, self))
         # simlint: enable=SIM005
 
     def __repr__(self) -> str:
@@ -214,15 +196,7 @@ class Initialize(Event):
         self._value = None
         # simlint: disable=SIM005  (kernel-internal fused scheduling)
         env._eid += 1
-        entry = (env.now, URGENT, env._eid, self)
-        nxt = env._next
-        if nxt is None:
-            env._next = entry
-        elif entry < nxt:
-            heappush(env._queue, nxt)
-            env._next = entry
-        else:
-            heappush(env._queue, entry)
+        heappush(env._queue, (env.now, URGENT, env._eid, self))
         # simlint: enable=SIM005
 
 

@@ -5,9 +5,9 @@ Structure mirrors the sanitizer's three attachment points:
 - :class:`SanitizedEnvironment` — equivalence with the production
   kernel on same-instant scenarios, then each check (negative delay,
   monotonic clock, dispatch order) tripped on purpose.  The
-  dispatch-order test reintroduces PR 8's bug class (picking from one
-  of the front slot and the heap without consulting the other) in a
-  subclass's ``_pop`` and asserts the sanitizer converts the silent
+  dispatch-order test reintroduces PR 8's bug class (dispatching a
+  young same-instant entry without comparing it to the heap head) in
+  a subclass's ``_pop`` and asserts the sanitizer converts the silent
   reordering into a :class:`SanitizerError`.
 - :class:`StackSanitizer` — a real built machine with each bus-level
   invariant forced false (slot bound, request conservation, token
@@ -46,9 +46,10 @@ from repro.units import KB, MB
 
 
 def _front_slot_scenario(env):
-    """The PR 8 regression scenario: a process spawned mid-instant parks
-    an URGENT Initialize in the front slot; it must run before the
-    remaining same-instant entries."""
+    """The PR 8 regression scenario: a process spawned mid-instant
+    schedules an URGENT Initialize (the kernel once parked it in a
+    since-deleted front slot); it must run before the remaining
+    same-instant entries."""
     fired = []
 
     def body():
@@ -137,9 +138,11 @@ def test_monotonic_clock_violation_raises():
 
 
 def _slot_after_heap_scenario(env):
-    """Mid-instant, an URGENT event goes onto the heap, then a process
-    spawn parks its younger URGENT Initialize in the free front slot —
-    so the slot holds a pending entry that is *not* the minimum."""
+    """Mid-instant, an URGENT event is scheduled, then a process spawn
+    schedules a younger URGENT Initialize — the newest pending entry is
+    *not* the minimum.  (The name records the PR 8 layout: the
+    Initialize sat in a since-deleted front slot, the older URGENT
+    entry in the heap.)"""
     fired = []
 
     def body():
@@ -151,8 +154,8 @@ def _slot_after_heap_scenario(env):
         fired.append(ev.value)
         urgent = env.event()
         urgent.callbacks.append(lambda e: fired.append("urgent"))
-        env.schedule(urgent, priority=URGENT)  # heap, older eid
-        env.process(body())  # front slot, younger eid
+        env.schedule(urgent, priority=URGENT)  # older eid
+        env.process(body())  # younger eid
 
     env.timeout(1, value="a").callbacks.append(spawn)
     env.timeout(1, value="b").callbacks.append(lambda ev: fired.append(ev.value))
@@ -163,21 +166,21 @@ class BuggyPopEnv(SanitizedEnvironment):
     """SanitizedEnvironment with PR 8's bug class reintroduced at the
     entry-selection seam.
 
-    This ``_pop`` takes the front slot without comparing it to the
-    heap head, so a same-instant entry that sorts first but sits in the
-    heap is dispatched late.  Which structure holds an entry depends on
-    unrelated traffic, so the order would too — the divergence class
-    PR 8 fixed.  The inherited checked ``_dispatch`` must turn that
-    silent reordering into a SanitizerError.
+    This ``_pop`` trusts the newest entry whenever it is due at the
+    current instant and takes it off the end of the heap list without
+    comparing it to the heap head, so an older same-instant entry that
+    sorts first is dispatched late.  Whether the newest entry is due now
+    depends on unrelated traffic, so the order would too — the
+    divergence class PR 8 fixed.  The inherited checked ``_dispatch``
+    must turn that silent reordering into a SanitizerError.
     """
 
     __slots__ = ()
 
     def _pop(self):
-        nxt = self._next
-        if nxt is not None:  # BUG: no comparison with self._queue[0]
-            self._next = None
-            return nxt
+        queue = self._queue
+        if queue and queue[-1][0] == self.now:  # BUG: no comparison with queue[0]
+            return queue.pop()
         return super()._pop()
 
 
@@ -186,7 +189,7 @@ def test_reintroduced_cohort_bug_is_caught():
     fired = _slot_after_heap_scenario(env)
     with pytest.raises(SanitizerError, match="dispatch order") as excinfo:
         env.run()
-    # The buggy kernel dispatched the slot's Initialize while an older
+    # The buggy kernel dispatched the newest Initialize while an older
     # URGENT entry sat at the heap head; the error names both entries
     # and the history shows the dispatches that led up to it.
     err = excinfo.value

@@ -141,7 +141,7 @@ def test_sim005_flags_foreign_queue_pokes():
     source = (
         "def f(env, entry):\n"
         "    env._queue.append(entry)\n"
-        "    env._next = entry\n"
+        "    env._eid = entry\n"
     )
     assert rules_in(source) == ["SIM005", "SIM005"]
 
@@ -151,7 +151,7 @@ def test_sim005_ignores_self_access():
         "class Environment:\n"
         "    def kick(self, entry):\n"
         "        self._queue.append(entry)\n"
-        "        self._next = entry\n"
+        "        self._eid = entry\n"
     )
     assert rules_in(source) == []
 
@@ -290,7 +290,7 @@ def test_unclosed_region_runs_to_end_of_file():
         "def f(env, entry):\n"
         "    # simlint: disable=SIM005\n"
         "    env._queue.append(entry)\n"
-        "    env._next = entry\n"
+        "    env._eid = entry\n"
     )
     assert rules_in(source) == []
 

@@ -78,8 +78,8 @@ def test_single_node_shards_match_at_fleet_scale_config():
     """Regression: the fig24 fleet config diverged at 1 node per shard.
 
     With every node in its own shard, a replica's handler processes are
-    spawned into an otherwise-quiet Environment whose front slot is
-    free, which (before the front-slot ordering fix in sim.core) let a
+    spawned into an otherwise-quiet Environment.  While the kernel kept
+    a front slot beside its heap (deleted since), a free slot let a
     process start slip behind same-instant deliveries and shift ack
     ordering by one syscall.  Longer horizon and heavier fan-in than
     the small cases above — this config is what actually caught it.

@@ -1,11 +1,11 @@
 """Same-instant semantics: events sharing a timestamp (a *cohort*).
 
 The run loop dispatches one entry at a time, always the smallest
-pending ``(time, priority, eid)`` across the front slot and the heap.
-These tests pin the observable contract for same-instant events:
-they run in (priority, eid) order, events scheduled *during* the
-instant still run at their proper rank whichever structure holds
-them, and a stop or crash mid-instant leaves the queue resumable.
+pending ``(time, priority, eid)`` in the heap.  These tests pin the
+observable contract for same-instant events: they run in (priority,
+eid) order, events scheduled *during* the instant still run at their
+proper rank whichever path scheduled them, and a stop or crash
+mid-instant leaves the queue resumable.
 """
 
 import pytest
@@ -64,12 +64,12 @@ def test_urgent_interloper_preempts_cohort_remainder():
 def test_front_slot_urgent_interloper_preempts_cohort_remainder():
     """A process spawned mid-cohort starts before the cohort remainder.
 
-    Initialize schedules URGENT through the *front slot* (not the
-    heap) when the slot is free — which it always is mid-cohort.  The
-    interloper check must look there too: missing it delays the
-    process start behind every remaining same-instant event, and
-    whether the slot is free depends on unrelated traffic elsewhere in
-    the Environment (the shard-layout divergence this pins down).
+    Initialize schedules URGENT through its own fused insert, not
+    ``schedule()``.  When the kernel parked that entry in a front slot
+    beside the heap (deleted since), missing it delayed the process
+    start behind every remaining same-instant event, and whether the
+    slot was free depended on unrelated traffic elsewhere in the
+    Environment (the shard-layout divergence this pins down).
     """
     env = Environment()
     fired = []
@@ -102,8 +102,8 @@ def test_heap_and_front_slot_interlopers_run_in_eid_order():
         fired.append(ev.value)
         heap_urgent = env.event()
         heap_urgent.callbacks.append(lambda e: fired.append("heap"))
-        env.schedule(heap_urgent, priority=URGENT)  # heap path, older eid
-        env.process(body())  # front-slot path, younger eid
+        env.schedule(heap_urgent, priority=URGENT)  # schedule() path, older eid
+        env.process(body())  # fused Initialize path, younger eid
 
     env.timeout(1, value="a").callbacks.append(spawn)
     env.timeout(1, value="b").callbacks.append(lambda ev: fired.append(ev.value))

@@ -120,14 +120,6 @@ def test_run_until_untriggered_event_raises():
         env.run(until=ev)
 
 
-def test_peek_reports_next_event_time():
-    env = Environment()
-    env.timeout(5)
-    assert env.peek() == 5
-    env.run()
-    assert env.peek() == float("inf")
-
-
 def test_event_succeed_once_only():
     env = Environment()
     ev = env.event()

@@ -3,9 +3,10 @@
 One random program runs on four kernels: ``Environment.run()``, a
 ``step()`` loop, :class:`SanitizedEnvironment`, and :class:`RefKernel`
 below — a plain heap of ``(time, priority, seq, action)`` entries with
-no front slot.  All four must fire the same labels at the same times,
-stop at the same point of a ``run(until=event)`` that ends mid-instant,
-and end at the same ``now``.
+none of the kernel's fused inserts, inlined run loop or callback pool.
+All four must fire the same labels at the same times, stop at the same
+point of a ``run(until=event)`` that ends mid-instant, and end at the
+same ``now``.
 
 Programs mix the cases same-instant order depends on: timeouts with
 tied times and zero delays, URGENT ``schedule()`` calls from callbacks,

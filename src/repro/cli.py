@@ -60,6 +60,39 @@ def _resolve_jobs(jobs: int) -> int:
     return jobs if jobs > 0 else (os.cpu_count() or 1)
 
 
+def _cli_session(args):
+    """Install the run session the flags of ``run``/``run-all`` ask for,
+    for the length of a with-block.
+
+    Without ``--sanitize`` the session's own flag (seeded from
+    REPRO_SANITIZE) stays in force.
+    """
+    from repro.experiments import common
+
+    plan = _build_fault_plan(args)
+    return common.using(
+        fault=None if plan is None else (plan, args.fault_seed),
+        trace=args.trace is not None,
+        queue_depth=args.queue_depth,
+        hedge=args.hedge,
+        shards=args.shards,
+        sanitize=args.sanitize or common.session().sanitize,
+    )
+
+
+def _with_faults(outcome):
+    """*outcome*'s result, plus a ``_faults`` section when the session
+    ran a fault plan."""
+    from repro.experiments import common
+
+    result = outcome.result
+    if common.session().fault is None:
+        return result
+    if isinstance(result, dict):
+        return dict(result, _faults=outcome.faults)
+    return {"result": result, "_faults": outcome.faults}
+
+
 def cmd_run(args) -> int:
     entry = EXPERIMENTS.get(args.experiment)
     if entry is None:
@@ -71,26 +104,12 @@ def cmd_run(args) -> int:
 
     from repro.experiments import runner
 
-    plan = _build_fault_plan(args)
     print(f"# {title}", file=sys.stderr)
-    outcome = runner.run_experiment(
-        args.experiment,
-        overrides,
-        jobs=_resolve_jobs(args.jobs),
-        fault_plan=plan,
-        fault_seed=args.fault_seed,
-        trace=args.trace is not None,
-        queue_depth=args.queue_depth,
-        hedge=args.hedge,
-        shards=args.shards,
-        sanitize=args.sanitize,
-    )
-    result = outcome.result
-    if plan is not None:
-        if isinstance(result, dict):
-            result = dict(result, _faults=outcome.faults)
-        else:
-            result = {"result": result, "_faults": outcome.faults}
+    with _cli_session(args):
+        outcome = runner.run_experiment(
+            args.experiment, overrides, jobs=_resolve_jobs(args.jobs)
+        )
+        result = _with_faults(outcome)
     if args.trace is not None:
         _write_trace(args.trace, args.experiment, outcome.spans)
     json.dump(_jsonable(result), sys.stdout, indent=2)
@@ -122,36 +141,20 @@ def cmd_run_all(args) -> int:
         return 2
 
     jobs = _resolve_jobs(args.jobs)
-    plan = _build_fault_plan(args)
     print(f"# running {len(keys)} experiments with --jobs {jobs}", file=sys.stderr)
     started = time.perf_counter()  # simlint: disable=SIM001 (host wall time, not sim time)
-    outcomes = runner.run_experiments(
-        [(key, None) for key in keys],
-        jobs=jobs,
-        fault_plan=plan,
-        fault_seed=args.fault_seed,
-        trace=args.trace is not None,
-        queue_depth=args.queue_depth,
-        hedge=args.hedge,
-        shards=args.shards,
-        sanitize=args.sanitize,
-        progress=lambda line: print(line, file=sys.stderr),
-    )
+    with _cli_session(args):
+        outcomes = runner.run_experiments(
+            [(key, None) for key in keys],
+            jobs=jobs,
+            progress=lambda line: print(line, file=sys.stderr),
+        )
+        combined = {key: _with_faults(outcomes[key]) for key in keys}
     elapsed = time.perf_counter() - started  # simlint: disable=SIM001 (host wall time)
 
     if args.trace is not None:
         for key in keys:
             _write_trace(args.trace, key, outcomes[key].spans)
-
-    combined: Dict[str, Any] = {}
-    for key in keys:
-        result = outcomes[key].result
-        if plan is not None:
-            if isinstance(result, dict):
-                result = dict(result, _faults=outcomes[key].faults)
-            else:
-                result = {"result": result, "_faults": outcomes[key].faults}
-        combined[key] = result
 
     if args.out:
         from repro.experiments.export import write_results
@@ -395,18 +398,6 @@ def main(argv=None) -> int:
     )
     demo_parser.set_defaults(func=cmd_fs_demo)
 
-    export_parser = sub.add_parser("export", help="run experiments, write JSON + report")
-    export_parser.add_argument("out_dir", help="directory for <id>.json files and REPORT.md")
-    export_parser.add_argument(
-        "--only", action="append", metavar="ID",
-        help="restrict to these experiment ids (repeatable)",
-    )
-    export_parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the experiment cells (0 = one per core)",
-    )
-    export_parser.set_defaults(func=cmd_export)
-
     args = parser.parse_args(argv)
     return args.func(args)
 
@@ -537,14 +528,6 @@ def cmd_fs_demo(args) -> int:
         f"device: {stats.reads} reads / {stats.writes} writes, "
         f"{fs.pump.episodes} pump episodes, final clock {fs.env.now * 1e3:.3f} ms"
     )
-    return 0
-
-
-def cmd_export(args) -> int:
-    from repro.experiments.export import export_all
-
-    written = export_all(args.out_dir, only=args.only, jobs=_resolve_jobs(args.jobs))
-    print(f"wrote {len(written)} result files to {args.out_dir}", file=sys.stderr)
     return 0
 
 

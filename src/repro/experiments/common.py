@@ -4,43 +4,51 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Dict, Iterable, List, Optional
+from contextlib import contextmanager
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.config import StackConfig
 from repro.devices import HDD, SSD
 from repro.sim import Environment
 from repro.syscall.os import OS
 
-#: Session-wide fault configuration: (FaultPlan, seed) or None.  Set by
-#: the CLI's --fault-* flags; when None, build_stack produces exactly
-#: the stack it always did (zero-cost default).
-_default_fault_plan = None
-#: BlockQueues built while a fault plan was active (for reporting).
+
+class Session(NamedTuple):
+    """The run-wide settings every stack built in this process inherits.
+
+    One immutable value, read by :func:`build_node`,
+    :func:`make_environment` and the sharded-run core; a
+    :class:`~repro.config.StackConfig` field that is not ``None`` always
+    wins over it.  The CLI's ``run``/``run-all`` flags build one and
+    install it for the length of the command; the parallel runner and
+    the shard coordinator hand the current one to their worker
+    processes, which install it once.
+    """
+
+    #: ``(FaultPlan, seed)`` wrapping every device in a fault injector,
+    #: or None: then stacks are exactly the fault-free ones.
+    fault: Optional[Tuple[Any, int]] = None
+    #: Attach a SpanBuilder to every stack built (the CLI's --trace).
+    trace: bool = False
+    #: Block-layer queue depth for stacks that do not pin one.
+    queue_depth: int = 1
+    #: Hedged dispatch for stacks that do not pin it.
+    hedge: bool = False
+    #: Shard count for cluster runs that do not pin one.
+    shards: int = 1
+    #: Runtime sanitizer for stacks that do not pin it.
+    sanitize: bool = False
+
+
+#: The current session.  REPRO_SANITIZE seeds ``sanitize`` so a whole
+#: pytest run can be sanitized without touching argv (the sanitized
+#: tier-1 CI job).
+_current = Session(sanitize=bool(os.environ.get("REPRO_SANITIZE")))
+#: BlockQueues built under a fault plan (for reporting).
 _fault_queues: List = []
-#: Session-wide tracing: when True, every stack built by build_stack
-#: gets a SpanBuilder attached to its bus.  Off by default, in which
-#: case no bus subscriber exists and the stack is byte-identical to an
-#: untraced one (events are never even constructed).
-_trace_enabled = False
-#: SpanBuilders attached while tracing was enabled, in stack-creation
-#: order (the order drain_spans concatenates).
+#: SpanBuilders attached under tracing, in stack-creation order (the
+#: order drain_spans concatenates).
 _span_builders: List = []
-#: Session-wide block-layer queue depth, set by the CLI's
-#: --queue-depth flag.  StackConfigs with queue_depth=None inherit it;
-#: an explicit config value always wins.
-_default_queue_depth = 1
-#: Session-wide hedged-dispatch flag (the CLI's --hedge).  StackConfigs
-#: with hedge=None inherit it; an explicit config value always wins.
-_default_hedge = False
-#: Session-wide shard count for cluster experiments (the CLI's
-#: --shards).  Sharded runs asked for ``shards=None`` inherit it.
-_default_shards = 1
-#: Session-wide runtime-sanitizer flag (the CLI's --sanitize).
-#: StackConfigs with sanitize=None inherit it; an explicit config
-#: value always wins.  The REPRO_SANITIZE environment variable seeds
-#: it so a whole pytest run can be sanitized without touching argv
-#: (the CI sanitized-tier1 job).
-_default_sanitize = bool(os.environ.get("REPRO_SANITIZE"))
 #: Fault summaries forwarded from shard worker processes (already
 #: rendered to dicts — the queues live in other address spaces).
 _forwarded_fault_summaries: List[Dict] = []
@@ -48,52 +56,46 @@ _forwarded_fault_summaries: List[Dict] = []
 _forwarded_spans: List[Dict] = []
 
 
-def set_default_queue_depth(depth: int) -> None:
-    """Install the session queue depth for stacks that don't pin one."""
-    global _default_queue_depth
-    if depth < 1:
-        raise ValueError(f"queue depth must be >= 1, got {depth}")
-    _default_queue_depth = depth
+def session() -> Session:
+    """The current run session."""
+    return _current
 
 
-def default_queue_depth() -> int:
-    """The session queue depth (1 unless --queue-depth raised it)."""
-    return _default_queue_depth
+def install(new: Session) -> Session:
+    """Make *new* the current session; returns the previous one.
+
+    An empty fault plan installs as no plan.  Installing starts fresh
+    fault-queue and span registries, so two runs in one process never
+    report each other's stacks, and a forked worker forgets its
+    parent's.
+    """
+    global _current
+    if new.queue_depth < 1:
+        raise ValueError(f"queue depth must be >= 1, got {new.queue_depth}")
+    if new.shards < 1:
+        raise ValueError(f"shards must be >= 1, got {new.shards}")
+    if new.fault is not None and new.fault[0].empty:
+        new = new._replace(fault=None)
+    previous, _current = _current, new
+    _fault_queues.clear()
+    _forwarded_fault_summaries.clear()
+    _span_builders.clear()
+    _forwarded_spans.clear()
+    return previous
 
 
-def set_default_hedge(hedge: bool) -> None:
-    """Install the session hedged-dispatch flag for unpinned stacks."""
-    global _default_hedge
-    _default_hedge = bool(hedge)
+@contextmanager
+def using(**changes):
+    """Run the with-block under the current session with *changes*.
 
-
-def default_hedge() -> bool:
-    """The session hedge flag (False unless --hedge set it)."""
-    return _default_hedge
-
-
-def set_default_shards(shards: int) -> None:
-    """Install the session shard count for cluster runs that don't pin one."""
-    global _default_shards
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    _default_shards = shards
-
-
-def default_shards() -> int:
-    """The session shard count (1 unless --shards raised it)."""
-    return _default_shards
-
-
-def set_default_sanitize(sanitize: bool) -> None:
-    """Install the session runtime-sanitizer flag for unpinned stacks."""
-    global _default_sanitize
-    _default_sanitize = bool(sanitize)
-
-
-def default_sanitize() -> bool:
-    """The session sanitize flag (off unless --sanitize/REPRO_SANITIZE)."""
-    return _default_sanitize
+    ``with using(queue_depth=4, fault=(plan, 7)): ...`` — the previous
+    session is installed again on exit.
+    """
+    previous = install(_current._replace(**changes))
+    try:
+        yield _current
+    finally:
+        install(previous)
 
 
 def make_environment(sanitize: Optional[bool] = None):
@@ -104,35 +106,12 @@ def make_environment(sanitize: Optional[bool] = None):
     :class:`~repro.analysis.sanitizer.SanitizedEnvironment` subclass
     instead, so the off state is provably zero-cost.
     """
-    effective = _default_sanitize if sanitize is None else sanitize
+    effective = _current.sanitize if sanitize is None else sanitize
     if effective:
         from repro.analysis.sanitizer import SanitizedEnvironment
 
         return SanitizedEnvironment()
     return Environment()
-
-
-def enable_tracing() -> None:
-    """Attach a SpanBuilder to every stack built until disabled.
-
-    Like the fault session, enabling starts a fresh trace session:
-    builders from a previous session are forgotten.
-    """
-    global _trace_enabled
-    _trace_enabled = True
-    _span_builders.clear()
-
-
-def disable_tracing() -> None:
-    """Stop attaching span builders and forget tracked ones."""
-    global _trace_enabled
-    _trace_enabled = False
-    _span_builders.clear()
-
-
-def tracing_enabled() -> bool:
-    """Is the session trace flag set?"""
-    return _trace_enabled
 
 
 def drain_spans() -> List[Dict]:
@@ -172,37 +151,6 @@ def add_forwarded_fault_summaries(summaries: List[Dict]) -> None:
     summaries of faulty node stacks built in worker shards.
     """
     _forwarded_fault_summaries.extend(summaries)
-
-
-def set_default_fault_plan(plan, seed: int = 0) -> None:
-    """Install *plan* for every stack built until cleared.
-
-    Every subsequent :func:`build_stack` wraps its device in a
-    :class:`~repro.faults.FaultyDevice` driven by an injector seeded
-    from *seed*, and arms the plan's power loss (if any).
-
-    Installing a plan starts a fresh fault *session*: queues tracked
-    under a previous plan are forgotten, so running two experiments in
-    one process never reports the first one's stacks in the second's
-    :func:`drain_fault_summaries`.
-    """
-    global _default_fault_plan
-    _default_fault_plan = (plan, seed) if plan is not None and not plan.empty else None
-    _fault_queues.clear()
-    _forwarded_fault_summaries.clear()
-
-
-def clear_default_fault_plan() -> None:
-    """Remove the session fault plan and forget tracked queues."""
-    global _default_fault_plan
-    _default_fault_plan = None
-    _fault_queues.clear()
-    _forwarded_fault_summaries.clear()
-
-
-def default_fault_plan():
-    """The session ``(plan, seed)`` pair, or None (for shard workers)."""
-    return _default_fault_plan
 
 
 def drain_fault_summaries() -> List[Dict]:
@@ -264,12 +212,12 @@ def build_stack(config: StackConfig):
     proportion, keeping the dirty-ratio and cache dynamics equivalent
     while the simulation stays fast.
 
-    If the config carries a fault plan — or, failing that, a session
-    fault plan is installed (see :func:`set_default_fault_plan`) — the
-    device is wrapped in a fault-injecting proxy; otherwise the stack
-    is byte-identical to the fault-free one.  Likewise
-    ``config.queue_depth=None`` inherits the session depth (the CLI's
-    ``--queue-depth``), which defaults to the classic serial 1.
+    If the config carries a fault plan — or, failing that, the
+    :class:`Session` has one — the device is wrapped in a
+    fault-injecting proxy; otherwise the stack is byte-identical to the
+    fault-free one.  Likewise ``config.queue_depth=None`` inherits the
+    session depth (the CLI's ``--queue-depth``), which defaults to the
+    classic serial 1.
     """
     env = make_environment(config.sanitize)
     machine = build_node(env, config)
@@ -286,6 +234,7 @@ def build_node(env, config: StackConfig, node_index: Optional[int] = None):
     so co-hosted nodes under one plan draw *distinct* fault sequences —
     deterministically per node, independent of which shard hosts it.
     """
+    current = _current
     scheduler = config.make_scheduler()
     reset_id_counters()
     dev = make_device(config.device)
@@ -293,8 +242,8 @@ def build_node(env, config: StackConfig, node_index: Optional[int] = None):
     explicit_plan = config.make_fault_plan()
     if explicit_plan is not None and not explicit_plan.empty:
         plan_seed = (explicit_plan, config.fault_seed)
-    elif _default_fault_plan is not None:
-        plan_seed = _default_fault_plan
+    elif current.fault is not None:
+        plan_seed = current.fault
     injector = None
     if plan_seed is not None:
         from repro.faults import FaultInjector, FaultyDevice
@@ -310,9 +259,9 @@ def build_node(env, config: StackConfig, node_index: Optional[int] = None):
         injector = FaultInjector(env, plan, streams, stream_name=stream_name)
         dev = FaultyDevice(dev, injector)
     queue_depth = (
-        config.queue_depth if config.queue_depth is not None else _default_queue_depth
+        config.queue_depth if config.queue_depth is not None else current.queue_depth
     )
-    hedge = config.hedge if config.hedge is not None else _default_hedge
+    hedge = config.hedge if config.hedge is not None else current.hedge
     os_kwargs = dict(
         device=dev,
         scheduler=scheduler,
@@ -331,11 +280,11 @@ def build_node(env, config: StackConfig, node_index: Optional[int] = None):
     if injector is not None:
         injector.arm_power_loss()
         _fault_queues.append(machine.block_queue)
-    if _trace_enabled:
+    if current.trace:
         from repro.obs import SpanBuilder
 
         _span_builders.append(SpanBuilder.attach(machine))
-    sanitize = config.sanitize if config.sanitize is not None else _default_sanitize
+    sanitize = config.sanitize if config.sanitize is not None else current.sanitize
     if sanitize:
         from repro.analysis.sanitizer import attach_sanitizer
 

@@ -49,15 +49,14 @@ def merge(
         results[f"{kind}_a_mbps"] = a_series
         results[f"{kind}_b_mbps"] = b_series
 
-    # Headline ratios for the memory-bound workloads.
-    def ratio(workload: str) -> float:
-        index = results["workloads"].index(workload)
-        scs = results["scs_b_mbps"][index]
-        split = results["split_b_mbps"][index]
-        return split / scs if scs > 0 else float("inf")
-
-    results["read_mem_speedup"] = ratio("read-mem")
-    results["write_mem_speedup"] = ratio("write-mem")
+    # Headline ratios for the memory-bound workloads that were run.
+    for workload in ("read-mem", "write-mem"):
+        if workload in results["workloads"]:
+            index = results["workloads"].index(workload)
+            scs = results["scs_b_mbps"][index]
+            split = results["split_b_mbps"][index]
+            speedup = split / scs if scs > 0 else float("inf")
+            results[f"{workload.replace('-', '_')}_speedup"] = speedup
     return results
 
 

@@ -27,10 +27,15 @@ Determinism rules:
 
 - results are merged in **cell declaration order**, never completion
   order, so ``--jobs 1`` and ``--jobs N`` emit identical JSON;
-- the session :class:`~repro.faults.FaultPlan` is re-installed inside
-  every worker process (``--fault-*`` flags apply under fan-out), and
-  each cell drains its own fault summaries, which are concatenated in
-  cell order — again matching the sequential order of stack creation.
+- every cell runs under the caller's
+  :class:`~repro.experiments.common.Session` (fault plan, trace, queue
+  depth, hedge, shards, sanitize): inline cells read it as it is, and
+  each pool worker installs a copy once, so the ``--fault-*``-style
+  flags apply under fan-out.  The runner reads the session and never
+  writes it in the caller's process;
+- each cell drains its own fault summaries and spans, which are
+  concatenated in cell order — again matching the sequential order of
+  stack creation.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ class ExperimentResult(NamedTuple):
     result: Any  # what run()/run_comparison() would have returned
     faults: List[Dict]  # fault summaries, in stack-creation order
     seconds: float  # summed cell wall-clock (serial-equivalent time)
-    spans: List[Dict] = []  # lifecycle spans (with trace=True), cell order
+    spans: List[Dict] = []  # lifecycle spans (with session trace), cell order
 
 
 def call_cell(default_module: str, func: str, kwargs: Dict[str, Any]) -> Any:
@@ -105,42 +110,6 @@ def merge_cell_results(
     return merge_fn(pairs, **(overrides or {}))
 
 
-def _worker_init(
-    fault_spec,
-    trace: bool = False,
-    queue_depth: int = 1,
-    hedge: bool = False,
-    shards: int = 1,
-    sanitize: bool = False,
-) -> None:
-    """Process-pool initialiser: re-install the session fault plan,
-    trace flag, block-layer queue depth, hedge flag, and shard count.
-
-    Workers are fresh interpreters (or forks taken before any plan was
-    installed), so without this the ``--fault-*``, ``--trace``,
-    ``--queue-depth``, ``--hedge``, ``--shards`` and ``--sanitize``
-    flags would silently stop applying under ``--jobs N``.
-    ``sanitize`` is only ever *raised* here (and only lowered by the
-    caller that raised it): a REPRO_SANITIZE-seeded session default
-    must survive cells that don't pass the flag.  Cells whose
-    kwargs carry a serialized :class:`~repro.config.StackConfig`
-    re-inflate it themselves via ``StackConfig.from_dict`` — configs
-    pin their own depth, so only the session default travels here.
-    Sharded cells inside pool workers step their shards inline (a
-    daemonic worker may not spawn children) — same results either way.
-    """
-    if fault_spec is not None:
-        plan, seed = fault_spec
-        common.set_default_fault_plan(plan, seed)
-    if trace:
-        common.enable_tracing()
-    common.set_default_queue_depth(queue_depth)
-    common.set_default_hedge(hedge)
-    common.set_default_shards(shards)
-    if sanitize:
-        common.set_default_sanitize(True)
-
-
 def _execute_cell(default_module: str, func: str, kwargs: Dict[str, Any]):
     """Run one cell; drain the fault summaries and spans its stacks produced."""
     started = time.perf_counter()  # simlint: disable=SIM001 (host wall time, not sim time)
@@ -153,13 +122,6 @@ def _execute_cell(default_module: str, func: str, kwargs: Dict[str, Any]):
 def execute_cells(
     cells: List[Cell],
     jobs: int = 1,
-    fault_plan=None,
-    fault_seed: int = 0,
-    trace: bool = False,
-    queue_depth: int = 1,
-    hedge: bool = False,
-    shards: int = 1,
-    sanitize: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[Tuple[Any, List[Dict], List[Dict], float]]:
     """Execute *cells*, returning ``(result, faults, spans, seconds)``
@@ -167,38 +129,22 @@ def execute_cells(
 
     Results are returned in declaration order regardless of completion
     order.  ``jobs <= 1`` runs inline (no pool, no pickling); a cell
-    failure propagates either way.  ``shards`` is the session default
-    partition count for cells that are themselves sharded cluster runs
-    (see :mod:`repro.sim.shard`); single-stack cells ignore it.
+    failure propagates either way.  Every cell runs under the current
+    :class:`~repro.experiments.common.Session`: pool workers install it
+    once, and the caller's is never written.
     """
-    fault_spec = None if fault_plan is None else (fault_plan, fault_seed)
     if jobs <= 1 or len(cells) <= 1:
-        _worker_init(
-            fault_spec, trace, queue_depth, hedge, shards, sanitize
-        )
-        try:
-            out = []
-            for cell in cells:
-                if progress is not None:
-                    progress(f"running {cell.experiment}:{cell.label} ...")
-                out.append(_execute_cell(cell.module, cell.func, cell.kwargs))
-            return out
-        finally:
-            if fault_spec is not None:
-                common.clear_default_fault_plan()
-            if trace:
-                common.disable_tracing()
-            common.set_default_queue_depth(1)
-            common.set_default_hedge(False)
-            common.set_default_shards(1)
-            if sanitize:
-                common.set_default_sanitize(False)
+        out = []
+        for cell in cells:
+            if progress is not None:
+                progress(f"running {cell.experiment}:{cell.label} ...")
+            out.append(_execute_cell(cell.module, cell.func, cell.kwargs))
+        return out
 
+    # Sharded cells inside pool workers step their shards inline (a
+    # daemonic worker may not spawn children) — same results either way.
     with ProcessPoolExecutor(
-        max_workers=jobs, initializer=_worker_init,
-        initargs=(
-            fault_spec, trace, queue_depth, hedge, shards, sanitize,
-        ),
+        max_workers=jobs, initializer=common.install, initargs=(common.session(),),
     ) as pool:
         futures = [
             pool.submit(_execute_cell, cell.module, cell.func, cell.kwargs)
@@ -215,13 +161,6 @@ def execute_cells(
 def run_experiments(
     requests: Iterable[Tuple[str, Optional[Dict[str, Any]]]],
     jobs: int = 1,
-    fault_plan=None,
-    fault_seed: int = 0,
-    trace: bool = False,
-    queue_depth: int = 1,
-    hedge: bool = False,
-    shards: int = 1,
-    sanitize: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict[str, ExperimentResult]:
     """Run many experiments' cells through one shared worker pool.
@@ -231,8 +170,8 @@ def run_experiments(
     request order — merged per experiment from cells executed across the
     whole batch.
 
-    With ``trace=True`` every stack gets a span builder and each
-    result's ``spans`` holds the lifecycle spans concatenated in cell
+    With the session's ``trace`` on, every stack gets a span builder and
+    each result's ``spans`` holds the lifecycle spans concatenated in cell
     declaration order — within a cell, in stack-creation order — so the
     merged span stream is byte-identical for any ``jobs``.
     """
@@ -244,11 +183,7 @@ def run_experiments(
         plan.append((key, overrides, cells))
         all_cells.extend(cells)
 
-    outcomes = execute_cells(
-        all_cells, jobs=jobs, fault_plan=fault_plan, fault_seed=fault_seed,
-        trace=trace, queue_depth=queue_depth, hedge=hedge,
-        shards=shards, sanitize=sanitize, progress=progress,
-    )
+    outcomes = execute_cells(all_cells, jobs=jobs, progress=progress)
 
     merged: Dict[str, ExperimentResult] = {}
     cursor = 0
@@ -269,18 +204,7 @@ def run_experiment(
     key: str,
     overrides: Optional[Dict[str, Any]] = None,
     jobs: int = 1,
-    fault_plan=None,
-    fault_seed: int = 0,
-    trace: bool = False,
-    queue_depth: int = 1,
-    hedge: bool = False,
-    shards: int = 1,
-    sanitize: bool = False,
     progress: Optional[Callable[[str], None]] = None,
 ) -> ExperimentResult:
     """Run one experiment, fanning its cells across *jobs* workers."""
-    return run_experiments(
-        [(key, overrides)], jobs=jobs, fault_plan=fault_plan,
-        fault_seed=fault_seed, trace=trace, queue_depth=queue_depth,
-        hedge=hedge, shards=shards, sanitize=sanitize, progress=progress,
-    )[key]
+    return run_experiments([(key, overrides)], jobs=jobs, progress=progress)[key]

@@ -25,8 +25,6 @@ from repro.obs.bus import (
     StackBus,
     SyscallEnter,
     SyscallReturn,
-    VfsClose,
-    VfsOpen,
 )
 from repro.obs.export import (
     SpanSchemaError,
@@ -57,8 +55,6 @@ __all__ = [
     "StackBus",
     "SyscallEnter",
     "SyscallReturn",
-    "VfsClose",
-    "VfsOpen",
     "bytes_by_cause",
     "format_report",
     "latency_breakdown",

@@ -39,37 +39,6 @@ class SyscallReturn(NamedTuple):
     info: Dict[str, Any]
 
 
-class VfsOpen(NamedTuple):
-    """A task opened (or created) a file through the VFS layer.
-
-    Published by the descriptor-table layer, not the syscall hooks:
-    handle bookkeeping is free of simulated cost, so this event exists
-    for attribution (which tenant owns which fd) without perturbing
-    scheduler hook sequences.
-    """
-
-    time: float
-    task: Any
-    path: str
-    fd: int
-    mode: str
-
-
-class VfsClose(NamedTuple):
-    """A task closed a VFS file descriptor.
-
-    ``released`` is True when this close dropped the last live handle
-    of an already-unlinked inode and its resources were freed (the
-    POSIX deferred-free path).
-    """
-
-    time: float
-    task: Any
-    fd: int
-    inode_id: int
-    released: bool
-
-
 class PageDirtied(NamedTuple):
     """A run of page-cache buffers was dirtied (or dirty ones re-modified).
 
@@ -201,8 +170,6 @@ class HealthTransition(NamedTuple):
 EVENT_TYPES = (
     SyscallEnter,
     SyscallReturn,
-    VfsOpen,
-    VfsClose,
     PageDirtied,
     PageCleaned,
     PageFreed,
@@ -264,16 +231,6 @@ class StackBus:
                 listeners.remove(fn)
             except ValueError:
                 pass  # already unsubscribed
-
-        return unsubscribe
-
-    def subscribe_all(self, fn: Callable) -> Callable[[], None]:
-        """Subscribe *fn* to every event type; returns one unsubscriber."""
-        unsubs = [self.subscribe(etype, fn) for etype in EVENT_TYPES]
-
-        def unsubscribe() -> None:
-            for unsub in unsubs:
-                unsub()
 
         return unsubscribe
 

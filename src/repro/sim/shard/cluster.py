@@ -78,13 +78,13 @@ class ClusterNode:
     )
 
     def __init__(self, env, router: ShardRouter, cluster: ClusterConfig, index: int):
-        from repro.experiments.common import build_node, default_fault_plan
+        from repro.experiments.common import build_node, session
 
         config = cluster.node_config(index)
         plan = config.make_fault_plan()
         if plan is None or plan.empty:
-            session = default_fault_plan()
-            plan = session[0] if session is not None else None
+            fault = session().fault
+            plan = fault[0] if fault is not None else None
         if plan is not None and plan.power_loss_at is not None:
             # A power cut halts the whole shard Environment, which would
             # take co-hosted nodes down with it — a shard-layout-

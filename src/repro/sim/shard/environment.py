@@ -42,14 +42,14 @@ class ShardEnvironment:
     ):
         if not node_indices:
             raise ValueError(f"shard {shard_index} owns no nodes")
-        from repro.experiments.common import default_sanitize, make_environment
+        from repro.experiments.common import make_environment, session
 
         self.cluster = cluster
         self.shard_index = shard_index
         #: With the session sanitize flag on, the shard's event loop is
         #: a SanitizedEnvironment and inject() enforces conservative-
         #: sync causality per delivered message.
-        self.sanitize = default_sanitize()
+        self.sanitize = session().sanitize
         self.env = make_environment(self.sanitize)
         self.router = ShardRouter(self.env, shard_index, cluster.link_latency)
         #: Node index -> machine, built in ascending index order so the

@@ -20,9 +20,9 @@ Two execution vehicles, same observable results by construction:
   protocol (``epoch`` / ``finish``).  Cluster configs travel as dicts
   through :meth:`ClusterConfig.from_dict` — the same
   serialize-and-rebuild machinery the parallel experiment runner uses
-  for stack configs — and session defaults (fault plan, tracing,
-  queue depth) are re-installed in each worker just as the runner's
-  pool initialiser does.
+  for stack configs — and each worker installs the coordinator's
+  :class:`~repro.experiments.common.Session` once, as the runner's
+  pool workers do.
 
 A run stops *hard* at ``duration``: only bytes acked by then count,
 and in-flight messages are dropped identically under any shard layout.
@@ -81,27 +81,17 @@ def _percentile(values: Sequence[float], q: float) -> float:
 def _shard_worker(conn, cluster_dict, shard_index, node_indices, specs, duration, session):
     """Worker-process main: host one shard and speak the epoch protocol.
 
-    ``session`` carries the coordinator's session defaults (fault spec,
-    trace flag, queue depth, hedge, sanitize) so --fault-*/--trace
-    style settings keep applying inside shard workers, mirroring the
-    experiment runner's pool initialiser.  State is cleared first: a
-    forked worker inherits the parent's tracked queues and span
-    builders, which belong to the parent's stacks, not this shard's.
+    ``session`` is the coordinator's
+    :class:`~repro.experiments.common.Session`, installed once so the
+    --fault-*/--trace style settings keep applying inside shard workers,
+    exactly as in the experiment runner's pool workers.  Installing also
+    forgets the tracked queues and span builders a forked worker
+    inherits from the parent's stacks.
     """
     from repro.experiments import common
 
     try:
-        common.clear_default_fault_plan()
-        common.disable_tracing()
-        if session.get("fault_spec") is not None:
-            plan, seed = session["fault_spec"]
-            common.set_default_fault_plan(plan, seed)
-        if session.get("trace"):
-            common.enable_tracing()
-        common.set_default_queue_depth(session.get("queue_depth", 1))
-        common.set_default_hedge(session.get("hedge", False))
-        common.set_default_sanitize(session.get("sanitize", False))
-
+        common.install(session)
         cluster = ClusterConfig.from_dict(cluster_dict)
         shard = ShardEnvironment(
             cluster, shard_index, node_indices,
@@ -212,9 +202,9 @@ class ShardedRun:
                     f"stream {spec.stream_id} names unknown tenant {spec.tenant!r}"
                 )
         if shards is None:
-            from repro.experiments.common import default_shards
+            from repro.experiments.common import session
 
-            shards = default_shards()
+            shards = session().shards
         self.cluster = cluster
         self.streams = list(streams)
         self.duration = float(duration)
@@ -232,17 +222,6 @@ class ShardedRun:
 
     # -- internals ----------------------------------------------------------
 
-    def _session(self) -> Dict:
-        from repro.experiments import common
-
-        return {
-            "fault_spec": common.default_fault_plan(),
-            "trace": common.tracing_enabled(),
-            "queue_depth": common.default_queue_depth(),
-            "hedge": common.default_hedge(),
-            "sanitize": common.default_sanitize(),
-        }
-
     def _spawn_shards(self, partitions):
         owners = []
         for shard_index, node_indices in enumerate(partitions):
@@ -250,9 +229,11 @@ class ShardedRun:
             specs = [s for s in self.streams if s.gateway in node_set]
             owners.append((shard_index, node_indices, specs))
         if self.processes:
-            session = self._session()
+            from repro.experiments.common import session
+
+            current = session()
             return [
-                _ProcessShard(self.cluster, i, nodes, specs, self.duration, session)
+                _ProcessShard(self.cluster, i, nodes, specs, self.duration, current)
                 for i, nodes, specs in owners
             ]
         return [
@@ -266,10 +247,10 @@ class ShardedRun:
         node_to_shard = {
             node: shard for shard, nodes in enumerate(partitions) for node in nodes
         }
-        from repro.experiments.common import default_sanitize
+        from repro.experiments.common import session
 
         epoch = self.cluster.link_latency
-        channel = InterShardChannel(epoch, sanitize=default_sanitize())
+        channel = InterShardChannel(epoch, sanitize=session().sanitize)
         vehicles = self._spawn_shards(partitions)
         try:
             t = 0.0

@@ -219,9 +219,9 @@ class OS:
         ``create=True`` creates a missing file without truncating or
         appending; a Python mode string (``"r"``, ``"r+"``, ``"w"``,
         ``"a"``, ``"x"``, …) implies its own create/truncate/append
-        behaviour.  Opening an existing file publishes no syscall hook
-        events — only the zero-cost ``VfsOpen`` bus event — so
-        scheduler hook sequences do not move.
+        behaviour.  Opening an existing file fires no syscall hook and
+        publishes no bus event, so scheduler hook sequences do not
+        move.
         """
         flags = parse_mode(mode) if mode is not None else None
         inode = self.fs.lookup(path)
@@ -253,8 +253,8 @@ class OS:
         """Generator: release a descriptor.
 
         Returns True when this close freed an unlinked inode's
-        resources (the POSIX deferred-free path).  Like ``open``, no
-        syscall hook fires — only the zero-cost ``VfsClose`` bus event.
+        resources (the POSIX deferred-free path).  Like ``open``, it
+        fires no syscall hook and publishes no bus event.
         """
         yield from self.cpu.consume(handle.task, self.cpu.syscall_cost())
         return self.vfs.release(handle)

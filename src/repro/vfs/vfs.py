@@ -10,9 +10,7 @@ Everything here is *pure Python* — no simulated cost, no events on the
 simulation clock.  Costed entry points stay on :class:`~repro.syscall.os.OS`
 (which charges CPU and fires scheduler hooks, then delegates here), so
 the refactor is invisible to existing experiments: the depth-1 golden
-hash does not move.  The only observability added is the zero-cost
-``VfsOpen``/``VfsClose`` bus events, published exactly when someone
-subscribes.
+hash does not move.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.fs.inode import Inode
-from repro.obs.bus import VfsClose, VfsOpen
 from repro.vfs import path as vpath
 from repro.vfs.handle import OpenFile
 
@@ -45,8 +42,6 @@ class VFS:
         self._live: Dict[int, int] = {}
         #: Unlinked-but-open inodes awaiting their last close.
         self._orphans: Dict[int, Inode] = {}
-        self._sub_open = os.bus.listeners(VfsOpen)
-        self._sub_close = os.bus.listeners(VfsClose)
 
     # -- namespace queries (no simulated cost) --------------------------------
 
@@ -124,10 +119,6 @@ class VFS:
         )
         table[fd] = handle
         self._live[inode.id] = self._live.get(inode.id, 0) + 1
-        if self._sub_open:
-            self.os.bus.publish(
-                VfsOpen(self.os.env.now, task, inode.path, fd, mode)
-            )
         return handle
 
     def dup(self, handle: OpenFile) -> int:
@@ -175,10 +166,6 @@ class VFS:
                 released = True
         else:
             self._live[inode.id] = remaining
-        if self._sub_close:
-            self.os.bus.publish(
-                VfsClose(self.os.env.now, handle.task, target, inode.id, released)
-            )
         return released
 
     # -- namespace mutation ---------------------------------------------------

@@ -28,13 +28,7 @@ from repro.analysis.sanitizer import (
     check_delivery,
 )
 from repro.config import StackConfig
-from repro.experiments.common import (
-    build_stack,
-    default_sanitize,
-    drive,
-    make_environment,
-    set_default_sanitize,
-)
+from repro.experiments.common import build_stack, drive, make_environment, using
 from repro.obs.bus import BlockComplete, DeviceStart
 from repro.sim import Environment
 from repro.sim.events import NORMAL, URGENT
@@ -592,15 +586,11 @@ def test_make_environment_respects_flag_and_session_default():
     env = make_environment(False)
     assert isinstance(env, Environment)
     assert not isinstance(env, SanitizedEnvironment)
-    previous = default_sanitize()
-    try:
-        set_default_sanitize(True)
+    with using(sanitize=True):
         assert isinstance(make_environment(), SanitizedEnvironment)
         assert isinstance(make_environment(False), Environment)
-        set_default_sanitize(False)
+    with using(sanitize=False):
         assert not isinstance(make_environment(), SanitizedEnvironment)
-    finally:
-        set_default_sanitize(previous)
 
 
 def test_stack_config_round_trips_sanitize():

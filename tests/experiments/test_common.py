@@ -62,15 +62,12 @@ def test_build_stack_installs_and_clears_fault_plan():
     from repro.experiments import common
     from repro.faults import FaultPlan, FaultyDevice
 
-    common.set_default_fault_plan(FaultPlan(read_error_prob=0.5), seed=3)
-    try:
+    with common.using(fault=(FaultPlan(read_error_prob=0.5), 3)):
         env, machine = common.build_stack(StackConfig(scheduler=Noop(), memory_bytes=64 * MB))
         assert isinstance(machine.block_queue.device, FaultyDevice)
         summaries = common.drain_fault_summaries()
         assert len(summaries) == 1
         assert summaries[0]["device"].startswith("faulty-")
-    finally:
-        common.clear_default_fault_plan()
     env, machine = common.build_stack(StackConfig(scheduler=Noop(), memory_bytes=64 * MB))
     assert not isinstance(machine.block_queue.device, FaultyDevice)
 
@@ -79,9 +76,36 @@ def test_empty_fault_plan_is_not_installed():
     from repro.experiments import common
     from repro.faults import FaultPlan, FaultyDevice
 
-    common.set_default_fault_plan(FaultPlan(), seed=1)  # empty: a no-op
-    try:
+    with common.using(fault=(FaultPlan(), 1)):  # empty: a no-op
         env, machine = common.build_stack(StackConfig(scheduler=Noop(), memory_bytes=64 * MB))
         assert not isinstance(machine.block_queue.device, FaultyDevice)
+
+
+def test_install_validates_and_returns_previous_session():
+    from repro.experiments import common
+
+    before = common.session()
+    previous = common.install(before._replace(queue_depth=3, hedge=True))
+    try:
+        assert previous == before
+        assert common.session().queue_depth == 3
+        assert common.session().hedge is True
     finally:
-        common.clear_default_fault_plan()
+        common.install(previous)
+    assert common.session() == before
+    with pytest.raises(ValueError):
+        common.install(before._replace(queue_depth=0))
+    with pytest.raises(ValueError):
+        common.install(before._replace(shards=0))
+    assert common.session() == before
+
+
+def test_using_restores_the_session_on_error():
+    from repro.experiments import common
+
+    before = common.session()
+    with pytest.raises(RuntimeError):
+        with common.using(shards=3, trace=True) as inside:
+            assert inside == common.session() == before._replace(shards=3, trace=True)
+            raise RuntimeError("boom")
+    assert common.session() == before

@@ -1,44 +1,27 @@
-"""Tests for the batch exporter."""
+"""Tests for the result-file writer behind ``run-all --out``."""
 
 import json
 
-import pytest
+from repro.experiments import runner
+from repro.experiments.export import write_results
 
-from repro.experiments.export import export_all, run_experiment
-
-
-def test_run_experiment_unknown_key():
-    with pytest.raises(ValueError):
-        run_experiment("fig99")
+#: fig09 at unit-test scale.
+FIG09 = {"thread_counts": [1], "duration": 0.5}
 
 
-def test_run_experiment_returns_payload():
-    payload = run_experiment("fig09", {"thread_counts": [1], "duration": 0.5})
-    assert payload["experiment"] == "fig09"
-    assert payload["wall_seconds"] >= 0
-    assert payload["result"]["threads"] == [1]
-
-
-def test_export_all_writes_json_and_report(tmp_path):
-    written = export_all(
-        tmp_path,
-        only=["fig09"],
-        overrides={"fig09": {"thread_counts": [1], "duration": 0.5}},
-        progress=lambda *_: None,
-    )
-    assert "fig09" in written
+def test_write_results_writes_json_and_report(tmp_path):
+    outcome = runner.run_experiment("fig09", FIG09)
+    written = write_results(tmp_path, {"fig09": outcome})
+    assert written == {"fig09": str(tmp_path / "fig09.json")}
     data = json.loads((tmp_path / "fig09.json").read_text())
+    assert list(data) == ["experiment", "title", "wall_seconds", "result"]
+    assert data["experiment"] == "fig09"
     assert data["title"].startswith("Figure 9")
-    report = (tmp_path / "REPORT.md").read_text()
-    assert "fig09" in report
-
-
-def test_export_all_records_failures(tmp_path):
-    written = export_all(
-        tmp_path,
-        only=["fig09"],
-        overrides={"fig09": {"no_such_kwarg": 1}},
-        progress=lambda *_: None,
-    )
-    assert written == {}
-    assert "FAILED" in (tmp_path / "REPORT.md").read_text()
+    assert data["wall_seconds"] == round(outcome.seconds, 1)
+    assert data["result"]["threads"] == [1]
+    report = (tmp_path / "REPORT.md").read_text().splitlines()
+    assert report == [
+        "# Reproduction run",
+        "",
+        f"- **fig09** — {data['title']} ({data['wall_seconds']}s) -> `fig09.json`",
+    ]

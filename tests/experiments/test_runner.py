@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.cli import _jsonable
-from repro.experiments import runner
+from repro.experiments import common, runner
 from repro.faults import FaultPlan
 from repro.units import KB, MB
 
@@ -42,12 +42,28 @@ def test_serial_and_parallel_results_identical(key):
 def test_parallel_fault_summaries_match_serial():
     plan = FaultPlan(read_error_prob=0.02)
     overrides = {"duration": 2.0}
-    serial = runner.run_experiment(
-        "fig12", overrides, jobs=1, fault_plan=plan, fault_seed=7)
-    parallel = runner.run_experiment(
-        "fig12", overrides, jobs=2, fault_plan=plan, fault_seed=7)
+    with common.using(fault=(plan, 7)):
+        serial = runner.run_experiment("fig12", overrides, jobs=1)
+        parallel = runner.run_experiment("fig12", overrides, jobs=2)
     assert serial.faults, "fault plan should produce summaries"
     assert _fingerprint(serial) == _fingerprint(parallel)
+
+
+def test_runner_reads_the_session_and_never_writes_it():
+    """An inline run leaves the caller's session exactly as it found it,
+    and pool workers run under that same session."""
+    with common.using(sanitize=True, queue_depth=4):
+        before = common.session()
+        serial = runner.run_experiment("fig13", SCALED["fig13"], jobs=1)
+        assert common.session() == before
+        parallel = runner.run_experiment("fig13", SCALED["fig13"], jobs=2)
+        assert common.session() == before
+    assert _fingerprint(serial) == _fingerprint(parallel)
+
+
+def test_unknown_experiment_raises():
+    with pytest.raises(ValueError, match="unknown experiment"):
+        runner.run_experiment("fig99")
 
 
 def test_experiment_run_matches_runner_serial():

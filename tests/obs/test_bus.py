@@ -3,11 +3,7 @@
 import pytest
 
 from repro import MB, Environment, OS, SSD
-from repro.obs.bus import (
-    EVENT_TYPES,
-    StackBus,
-    SyscallEnter,
-)
+from repro.obs.bus import StackBus, SyscallEnter
 from repro.schedulers import Noop
 
 
@@ -60,15 +56,6 @@ def test_unknown_event_type_rejected():
     bus = StackBus()
     with pytest.raises(ValueError, match="unknown event type"):
         bus.subscribe(int, lambda e: None)
-
-
-def test_subscribe_all_covers_every_type():
-    bus = StackBus()
-    seen = []
-    unsub = bus.subscribe_all(seen.append)
-    assert all(bus.active(etype) for etype in EVENT_TYPES)
-    unsub()
-    assert not any(bus.active(etype) for etype in EVENT_TYPES)
 
 
 def test_untraced_stack_publishes_nothing():

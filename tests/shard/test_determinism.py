@@ -123,9 +123,6 @@ def test_sharded_run_validates_inputs():
 def test_session_default_shards_apply():
     from repro.experiments import common
 
-    common.set_default_shards(2)
-    try:
+    with common.using(shards=2):
         run = ShardedRun(_cluster(), _streams(), duration=0.1)
         assert run.shards == 2
-    finally:
-        common.set_default_shards(1)

@@ -48,25 +48,29 @@ def test_jsonable_handles_odd_values():
     assert out == {"a": [1, 2.5], "b": "<odd>", "3": None}
 
 
-def test_export_subcommand(tmp_path, capsys, monkeypatch):
-    # Point the exporter at a tiny fake experiment to keep this fast.
-    import repro.experiments.export as export_mod
+def test_run_all_out_writes_json_and_report(tmp_path, capsys, monkeypatch):
+    # run-all takes no --set; shrink fig09 (run inline by --jobs 1) instead.
+    import functools
 
-    monkeypatch.setitem(
-        export_mod.EXPERIMENTS, "figtest",
-        ("repro.experiments.fig09_time_overhead", "Figure T: test"),
-    )
+    from repro.experiments import fig09_time_overhead as fig09
+
     monkeypatch.setattr(
-        export_mod, "run_experiment",
-        lambda key, overrides=None, jobs=1: {
-            "experiment": key, "title": "Figure T", "wall_seconds": 0.0,
-            "result": {"ok": True},
-        },
+        fig09, "run", functools.partial(fig09.run, thread_counts=[1], duration=0.5)
     )
-    code = main(["export", str(tmp_path), "--only", "figtest"])
+    code = main([
+        "run-all", "--only", "fig09", "--jobs", "1", "--out", str(tmp_path),
+    ])
     assert code == 0
-    assert (tmp_path / "figtest.json").exists()
-    assert "figtest" in (tmp_path / "REPORT.md").read_text()
+    assert capsys.readouterr().out == ""
+    data = json.loads((tmp_path / "fig09.json").read_text())
+    assert list(data) == ["experiment", "title", "wall_seconds", "result"]
+    assert data["experiment"] == "fig09"
+    assert data["result"]["threads"] == [1]
+    report = (tmp_path / "REPORT.md").read_text()
+    assert (
+        f"- **fig09** — {data['title']} ({data['wall_seconds']}s) -> `fig09.json`"
+        in report.splitlines()
+    )
 
 
 def test_lint_clean_path_exits_zero(tmp_path, capsys):

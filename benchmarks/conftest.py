@@ -10,6 +10,8 @@ simulation, so repeated timing rounds would only re-measure Python.
 
 import pytest
 
+from repro.experiments.runner import run_experiment
+
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Run *fn* exactly once under pytest-benchmark and return it."""
@@ -20,5 +22,15 @@ def run_once(benchmark, fn, *args, **kwargs):
 def once(benchmark):
     def runner(fn, *args, **kwargs):
         return run_once(benchmark, fn, *args, **kwargs)
+
+    return runner
+
+
+@pytest.fixture
+def figure(benchmark):
+    """Run one figure through the experiment runner exactly once under
+    pytest-benchmark and return its merged result."""
+    def runner(key, **overrides):
+        return run_once(benchmark, lambda: run_experiment(key, overrides).result)
 
     return runner

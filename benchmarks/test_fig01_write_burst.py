@@ -5,13 +5,12 @@ under CFQ (the idle class is useless for buffered writes); the split
 stack keeps A fast.
 """
 
-from repro.experiments import fig01_write_burst
 from repro.units import MB
 
 
-def test_fig01_write_burst(once):
-    results = once(
-        fig01_write_burst.run_comparison,
+def test_fig01_write_burst(figure):
+    results = figure(
+        "fig01",
         duration=60.0,
         burst_bytes=48 * MB,
         burst_at=10.0,

@@ -5,14 +5,13 @@ workloads is ~41 MB; B's buffered writes barely affect A while B's
 disk reads crush it.
 """
 
-from repro.experiments import fig06_scs_isolation
 from repro.units import KB, MB
 
 RUN_SIZES = (4 * KB, 64 * KB, 1 * MB, 16 * MB)
 
 
-def test_fig06_scs_isolation(once):
-    result = once(fig06_scs_isolation.run, run_sizes=RUN_SIZES, duration=15.0)
+def test_fig06_scs_isolation(figure):
+    result = figure("fig06", run_sizes=RUN_SIZES, duration=15.0)
 
     print("\nFigure 6 — A's throughput while B (throttled 10 MB/s) varies")
     print(f"{'B run size':>10} {'A | B reads':>12} {'A | B writes':>13}")

@@ -7,12 +7,10 @@ around its deadline.  Tail latencies improve ~4x.  Both HDD and SSD.
 
 import pytest
 
-from repro.experiments import fig12_fsync_isolation
-
 
 @pytest.mark.parametrize("device", ["hdd", "ssd"])
-def test_fig12_fsync_isolation(once, device):
-    results = once(fig12_fsync_isolation.run_comparison, device=device, duration=20.0)
+def test_fig12_fsync_isolation(figure, device):
+    results = figure("fig12", device=device, duration=20.0)
 
     print(f"\nFigure 12 ({device.upper()}) — A's fsync latency (goal "
           f"{results['split']['a_goal_ms']:.0f} ms)")

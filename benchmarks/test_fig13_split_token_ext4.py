@@ -4,19 +4,16 @@ Paper: A's standard deviation across B's workloads drops to ~7 MB,
 about 6x better than SCS-Token's 41 MB.
 """
 
-from repro.experiments import fig06_scs_isolation, fig13_split_token_ext4
+from repro.experiments.runner import run_experiments
 from repro.units import KB, MB
 
 RUN_SIZES = (4 * KB, 64 * KB, 1 * MB, 16 * MB)
 
 
 def test_fig13_split_token_ext4(once):
-    def both():
-        scs = fig06_scs_isolation.run(run_sizes=RUN_SIZES, duration=15.0)
-        split = fig13_split_token_ext4.run(run_sizes=RUN_SIZES, duration=15.0)
-        return scs, split
-
-    scs, split = once(both)
+    overrides = {"run_sizes": RUN_SIZES, "duration": 15.0}
+    outcomes = once(run_experiments, [("fig06", overrides), ("fig13", overrides)])
+    scs, split = outcomes["fig06"].result, outcomes["fig13"].result
 
     print("\nFigure 13 — Split-Token isolation (vs Figure 6's SCS)")
     print(f"{'B run size':>10} {'A | B reads':>12} {'A | B writes':>13}")

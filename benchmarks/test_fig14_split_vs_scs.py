@@ -6,11 +6,9 @@ badly on random patterns.  For B itself, Split is 2.3x faster on
 overwrites as if they were disk I/O).
 """
 
-from repro.experiments import fig14_split_vs_scs
 
-
-def test_fig14_split_vs_scs(once):
-    result = once(fig14_split_vs_scs.run, duration=10.0)
+def test_fig14_split_vs_scs(figure):
+    result = figure("fig14", duration=10.0)
 
     print("\nFigure 14 — A isolation (left) and B throughput (right)")
     print(f"{'B workload':>11} | {'A scs':>7} {'A split':>8} | {'B scs':>8} {'B split':>9}")

@@ -6,15 +6,11 @@ through the CPU once there are enough of them — I/O scheduling cannot
 fix CPU interference.
 """
 
-from repro.experiments import fig15_scalability
-
 THREADS = (1, 32, 256)
 
 
-def test_fig15_scalability(once):
-    result = once(
-        fig15_scalability.run, thread_counts=THREADS, duration=6.0, cores=2
-    )
+def test_fig15_scalability(figure):
+    result = figure("fig15", thread_counts=THREADS, duration=6.0, cores=2)
 
     print("\nFigure 15 — A's MB/s vs B thread count")
     header = " ".join(f"{t:>7}" for t in result["threads"])

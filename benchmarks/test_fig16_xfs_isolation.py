@@ -4,14 +4,13 @@ Paper: data-intensive isolation still holds (A's deviation 12.8 MB) —
 generic buffer tagging alone covers data-dominated workloads.
 """
 
-from repro.experiments import fig16_xfs_isolation
 from repro.units import KB, MB
 
 RUN_SIZES = (4 * KB, 64 * KB, 1 * MB, 16 * MB)
 
 
-def test_fig16_xfs_isolation(once):
-    result = once(fig16_xfs_isolation.run, run_sizes=RUN_SIZES, duration=15.0)
+def test_fig16_xfs_isolation(figure):
+    result = figure("fig16", run_sizes=RUN_SIZES, duration=15.0)
 
     print("\nFigure 16 — Split-Token on XFS (data-intensive)")
     print(f"{'B run size':>10} {'A | B reads':>12} {'A | B writes':>13}")

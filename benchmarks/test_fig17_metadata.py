@@ -6,11 +6,9 @@ is unattributable, B escapes its limit, and A's throughput tracks B's
 create rate.
 """
 
-from repro.experiments import fig17_metadata
 
-
-def test_fig17_metadata(once):
-    result = once(fig17_metadata.run, duration=10.0)
+def test_fig17_metadata(figure):
+    result = figure("fig17", duration=10.0)
 
     print("\nFigure 17 — reader A vs metadata-storm B (throttled)")
     print(f"{'sleep ms':>8} {'ext4 A':>8} {'xfs A':>8} {'ext4 B cr/s':>12} {'xfs B cr/s':>11}")

@@ -6,15 +6,14 @@ short of the (cap/3)x7 upper bound because of block-placement load
 imbalance, and a 16 MB block size closes most of the gap vs 64 MB.
 """
 
-from repro.experiments import fig21_hdfs
 from repro.units import MB
 
 RATE_CAPS = (8 * MB, 64 * MB)
 
 
-def test_fig21_hdfs(once):
-    result = once(
-        fig21_hdfs.run,
+def test_fig21_hdfs(figure):
+    result = figure(
+        "fig21",
         rate_caps=RATE_CAPS,
         block_sizes=(64 * MB, 16 * MB),
         duration=15.0,

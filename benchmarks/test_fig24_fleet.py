@@ -7,15 +7,14 @@ scale.  The reduced sweep here keeps the same shape as the paper-scale
 one (8→64 DataNodes, up to 1024 streams) at CI-friendly size.
 """
 
-from repro.experiments import fig24_fleet
 from repro.units import MB
 
 FLEET_SIZES = (8, 16, 24)
 
 
-def test_fig24_fleet(once):
-    result = once(
-        fig24_fleet.run,
+def test_fig24_fleet(figure):
+    result = figure(
+        "fig24",
         fleet_sizes=FLEET_SIZES,
         tenants_count=8,
         rate_per_node=2 * MB,

@@ -18,7 +18,7 @@ import sys
 from typing import Any, Dict
 
 from repro.experiments import EXPERIMENTS
-from repro.experiments.export import _jsonable
+from repro.experiments.export import _jsonable, with_faults
 
 
 def _parse_override(text: str) -> Any:
@@ -80,19 +80,6 @@ def _cli_session(args):
     )
 
 
-def _with_faults(outcome):
-    """*outcome*'s result, plus a ``_faults`` section when the session
-    ran a fault plan."""
-    from repro.experiments import common
-
-    result = outcome.result
-    if common.session().fault is None:
-        return result
-    if isinstance(result, dict):
-        return dict(result, _faults=outcome.faults)
-    return {"result": result, "_faults": outcome.faults}
-
-
 def cmd_run(args) -> int:
     entry = EXPERIMENTS.get(args.experiment)
     if entry is None:
@@ -109,7 +96,7 @@ def cmd_run(args) -> int:
         outcome = runner.run_experiment(
             args.experiment, overrides, jobs=_resolve_jobs(args.jobs)
         )
-        result = _with_faults(outcome)
+        result = with_faults(outcome)
     if args.trace is not None:
         _write_trace(args.trace, args.experiment, outcome.spans)
     json.dump(_jsonable(result), sys.stdout, indent=2)
@@ -149,21 +136,23 @@ def cmd_run_all(args) -> int:
             jobs=jobs,
             progress=lambda line: print(line, file=sys.stderr),
         )
-        combined = {key: _with_faults(outcomes[key]) for key in keys}
-    elapsed = time.perf_counter() - started  # simlint: disable=SIM001 (host wall time)
+        elapsed = time.perf_counter() - started  # simlint: disable=SIM001 (host wall time)
 
-    if args.trace is not None:
-        for key in keys:
-            _write_trace(args.trace, key, outcomes[key].spans)
+        if args.trace is not None:
+            for key in keys:
+                _write_trace(args.trace, key, outcomes[key].spans)
 
-    if args.out:
-        from repro.experiments.export import write_results
+        # Both outputs report under the run's session, so a fault plan's
+        # ``_faults`` section reaches the files as well as stdout.
+        if args.out:
+            from repro.experiments.export import write_results
 
-        written = write_results(args.out, {key: outcomes[key] for key in keys})
-        print(f"wrote {len(written)} result files to {args.out}", file=sys.stderr)
-    else:
-        json.dump(_jsonable(combined), sys.stdout, indent=2)
-        print()
+            written = write_results(args.out, outcomes)
+            print(f"wrote {len(written)} result files to {args.out}", file=sys.stderr)
+        else:
+            json.dump(_jsonable({key: with_faults(outcomes[key]) for key in keys}),
+                      sys.stdout, indent=2)
+            print()
     # Summed cell time over wall time is the *average concurrency*
     # achieved, not a true speedup: per-cell times are measured inside
     # (possibly contended) workers, so comparing against a dedicated

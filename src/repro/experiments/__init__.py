@@ -1,12 +1,14 @@
 """Experiment drivers: one module per figure/table of the paper.
 
-Every module exposes ``run(...)`` returning a plain dict of results
+Every module declares its figure either as ``cells()`` + ``merge()``
+or as one ``run(...)``, returning a plain dict of results
 (JSON-friendly), with parameters defaulting to the scaled-down
-simulation equivalents of the paper's setup.  The benchmark suite under
-``benchmarks/`` executes them at full scale and prints the same
-rows/series the paper reports; the test suite runs them at reduced
-scale and asserts the paper's qualitative findings (who wins, rough
-factors, crossovers).
+simulation equivalents of the paper's setup; either way it runs
+through :func:`repro.experiments.runner.run_experiment`.  The
+benchmark suite under ``benchmarks/`` executes them at full scale and
+prints the same rows/series the paper reports; the test suite runs
+them at reduced scale and asserts the paper's qualitative findings
+(who wins, rough factors, crossovers).
 """
 
 from repro.experiments import common

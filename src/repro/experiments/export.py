@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, common
 
 
 def _jsonable(value: Any) -> Any:
@@ -29,12 +29,25 @@ def _jsonable(value: Any) -> Any:
     return repr(value)
 
 
+def with_faults(outcome) -> Any:
+    """*outcome*'s result, plus a ``_faults`` section when the session
+    ran a fault plan."""
+    result = outcome.result
+    if common.session().fault is None:
+        return result
+    if isinstance(result, dict):
+        return dict(result, _faults=outcome.faults)
+    return {"result": result, "_faults": outcome.faults}
+
+
 def write_results(out_dir, outcomes: Dict[str, Any]) -> Dict[str, str]:
     """Write ``<key>.json`` + ``REPORT.md`` for already-run experiments.
 
     *outcomes* maps experiment id to a
     :class:`~repro.experiments.runner.ExperimentResult`; returns a map
-    of experiment id -> written path.  ``wall_seconds`` is the summed
+    of experiment id -> written path.  Each ``result`` is
+    :func:`with_faults` under the current session, the same value
+    ``python -m repro run`` prints.  ``wall_seconds`` is the summed
     cell time (the serial-equivalent cost), so a payload does not
     depend on ``jobs``.
     """
@@ -49,7 +62,7 @@ def write_results(out_dir, outcomes: Dict[str, Any]) -> Dict[str, str]:
             "experiment": key,
             "title": title,
             "wall_seconds": seconds,
-            "result": _jsonable(outcome.result),
+            "result": _jsonable(with_faults(outcome)),
         }
         target = out_path / f"{key}.json"
         target.write_text(json.dumps(payload, indent=2) + "\n")

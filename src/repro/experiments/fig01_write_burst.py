@@ -99,7 +99,3 @@ def cells(**kwargs):
 
 def merge(pairs, **kwargs) -> Dict[str, Dict]:
     return dict(pairs)
-
-
-def run_comparison(**kwargs) -> Dict[str, Dict]:
-    return merge([(label, run(**cell_kwargs)) for label, _func, cell_kwargs in cells(**kwargs)])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.isolation import merge_sweep, run_sweep, sweep_cells
+from repro.experiments.isolation import merge_sweep, sweep_cells
 from repro.units import KB, MB
 
 DEFAULT_RUN_SIZES = (4 * KB, 16 * KB, 64 * KB, 256 * KB, 1 * MB, 4 * MB, 16 * MB)
@@ -23,11 +23,3 @@ def cells(run_sizes: List[int] = DEFAULT_RUN_SIZES, rate_limit: float = 10 * MB,
 
 def merge(pairs, run_sizes: List[int] = DEFAULT_RUN_SIZES, rate_limit: float = 10 * MB, **kwargs) -> Dict:
     return merge_sweep(pairs, list(run_sizes), modes=kwargs.get("modes", ("read", "write")))
-
-
-def run(
-    run_sizes: List[int] = DEFAULT_RUN_SIZES,
-    rate_limit: float = 10 * MB,
-    **kwargs,
-) -> Dict:
-    return run_sweep("scs", list(run_sizes), rate_limit, **kwargs)

@@ -148,7 +148,3 @@ def merge(pairs, **kwargs) -> Dict[str, Dict[str, Dict]]:
         panel, scheduler = label.split(":")
         merged.setdefault(panel, {})[scheduler] = result
     return merged
-
-
-def run_comparison(**kwargs) -> Dict[str, Dict[str, Dict]]:
-    return merge([(label, run(**cell_kwargs)) for label, _func, cell_kwargs in cells(**kwargs)])

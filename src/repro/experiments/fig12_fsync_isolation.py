@@ -113,9 +113,3 @@ def cells(device: str = "hdd", **kwargs):
 
 def merge(pairs, **kwargs) -> Dict[str, Dict]:
     return dict(pairs)
-
-
-def run_comparison(device: str = "hdd", **kwargs) -> Dict[str, Dict]:
-    return merge(
-        [(label, run(**cell_kwargs)) for label, _func, cell_kwargs in cells(device=device, **kwargs)]
-    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.experiments.fig06_scs_isolation import DEFAULT_RUN_SIZES
-from repro.experiments.isolation import merge_sweep, run_sweep, sweep_cells
+from repro.experiments.isolation import merge_sweep, sweep_cells
 from repro.units import MB
 
 
@@ -21,11 +21,3 @@ def cells(run_sizes: List[int] = DEFAULT_RUN_SIZES, rate_limit: float = 10 * MB,
 
 def merge(pairs, run_sizes: List[int] = DEFAULT_RUN_SIZES, rate_limit: float = 10 * MB, **kwargs) -> Dict:
     return merge_sweep(pairs, list(run_sizes), modes=kwargs.get("modes", ("read", "write")))
-
-
-def run(
-    run_sizes: List[int] = DEFAULT_RUN_SIZES,
-    rate_limit: float = 10 * MB,
-    **kwargs,
-) -> Dict:
-    return run_sweep("split", list(run_sizes), rate_limit, **kwargs)

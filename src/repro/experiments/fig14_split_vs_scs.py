@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.isolation import SIX_WORKLOADS, run_pair
+from repro.experiments.isolation import SIX_WORKLOADS
 from repro.units import MB
 
 
@@ -58,15 +58,3 @@ def merge(
             speedup = split / scs if scs > 0 else float("inf")
             results[f"{workload.replace('-', '_')}_speedup"] = speedup
     return results
-
-
-def run(
-    rate_limit: float = 1 * MB,
-    duration: float = 15.0,
-    workloads=SIX_WORKLOADS,
-    **kwargs,
-) -> Dict:
-    """Returns per-workload A and B throughput for both schedulers."""
-    cell_list = cells(rate_limit=rate_limit, duration=duration, workloads=workloads, **kwargs)
-    pairs = [(label, run_pair(**cell_kwargs)) for label, _func, cell_kwargs in cell_list]
-    return merge(pairs, rate_limit=rate_limit, duration=duration, workloads=workloads, **kwargs)

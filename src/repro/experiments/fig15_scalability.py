@@ -88,13 +88,3 @@ def merge(pairs, thread_counts: List[int] = (1, 32, 256), workloads=WORKLOADS, *
     for workload in workloads:
         results[workload] = [next(ordered)[1]["a_mbps"] for _count in thread_counts]
     return results
-
-
-def run(
-    thread_counts: List[int] = (1, 32, 256),
-    workloads=WORKLOADS,
-    **kwargs,
-) -> Dict:
-    cell_list = cells(thread_counts=thread_counts, workloads=workloads, **kwargs)
-    pairs = [(label, run_cell(**cell_kwargs)) for label, _func, cell_kwargs in cell_list]
-    return merge(pairs, thread_counts=thread_counts, workloads=workloads, **kwargs)

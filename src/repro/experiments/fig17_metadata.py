@@ -92,13 +92,3 @@ def merge(
         results[f"{fs_name}_a_mbps"] = [c["a_mbps"] for c in fs_cells]
         results[f"{fs_name}_creates_per_sec"] = [c["b_creates_per_sec"] for c in fs_cells]
     return results
-
-
-def run(
-    sleeps: List[float] = (0.0, 0.002, 0.008, 0.032),
-    filesystems=("ext4", "xfs"),
-    **kwargs,
-) -> Dict:
-    cell_list = cells(sleeps=sleeps, filesystems=filesystems, **kwargs)
-    pairs = [(label, run_cell(**cell_kwargs)) for label, _func, cell_kwargs in cell_list]
-    return merge(pairs, sleeps=sleeps, filesystems=filesystems, **kwargs)

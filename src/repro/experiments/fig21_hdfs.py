@@ -70,7 +70,7 @@ def cells(
     block_sizes: List[int] = (64 * MB, 16 * MB),
     **kwargs,
 ) -> List:
-    """One cell per (block size, rate cap) point, in run() order."""
+    """One cell per (block size, rate cap) point, in output order."""
     out = []
     for block_size in block_sizes:
         for cap in rate_caps:
@@ -86,7 +86,7 @@ def merge(
     block_sizes: List[int] = (64 * MB, 16 * MB),
     **_kwargs,
 ) -> Dict:
-    """Reassemble cell results into run()'s output shape."""
+    """Reassemble cell results into the figure's output."""
     results: Dict = {"rate_caps_mb": [cap / MB for cap in rate_caps]}
     flat = [result for _label, result in pairs]
     cursor = 0
@@ -95,16 +95,3 @@ def merge(
         results[key] = flat[cursor : cursor + len(rate_caps)]
         cursor += len(rate_caps)
     return results
-
-
-def run(
-    rate_caps: List[float] = (4 * MB, 8 * MB, 16 * MB, 32 * MB),
-    block_sizes: List[int] = (64 * MB, 16 * MB),
-    **kwargs,
-) -> Dict:
-    """The whole figure, sequentially (the runner fans out cells())."""
-    pairs = [
-        (label, run_cell(**cell_kwargs))
-        for label, _func, cell_kwargs in cells(rate_caps, block_sizes, **kwargs)
-    ]
-    return merge(pairs, rate_caps, block_sizes)

@@ -163,7 +163,7 @@ def cells(
 
 
 def merge(pairs, depths: List[int] = DEFAULT_DEPTHS, **_ignored) -> Dict:
-    """Reassemble ordered (label, cell) pairs into run()'s output."""
+    """Reassemble ordered (label, cell) pairs into the figure's output."""
     depths = list(depths)
     ordered = iter(pairs)
     throughput = [cell for _label, cell in (next(ordered) for _ in depths)]
@@ -181,13 +181,3 @@ def merge(pairs, depths: List[int] = DEFAULT_DEPTHS, **_ignored) -> Dict:
             "b_target_mbps": isolation[0]["b_target_mbps"],
         },
     }
-
-
-def run(depths: List[int] = DEFAULT_DEPTHS, **kwargs) -> Dict:
-    """The whole sweep in-process (the CLI fans cells out instead)."""
-    cell_list = cells(depths=list(depths), **kwargs)
-    module = globals()
-    pairs = [
-        (label, module[func](**cell_kwargs)) for label, func, cell_kwargs in cell_list
-    ]
-    return merge(pairs, depths=list(depths), **kwargs)

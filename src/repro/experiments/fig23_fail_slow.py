@@ -170,7 +170,7 @@ def merge(
     depths: List[int] = DEFAULT_DEPTHS,
     **_ignored,
 ) -> Dict:
-    """Reassemble ordered (label, cell) pairs into run()'s output."""
+    """Reassemble ordered (label, cell) pairs into the figure's output."""
     severities = list(severities)
     depths = list(depths)
     ordered = iter(pairs)
@@ -199,19 +199,3 @@ def merge(
             "b_target_mbps": healthy["b_target_mbps"],
         },
     }
-
-
-def run(
-    severities: List[float] = DEFAULT_SEVERITIES,
-    depths: List[int] = DEFAULT_DEPTHS,
-    **kwargs,
-) -> Dict:
-    """The whole sweep in-process (the CLI fans cells out instead)."""
-    from repro.experiments.runner import call_cell
-
-    cell_list = cells(severities=list(severities), depths=list(depths), **kwargs)
-    pairs = [
-        (label, call_cell("repro.experiments.fig23_fail_slow", func, cell_kwargs))
-        for label, func, cell_kwargs in cell_list
-    ]
-    return merge(pairs, severities=list(severities), depths=list(depths), **kwargs)

@@ -95,7 +95,7 @@ def cells(
 
 
 def merge(pairs: List, fleet_sizes: List[int] = DEFAULT_FLEET_SIZES, **_kwargs) -> Dict:
-    """Reassemble per-fleet-size cells into run()'s output shape."""
+    """Reassemble per-fleet-size cells into the figure's output."""
     points = [result for _label, result in pairs]
     return {
         "fleet_sizes": list(fleet_sizes),
@@ -103,12 +103,3 @@ def merge(pairs: List, fleet_sizes: List[int] = DEFAULT_FLEET_SIZES, **_kwargs) 
         "isolation_cv": [p["isolation_cv"] for p in points],
         "chunk_p99_ms": [p["chunk_p99_ms"] for p in points],
     }
-
-
-def run(fleet_sizes: List[int] = DEFAULT_FLEET_SIZES, **kwargs) -> Dict:
-    """The whole sweep, sequentially (the runner fans out cells())."""
-    pairs = [
-        (label, run_cell(**cell_kwargs))
-        for label, _func, cell_kwargs in cells(fleet_sizes, **kwargs)
-    ]
-    return merge(pairs, fleet_sizes)

@@ -171,7 +171,7 @@ def cells(
 
 
 def merge(pairs, schedulers: List[str] = DEFAULT_SCHEDULERS, **_ignored) -> Dict:
-    """Reassemble ordered (label, cell) pairs into run()'s output."""
+    """Reassemble ordered (label, cell) pairs into the figure's output."""
     schedulers = list(schedulers)
     ordered = iter(pairs)
     points = []
@@ -190,14 +190,3 @@ def merge(pairs, schedulers: List[str] = DEFAULT_SCHEDULERS, **_ignored) -> Dict
         "points": points,
         "retention": {p["scheduler"]: p["retention"] for p in points},
     }
-
-
-def run(schedulers: List[str] = DEFAULT_SCHEDULERS, **kwargs) -> Dict:
-    """The whole figure in-process (the CLI fans cells out instead)."""
-    cell_list = cells(schedulers=list(schedulers), **kwargs)
-    namespace = globals()
-    pairs = [
-        (label, namespace[func](**cell_kwargs))
-        for label, func, cell_kwargs in cell_list
-    ]
-    return merge(pairs, schedulers=list(schedulers), **kwargs)

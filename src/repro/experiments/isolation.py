@@ -131,7 +131,7 @@ def merge_sweep(
     run_sizes: List[int],
     modes: Tuple[str, ...] = ("read", "write"),
 ) -> Dict:
-    """Reassemble ordered (label, cell) pairs into run_sweep's output."""
+    """Reassemble ordered (label, cell) pairs into the sweep's output."""
     a_rates: Dict[str, List[float]] = {mode: [] for mode in modes}
     b_rates: Dict[str, List[float]] = {mode: [] for mode in modes}
     ordered = iter(pairs)
@@ -148,22 +148,6 @@ def merge_sweep(
         "a_stdev_mb": statistics.pstdev(all_a),
         "a_mean_mb": statistics.mean(all_a),
     }
-
-
-def run_sweep(
-    scheduler_kind: str,
-    run_sizes: List[int],
-    rate_limit: float,
-    modes: Tuple[str, ...] = ("read", "write"),
-    **kwargs,
-) -> Dict:
-    """Figures 6/13/16: B does R-byte runs (reads and writes); report
-    A's throughput per workload and its standard deviation."""
-    cell_list = sweep_cells(scheduler_kind, run_sizes, rate_limit, modes=modes, **kwargs)
-    pairs = [
-        (label, _run_pattern_cell(**cell_kwargs)) for label, _func, cell_kwargs in cell_list
-    ]
-    return merge_sweep(pairs, run_sizes, modes=modes)
 
 
 def _run_pattern_cell(

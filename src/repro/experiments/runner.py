@@ -15,13 +15,14 @@ An experiment module opts into cell-level fan-out by defining::
         return [("cfq", "run", {"scheduler": "cfq"}), ...]
 
     def merge(pairs, **overrides):
-        # pairs is [(label, result), ...] in cells() order; must
-        # rebuild exactly what run()/run_comparison() would return.
+        # pairs is [(label, result), ...] in cells() order; what this
+        # returns *is* the experiment's output.
         return dict(pairs)
 
-Modules without ``cells()`` run as a single opaque cell (the whole
-``run_comparison``/``run`` call), which still parallelises across
-experiments in ``run-all``.
+Modules without ``cells()`` run as a single opaque cell (their whole
+``run`` call), which still parallelises across experiments in
+``run-all``.  :func:`run_experiment` is the one library entry point
+for running a figure: no module loops over its own cells.
 
 Determinism rules:
 
@@ -33,9 +34,9 @@ Determinism rules:
   each pool worker installs a copy once, so the ``--fault-*``-style
   flags apply under fan-out.  The runner reads the session and never
   writes it in the caller's process;
-- each cell drains its own fault summaries and spans, which are
-  concatenated in cell order — again matching the sequential order of
-  stack creation.
+- each cell drains its own fault summaries and spans, whether it
+  returns or raises, and they are concatenated in cell order — again
+  matching the sequential order of stack creation.
 """
 
 from __future__ import annotations
@@ -61,20 +62,25 @@ class Cell(NamedTuple):
 class ExperimentResult(NamedTuple):
     """Merged outcome of one experiment's cells."""
 
-    result: Any  # what run()/run_comparison() would have returned
+    result: Any  # the module's merge() output (or its one run() cell's)
     faults: List[Dict]  # fault summaries, in stack-creation order
     seconds: float  # summed cell wall-clock (serial-equivalent time)
     spans: List[Dict] = []  # lifecycle spans (with session trace), cell order
 
 
-def call_cell(default_module: str, func: str, kwargs: Dict[str, Any]) -> Any:
-    """Resolve and invoke a cell function by name."""
+def cell_function(default_module: str, func: str) -> Callable[..., Any]:
+    """Resolve a cell's function name to the function itself."""
     if ":" in func:
         module_name, func_name = func.split(":", 1)
     else:
         module_name, func_name = default_module, func
     module = importlib.import_module(module_name)
-    return getattr(module, func_name)(**kwargs)
+    return getattr(module, func_name)
+
+
+def call_cell(default_module: str, func: str, kwargs: Dict[str, Any]) -> Any:
+    """Resolve and invoke a cell function by name."""
+    return cell_function(default_module, func)(**kwargs)
 
 
 def experiment_cells(key: str, overrides: Optional[Dict[str, Any]] = None) -> List[Cell]:
@@ -87,8 +93,7 @@ def experiment_cells(key: str, overrides: Optional[Dict[str, Any]] = None) -> Li
     overrides = dict(overrides or {})
     cells_fn = getattr(module, "cells", None)
     if cells_fn is None:
-        func = "run_comparison" if hasattr(module, "run_comparison") else "run"
-        return [Cell(key, key, module_name, func, overrides)]
+        return [Cell(key, key, module_name, "run", overrides)]
     return [
         Cell(key, label, module_name, func, kwargs)
         for label, func, kwargs in cells_fn(**overrides)
@@ -111,11 +116,14 @@ def merge_cell_results(
 
 
 def _execute_cell(default_module: str, func: str, kwargs: Dict[str, Any]):
-    """Run one cell; drain the fault summaries and spans its stacks produced."""
+    """Run one cell; drain the fault summaries and spans its stacks
+    produced, also when it raises, so none leak into the next cell."""
     started = time.perf_counter()  # simlint: disable=SIM001 (host wall time, not sim time)
-    result = call_cell(default_module, func, kwargs)
-    faults = common.drain_fault_summaries()
-    spans = common.drain_spans()
+    try:
+        result = call_cell(default_module, func, kwargs)
+    finally:
+        faults = common.drain_fault_summaries()
+        spans = common.drain_spans()
     return result, faults, spans, time.perf_counter() - started  # simlint: disable=SIM001 (host wall time)
 
 

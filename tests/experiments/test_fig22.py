@@ -27,7 +27,7 @@ SCALED = dict(
 
 @pytest.fixture(scope="module")
 def result():
-    return fig22.run(**SCALED)
+    return runner.run_experiment("fig22", SCALED).result
 
 
 def test_depth_scales_throughput(result):
@@ -50,14 +50,13 @@ def test_isolation_holds_at_every_depth(result):
     assert a32 == pytest.approx(a1, rel=0.01)
 
 
-def test_serial_and_parallel_identical_at_depth():
+def test_serial_and_parallel_identical_at_depth(result):
     """Worker processes rebuild depth>1 stacks from serialized
     StackConfigs; the merged JSON must match a serial run byte for
     byte."""
-    serial = runner.run_experiment("fig22", SCALED, jobs=1)
     parallel = runner.run_experiment("fig22", SCALED, jobs=2)
-    fingerprint = lambda o: json.dumps(_jsonable(o.result), sort_keys=True)  # noqa: E731
-    assert fingerprint(serial) == fingerprint(parallel)
+    fingerprint = lambda r: json.dumps(_jsonable(r), sort_keys=True)  # noqa: E731
+    assert fingerprint(result) == fingerprint(parallel.result)
 
 
 def test_cells_carry_serialized_configs():

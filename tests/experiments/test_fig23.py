@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.cli import _jsonable
-from repro.experiments import fig23_fail_slow as fig23
 from repro.experiments import runner
 
 #: Reduced sweep: the two severity extremes, depth 1 vs 4, a short
@@ -28,7 +27,7 @@ SCALED = dict(
 
 @pytest.fixture(scope="module")
 def result():
-    return fig23.run(**SCALED)
+    return runner.run_experiment("fig23", SCALED).result
 
 
 def test_hedging_cuts_failslow_p99_at_depth(result):

@@ -4,8 +4,8 @@ Pins the figure's claim: when a parquet-style scan and a random-read
 dataset loader — both ordinary file-API code running through the
 reprofs frontend — contend on one disk, Split-Token's rate contract on
 the loader preserves the scan's solo bandwidth while CFQ round-robins
-it away.  Also pins the runner contract (cells fan out and merge back
-to the in-process result).
+it away.  Also pins the runner contract (cells fanned out to workers
+merge back to the inline result).
 """
 
 import pytest
@@ -34,7 +34,7 @@ SCALED = dict(
 
 @pytest.fixture(scope="module")
 def result():
-    return fig25.run(**SCALED)
+    return runner.run_experiment("fig25", SCALED).result
 
 
 def test_split_token_retains_scan_bandwidth(result):
@@ -71,6 +71,6 @@ def test_cells_carry_serialized_configs():
 
 def test_serial_and_parallel_identical(result):
     # Worker processes rebuild stacks (and their reprofs tenants) from
-    # serialized StackConfigs; the merged result must match in-process.
+    # serialized StackConfigs; the merged result must match inline.
     parallel = runner.run_experiment("fig25", SCALED, jobs=2)
     assert parallel.result["retention"] == pytest.approx(result["retention"])

@@ -66,13 +66,17 @@ def test_unknown_experiment_raises():
         runner.run_experiment("fig99")
 
 
-def test_experiment_run_matches_runner_serial():
-    """The module's own run() and the runner agree (same cells+merge)."""
-    from repro.experiments import fig13_split_token_ext4 as fig13
-
-    direct = fig13.run(**SCALED["fig13"])
-    routed = runner.run_experiment("fig13", SCALED["fig13"], jobs=1)
-    assert _jsonable(direct) == _jsonable(routed.result)
+def test_failed_cell_leaks_no_faults_or_spans():
+    """A cell that raises after building a fault-injected, traced stack
+    must not hand that stack's summary or spans to the next run."""
+    with common.using(fault=(FaultPlan(read_error_prob=0.001), 0), trace=True):
+        clean = runner.run_experiment("fig03", {"duration": 1.0})
+        with pytest.raises(ValueError, match="unknown workload"):
+            runner.run_experiment("fig14", {"workloads": ["bogus"], "duration": 0.5})
+        after = runner.run_experiment("fig03", {"duration": 1.0})
+    assert len(after.faults) == 1
+    assert _fingerprint(after) == _fingerprint(clean)
+    assert after.spans == clean.spans
 
 
 def test_cells_fallback_for_module_without_cells():

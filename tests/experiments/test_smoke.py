@@ -111,11 +111,24 @@ def test_fig21_smoke():
 
 
 def test_registry_modules_importable():
+    """Every registered module is runnable by the runner: it declares
+    ``cells()`` + ``merge()`` or else one ``run()``, and every cell it
+    declares at default overrides names a function that accepts the
+    cell's arguments (resolved and bound, never run)."""
     import importlib
+    import inspect
 
-    from repro.experiments import EXPERIMENTS
+    from repro.experiments import EXPERIMENTS, runner
 
     for key, (module_name, title) in EXPERIMENTS.items():
         module = importlib.import_module(module_name)
-        assert hasattr(module, "run"), f"{key} lacks run()"
         assert title
+        if hasattr(module, "cells"):
+            assert callable(getattr(module, "merge", None)), f"{key} has cells() but no merge()"
+        else:
+            assert callable(getattr(module, "run", None)), f"{key} lacks cells() and run()"
+        cells = runner.experiment_cells(key)
+        assert cells, f"{key} declares no cells"
+        for cell in cells:
+            func = runner.cell_function(cell.module, cell.func)
+            inspect.signature(func).bind(**cell.kwargs)

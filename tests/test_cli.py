@@ -73,6 +73,25 @@ def test_run_all_out_writes_json_and_report(tmp_path, capsys, monkeypatch):
     )
 
 
+def test_run_all_out_writes_the_faults_run_prints(tmp_path, capsys, monkeypatch):
+    # Under a fault plan, <key>.json holds the same result, _faults
+    # included, that `run` prints for the same flags.
+    import functools
+
+    from repro.experiments import fig09_time_overhead as fig09
+
+    monkeypatch.setattr(
+        fig09, "run", functools.partial(fig09.run, thread_counts=[1], duration=0.5)
+    )
+    flags = ["--fault-read-error-prob", "0.01", "--jobs", "1"]
+    assert main(["run", "fig09", *flags]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["_faults"]
+    assert main(["run-all", "--only", "fig09", *flags, "--out", str(tmp_path)]) == 0
+    written = json.loads((tmp_path / "fig09.json").read_text())
+    assert written["result"] == printed
+
+
 def test_lint_clean_path_exits_zero(tmp_path, capsys):
     ok = tmp_path / "ok.py"
     ok.write_text("def f(env):\n    return env.now\n")

@@ -199,17 +199,20 @@ class StackSanitizer:
       allocated are exactly those the files' block maps hold (named
       files plus unlinked-but-open ones), so no block leaks and none
       is freed twice;
-    - **dirty-page blocks and hints**: each page of a completed write
-      that is still the cache's dirty page at its key has either no
-      disk block or its file's block-map entry, and its live dirty-run
-      hint lists exactly the cache's dirty pages at the hint's
-      indices, all with one cause set object (and all with a block if
-      the hint says so) — what lets an overwrite skip block work;
-    - **cleaned pages**: after a write that did not fail, no page of it
+    - **dirty runs**: each file's dirty runs are non-empty, sorted and
+      disjoint, and the age list holds exactly the indexed runs; their
+      pages make up the cache's dirty count, and their page tags (with
+      those a crash lost) the tag manager's count and bytes (a run's
+      pages share one cause set, so each costs that set's tag); a run in flight is listed in the
+      write carrying it, and one not in flight is in none;
+    - **dirty-run blocks**: each run of a completed write that is still
+      in the cache has either no disk block or its file's block-map
+      entries across all its pages — what lets an overwrite skip block
+      work;
+    - **cleaned runs**: after a write that did not fail, no run of it
       is under writeback, and each one neither dirtied again mid-flight
-      nor freed is clean — out of the dirty pages, holding no tag, and
-      in a clean extent on its disk block unless the cache, full, evicted
-      it at once.
+      nor freed is clean — out of the dirty runs and in clean extents
+      on its disk blocks unless the cache, full, evicted it at once.
     """
 
     #: Relative slack for float token accounting.
@@ -276,92 +279,121 @@ class StackSanitizer:
         self._check_page_cache()
         self._check_cpu()
         self._check_blocks()
-        request = event.request
-        pages = getattr(request, "pages", None)
-        if pages:
-            self._check_written_pages(pages, completed=not request.failed)
+        runs = getattr(event.request, "runs", None)
+        if runs:
+            self._check_written_runs(runs, completed=not event.request.failed)
+        self._check_dirty_runs()
 
-    def _check_written_pages(self, pages, completed: bool) -> None:
-        fs, cache = self.machine.fs, self.machine.cache
-        current = cache._pages
-        checked = set()
-        for page in pages:
-            key = page.key
-            if page.under_writeback:
-                self._fail(
-                    "written-page violation: a page is still under "
-                    "writeback after its write finished",
-                    page=tuple(key),
-                )
-            if current.get(key) is not page:
-                if completed and not page.dirty:
-                    self._check_cleaned(page)
-                continue  # cleaned, or freed while in flight
-            if completed and not page.redirtied:
-                self._fail(
-                    "written-page violation: a page neither dirtied again "
-                    "nor freed while its write was in flight is still dirty",
-                    page=tuple(key),
-                )
-            block = page.disk_block
-            if block is not None:
-                inode = fs.inode_by_id(key.inode_id)
-                mapped = None if inode is None else inode.block_map.get(key.index)
-                if block != mapped:
+    def _check_dirty_runs(self) -> None:
+        cache = self.machine.cache
+        indexed = 0
+        for inode_id, (starts, runs) in cache._dirty.files.items():
+            previous = None
+            for start, run in zip(starts, runs):
+                if (
+                    run.inode_id != inode_id
+                    or run.start != start
+                    or run.start >= run.stop
+                    or (previous is not None and previous.stop > run.start)
+                    or run.next is None
+                    or not run.dirty
+                    or (run.batch is not None) != run.under_writeback
+                    or (run.batch is not None and all(r is not run for r in run.batch))
+                ):
                     self._fail(
-                        "dirty-page block violation: a dirty page's disk "
-                        "block is not its file's block-map entry",
-                        page=tuple(key),
+                        "dirty-run violation: a file's runs overlap or are out "
+                        "of order, a run left the age list, or its writeback "
+                        "state disagrees with the write carrying it",
+                        run=(inode_id, run.start, run.stop),
+                    )
+                previous = run
+            indexed += len(runs)
+        aged = pages = cost = 0
+        tags = cache.tags
+        for run in cache.dirty_runs():
+            aged += 1
+            pages += len(run)
+            cost += len(run) * tags.tag_cost(run.causes)
+        if (
+            aged != indexed
+            or pages != cache.dirty_pages
+            or tags._page_tags != pages + cache.lost_tags
+            or tags.bytes_allocated
+            != cost + cache.lost_tag_bytes + sum(tags._allocations.values())
+        ):
+            self._fail(
+                "dirty-run violation: the age list and the per-file index "
+                "disagree, or the runs' pages and tags disagree with the "
+                "cache's and tag manager's counts",
+                aged=aged,
+                indexed=indexed,
+                pages=pages,
+                dirty=cache.dirty_pages,
+                page_tags=tags._page_tags,
+                bytes_allocated=tags.bytes_allocated,
+                run_tag_bytes=cost,
+            )
+
+    def _check_written_runs(self, runs, completed: bool) -> None:
+        fs = self.machine.fs
+        for run in runs:
+            where = (run.inode_id, run.start, run.stop)
+            if run.under_writeback:
+                self._fail(
+                    "written-run violation: a run is still under "
+                    "writeback after its write finished",
+                    run=where,
+                )
+            if run.next is None:
+                if completed and not run.dirty:
+                    self._check_cleaned(run)
+                continue  # cleaned, or freed while in flight
+            if completed and not run.redirtied:
+                self._fail(
+                    "written-run violation: a run neither dirtied again "
+                    "nor freed while its write was in flight is still dirty",
+                    run=where,
+                )
+            block = run.disk_block
+            if block is not None:
+                inode = fs.inode_by_id(run.inode_id)
+                mapped = None if inode is None else inode.block_map.runs(run.start, run.stop)
+                if mapped != [(run.start, block, len(run))]:
+                    self._fail(
+                        "dirty-run block violation: a dirty run's disk "
+                        "blocks are not its file's block-map entries",
+                        run=where,
                         disk_block=block,
                         mapped=mapped,
                     )
-            hint = page.hint
-            # Live hints of one file are disjoint: a start names one.
-            if hint is None or not hint.live or (key.inode_id, hint.start) in checked:
-                continue
-            checked.add((key.inode_id, hint.start))
-            causes = hint.pages[0].causes
-            for offset, listed in enumerate(hint.pages):
-                index = hint.start + offset
-                if (
-                    current.get((key.inode_id, index)) is not listed
-                    or listed.hint is not hint
-                    or listed.causes is not causes
-                ):
-                    self._fail(
-                        "dirty-run hint violation: a live hint does not list "
-                        "the cache's dirty pages of one cause set",
-                        page=(key.inode_id, index),
-                        hint_start=hint.start,
-                        hint_pages=len(hint.pages),
-                    )
-                if hint.allocated and listed.disk_block is None:
-                    self._fail(
-                        "dirty-run hint violation: a hint marked allocated "
-                        "lists a page without a disk block",
-                        page=(key.inode_id, index),
-                        hint_start=hint.start,
-                    )
 
-    def _check_cleaned(self, page) -> None:
-        """A page its completed write cleaned: out of the dirty pages,
-        holding no tag, and in a clean extent on its disk block, unless
-        the cache was full enough to evict it at once."""
+    def _check_cleaned(self, run) -> None:
+        """A run its completed write cleaned: out of the dirty runs and
+        in clean extents on its disk blocks, unless the cache was full
+        enough to evict it at once."""
         cache = self.machine.cache
-        inode_id, index = key = page.key
-        extent = cache._locate(inode_id, index, index + 1)[1]
-        if extent is None:
-            misplaced = len(cache) < cache.capacity_pages
-        else:
-            misplaced = extent.block_of(index) != page.disk_block
-        tag = cache.tags._allocations.get(id(page))  # its cost, if still tagged
-        if key in cache._pages or tag is not None or misplaced:
+        inode_id = run.inode_id
+        misplaced = False
+        index = run.start
+        while index < run.stop and not misplaced:
+            end, extent = cache._locate(inode_id, index, run.stop)
+            clean_block = None if extent is None else extent.block_of(index)
+            if extent is None:
+                misplaced = len(cache) < cache.capacity_pages
+            else:
+                misplaced = clean_block != run.block_of(index)
+            if not misplaced:
+                index = end
+        if misplaced or cache._dirty.covering(inode_id, run.start, run.stop):
+            if not misplaced:
+                index, clean_block = run.start, None  # still dirty: name its first page
             self._fail(
-                "cleaned-page violation: a page its write cleaned is still "
-                "dirty, still holds a tag, or is not clean on its disk block",
-                page=tuple(key),
-                disk_block=page.disk_block,
-                clean_block=None if extent is None else extent.block_of(index),
+                "cleaned-run violation: a run its write cleaned is still "
+                "dirty or is not clean on its disk blocks",
+                run=(inode_id, run.start, run.stop),
+                page=index,
+                disk_block=run.block_of(index),
+                clean_block=clean_block,
             )
 
     def _check_blocks(self) -> None:

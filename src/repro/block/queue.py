@@ -383,17 +383,17 @@ class BlockQueue:
                 # Failed writes re-dirty their pages: the data never
                 # reached the device, so the cache must keep it dirty
                 # for a later flush attempt.
-                for page in request.pages:
-                    page.write_failed()
+                for run in request.runs:
+                    run.write_failed()
                 self.scheduler.request_failed(request)
             else:
                 self.completed += 1
                 self._account(request)
-                pages = request.pages
-                if pages:
+                runs = request.runs
+                if runs:
                     # One cache call cleans the whole write (a request's
-                    # pages are all of one page cache).
-                    pages[0].cache.write_completed(pages)
+                    # runs are all of one page cache).
+                    runs[0].cache.write_completed(runs)
                 self.scheduler.request_completed(request)
             if self._sub_complete:
                 self.bus.publish(BlockComplete(self.env.now, request))

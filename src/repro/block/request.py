@@ -37,7 +37,7 @@ class BlockRequest:
         "causes",
         "sync",
         "metadata",
-        "pages",
+        "runs",
         "submit_time",
         "dispatch_time",
         "complete_time",
@@ -61,7 +61,7 @@ class BlockRequest:
         causes: CauseSet = EMPTY_CAUSES,
         sync: bool = False,
         metadata: bool = False,
-        pages: Optional[List[Any]] = None,
+        runs: Optional[List[Any]] = None,
     ):
         if op not in (READ, WRITE):
             raise ValueError(f"op must be 'read' or 'write', got {op!r}")
@@ -77,8 +77,9 @@ class BlockRequest:
         self.sync = sync
         #: Journal / metadata write.
         self.metadata = metadata
-        #: Pages this write flushes (cleaned on completion).
-        self.pages = pages or []
+        #: Dirty runs this write flushes, in block order (cleaned on
+        #: completion; a run split while in flight adds its piece here).
+        self.runs = runs if runs is not None else []
         self.submit_time: Optional[float] = None
         self.dispatch_time: Optional[float] = None
         self.complete_time: Optional[float] = None

@@ -1,4 +1,4 @@
-"""Page cache: pages, dirty tracking, and the writeback daemon.
+"""Page cache: clean extents, dirty runs, and the writeback daemon.
 
 Reproduces the Linux behaviours the paper hinges on: writes are absorbed
 by the cache and flushed much later by a kernel *proxy* task (pdflush),
@@ -7,8 +7,8 @@ dirty data is bounded by the ``dirty_background_ratio`` /
 pages older than ``dirty_expire`` are flushed on the periodic wakeup.
 """
 
-from repro.cache.page import Page, PageKey
+from repro.cache.page import DirtyRun, PageKey
 from repro.cache.cache import PageCache
 from repro.cache.writeback import WritebackDaemon, WritebackConfig
 
-__all__ = ["Page", "PageCache", "PageKey", "WritebackConfig", "WritebackDaemon"]
+__all__ = ["DirtyRun", "PageCache", "PageKey", "WritebackConfig", "WritebackDaemon"]

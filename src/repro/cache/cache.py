@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
-from itertools import filterfalse, islice
-from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.cache.page import Page, PageKey
+from repro.cache.extents import CleanExtents
+from repro.cache.page import DirtyRun, DirtyRuns, PageKey
 from repro.core.tags import EMPTY_CAUSES, CauseSet, TagManager
 from repro.obs.bus import PageCleaned, PageDirtied, PageFreed, StackBus
 from repro.units import GB, PAGE_SIZE
@@ -19,56 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
 
-_under_writeback = attrgetter("under_writeback")
-
-
-class _Extent:
-    """Clean pages ``start..stop-1`` of one file, adjacent in LRU order.
-
-    The pages sit on disk blocks ``block..block+n-1``, or are
-    zero-filled sparse pages when *block* is None.  An extent holds no
-    per-page state, so trimming or splitting it is O(1).  ``prev`` and
-    ``next`` link the cache's LRU list.
-    """
-
-    __slots__ = ("inode_id", "start", "stop", "block", "prev", "next")
-
-    def __init__(self, inode_id: int, start: int, stop: int, block: Optional[int]):
-        self.inode_id = inode_id
-        self.start = start
-        self.stop = stop
-        self.block = block
-
-    def block_of(self, index: int) -> Optional[int]:
-        block = self.block
-        return None if block is None else block + index - self.start
-
-
-class _DirtyRun:
-    """A hint: dirty pages ``start..start+len(pages)-1`` of one file,
-    all sharing one cause set object.
-
-    Each listed page points back here through ``Page.hint``.  While
-    ``live``, *pages* are exactly the cache's dirty pages at those
-    indices, so an overwrite run inside the hint is a slice of it
-    instead of a page-by-page scan.  Removing one of its pages (clean
-    or free) or changing the set of some of them kills the hint in
-    O(1); its other pages keep pointing at the dead hint until a later
-    scanned run gives them a new one.  ``allocated`` records that every
-    listed page has a disk block, so an overwrite inside the hint has
-    no block work to do.
-    """
-
-    __slots__ = ("start", "pages", "live", "allocated")
-
-    def __init__(self, start: int, pages: List[Page], allocated: bool):
-        self.start = start
-        self.pages = pages
-        self.live = True
-        self.allocated = allocated
-
-
-class PageCache:
+class PageCache(CleanExtents):
     """An LRU page cache with dirty-page accounting and split hooks.
 
     The split framework's memory-level hooks (`buffer-dirty`,
@@ -80,11 +29,16 @@ class PageCache:
     exactly the information gap the paper describes.
 
     Clean pages carry no identity the schedulers read, so they live in
-    an LRU list of *extents* (runs of clean pages of one file, adjacent
-    in LRU order, on consecutive disk blocks), not as one entry each.
-    Expanding the extents front to back gives the exact page order of a
-    per-page LRU, so hits, misses and evictions are those of one; a cold
-    streaming read costs O(extents) list operations, not O(pages).
+    an LRU list of extents (:class:`CleanExtents`): hits, misses and
+    evictions are those of a per-page LRU, and a cold streaming read
+    costs O(extents) list operations, not O(pages).
+
+    Dirty pages live the same way, as :class:`DirtyRun` objects: pages
+    of one file dirtied together, sharing causes, birth time, block run
+    and writeback state.  Births, overwrites, writeback, completion and
+    frees cost O(runs); an operation that reaches part of a run splits
+    it first.  Expanding the age list front to back gives the exact
+    page order of a per-page dirty list.
     """
 
     def __init__(
@@ -96,24 +50,16 @@ class PageCache:
     ):
         if memory_bytes < PAGE_SIZE:
             raise ValueError("cache must hold at least one page")
+        CleanExtents.__init__(self)
         self.env = env
         self.tags = tags
         self.memory_bytes = memory_bytes
         self.capacity_pages = memory_bytes // PAGE_SIZE
-        #: Dirty pages (including those under writeback), the only
-        #: pages that exist as :class:`Page` objects.  Insertion order
-        #: is age order: a page enters on its clean->dirty transition.
-        self._pages: Dict[PageKey, Page] = {}
-        #: Sentinel of the circular LRU list of clean extents: ``next``
-        #: is the least recently used, ``prev`` the newest.  Only clean
-        #: pages are evictable, so eviction pops and trims from the front.
-        self._lru = _Extent(-1, 0, 0, None)
-        self._lru.prev = self._lru.next = self._lru
-        #: Per file: the sorted starts of its clean extents, beside the
-        #: extents themselves (plain ints, so ``bisect`` runs in C).
-        self._extents: Dict[int, Tuple[List[int], List[_Extent]]] = {}
-        self._clean_pages = 0
-        self._dirty_by_inode: Dict[int, "OrderedDict[PageKey, None]"] = {}
+        #: Dirty pages (including those under writeback), as runs.
+        self._dirty = DirtyRuns(self)
+        #: Page tags and their bytes lost with dirty runs in a crash
+        #: (:meth:`drop_volatile`): they stay allocated.
+        self.lost_tags = self.lost_tag_bytes = 0
         self.dirty_bytes = 0
         #: The stack event bus (shared with the rest of the stack when
         #: assembled by the OS; private when constructed standalone).
@@ -132,15 +78,11 @@ class PageCache:
     # -- queries ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._pages) + self._clean_pages
+        return self._dirty.pages + self._clean_pages
 
     @property
     def dirty_pages(self) -> int:
-        return len(self._pages)
-
-    @property
-    def clean_pages(self) -> int:
-        return self._clean_pages
+        return self._dirty.pages
 
     @property
     def dirty_fraction(self) -> float:
@@ -148,53 +90,63 @@ class PageCache:
 
     def contains(self, key: PageKey) -> bool:
         inode_id, index = key
-        return key in self._pages or self._locate(inode_id, index, index + 1)[1] is not None
+        return (
+            self.dirty_run(key) is not None
+            or self._locate(inode_id, index, index + 1)[1] is not None
+        )
 
     def contains_range(self, inode_id: int, first: int, stop: int) -> bool:
         """Whether every page ``first..stop-1`` of a file is cached,
         dirty or clean: clean extents answer for their runs, and only
-        the gaps between them are checked page by page."""
-        pages = self._pages
+        the gaps between them are checked against the dirty runs."""
         index = first
         while index < stop:
             end, extent = self._locate(inode_id, index, stop)
-            if extent is None and not all((inode_id, i) in pages for i in range(index, end)):
-                return False
+            if extent is None:
+                covered = index
+                for run in self._dirty.covering(inode_id, index, end):
+                    if run.start > covered:
+                        return False
+                    covered = run.stop
+                if covered < end:
+                    return False
             index = end
         return True
 
-    def clean_keys(self) -> Iterator[PageKey]:
-        """Keys of the clean pages in LRU order, next eviction victim
-        first (read-only: do not mutate the cache while iterating)."""
-        lru = self._lru
-        extent = lru.next
-        while extent is not lru:
-            for index in range(extent.start, extent.stop):
-                yield PageKey(extent.inode_id, index)
-            extent = extent.next
+    def dirty_run(self, key: PageKey) -> Optional[DirtyRun]:
+        """The dirty run holding page *key*, or None if it is not dirty."""
+        return self._dirty.find(*key)
 
-    def dirty_pages_of(self, inode_id: int) -> List[Page]:
-        """All dirty pages of one file, in file order."""
-        index = self._dirty_by_inode.get(inode_id)
-        if not index:
+    def dirty_runs(self) -> Iterator[DirtyRun]:
+        """Every dirty run, under writeback or not, oldest first
+        (read-only: do not mutate the cache while iterating)."""
+        return iter(self._dirty)
+
+    def dirty_pages_of(self, inode_id: int, limit: Optional[int] = None) -> List[DirtyRun]:
+        """The dirty runs of one file not under writeback, in file
+        order; with *limit*, only its first *limit* pages (the run
+        reaching past it is cut there)."""
+        entry = self._dirty.files.get(inode_id)
+        if entry is None:
             return []
-        pages = self._pages
-        return [
-            page for page in map(pages.__getitem__, sorted(index)) if not page.under_writeback
-        ]
+        return self._dirty.first_pages([run for run in entry[1] if not run.under_writeback], limit)
 
     def dirty_bytes_of(self, inode_id: int) -> int:
         """Dirty bytes of one file (including pages under writeback)."""
-        index = self._dirty_by_inode.get(inode_id)
-        return len(index) * PAGE_SIZE if index else 0
+        entry = self._dirty.files.get(inode_id)
+        return sum(map(len, entry[1])) * PAGE_SIZE if entry else 0
 
-    def iter_dirty_by_age(self) -> Iterator[Page]:
-        """Dirty pages not under writeback, oldest first, lazily."""
-        return filterfalse(_under_writeback, self._pages.values())
+    def iter_dirty_by_age(self) -> Iterator[DirtyRun]:
+        """Dirty runs not under writeback, oldest first, lazily."""
+        for run in self._dirty:
+            if not run.under_writeback:
+                yield run
 
-    def dirty_pages_by_age(self, limit: Optional[int] = None) -> List[Page]:
-        """Dirty pages not under writeback, oldest first."""
-        return list(islice(self.iter_dirty_by_age(), limit))
+    def dirty_pages_by_age(self, limit: Optional[int] = None) -> List[DirtyRun]:
+        """Dirty runs not under writeback, oldest first; with *limit*,
+        only the oldest *limit* pages (the run reaching past it is cut
+        there)."""
+        return self._dirty.oldest(limit)
 
     # -- mutation ----------------------------------------------------------
 
@@ -216,8 +168,7 @@ class PageCache:
         reports the uncached pages that have a disk block: it touches
         and counts nothing.
         """
-        pages = self._pages
-        dirty = inode_id in self._dirty_by_inode
+        dirty = inode_id in self._dirty.files
         mapped = block_map.runs
         missing: List["Run"] = []
         hits = 0
@@ -231,16 +182,16 @@ class PageCache:
                 index = end
                 continue
             # A gap: no page here is clean; a dirty one is a hit, and
-            # the uncached pages between dirty ones are looked up apart.
+            # the uncached pages between dirty runs are looked up apart.
             if dirty:
                 pieces = []
                 lo = index
-                for i in range(index, end):
-                    if (inode_id, i) in pages:
-                        if lo < i:
-                            pieces.append((lo, i))
-                        lo = i + 1
-                        hits += 1
+                for run in self._dirty.covering(inode_id, index, end):
+                    start = max(run.start, index)
+                    if lo < start:
+                        pieces.append((lo, start))
+                    lo = min(run.stop, end)
+                    hits += lo - start
                 if lo < end:
                     pieces.append((lo, end))
             else:
@@ -294,147 +245,208 @@ class PageCache:
         block_map: Optional["BlockMap"],
         task: "Task",
         causes: Optional[CauseSet] = None,
-    ) -> Optional[Page]:
+    ) -> Optional[DirtyRun]:
         """Dirty pages ``first..stop-1`` of a file on behalf of *task*
         (*causes* is *task*'s current cause set, if the caller already
         looked it up).
 
         This is the buffered write path's one cache call.  Pages are
-        dirtied in file order, in *runs*: consecutive pages that carried
-        the same cause set object before this write (pages born
-        clean->dirty form runs with the empty set).  An uncached page is
-        born (and may evict a clean one) as on its own; an already-dirty
-        page counts as an overwrite, and its run merges *task*'s causes
-        into the old set once, so all its pages share the merged set.
-        Each run then re-prices its pages' tags with one call and
-        publishes one buffer-dirty event with its old causes, so a
-        scheduler can skip overwrites or shift accounting to the last
-        writer if its policy wants that (§4.2).  After its run's event,
-        the run's pages take their disk blocks from the extents of
-        *block_map* there (a page outside them keeps its allocation
-        delayed; without a *block_map*, every page keeps its block).
-        Returns the last page dirtied.
+        dirtied in file order, in *stretches*: consecutive pages that
+        carried the same cause set object before this write (pages born
+        clean->dirty form stretches with the empty set).  An uncached
+        page is born (and may evict a clean one) as on its own; an
+        already-dirty page counts as an overwrite, and its stretch
+        merges *task*'s causes into the old set once, so all its pages
+        share the merged set.  Each stretch then re-prices its pages'
+        tags with one call and publishes one buffer-dirty event with its
+        old causes, so a scheduler can skip overwrites or shift
+        accounting to the last writer if its policy wants that (§4.2).
+        After its stretch's event, the stretch's pages take their disk
+        blocks from the extents of *block_map* there (a page outside
+        them keeps its allocation delayed; without a *block_map*, every
+        page keeps its block).  Returns the dirty run holding the last
+        page.
 
-        Births go a stretch at a time: a clean stretch leaves its extent
-        with one take, and an uncached stretch evicts once after its
-        pages are born.  A born page is dirty, never in the clean LRU,
-        so births cannot reorder the LRU front: evicting once after the
-        stretch pops the same pages as evicting after each birth, and
-        the next stretch is located after that eviction, as the next
-        page would be.
+        A stretch of births becomes one new run per piece of
+        consecutive disk blocks (one run for an append).  Births go an
+        extent at a time: a clean piece leaves its extent with one
+        take, and an uncached piece evicts once after its pages are
+        born.  A born page is dirty, never in the clean LRU, so births
+        cannot reorder the LRU front: evicting once after the piece
+        pops the same pages as evicting after each birth, and the next
+        piece is located after that eviction, as the next page would
+        be.  Births whose pages all left clean extents with disk blocks
+        do no block work: a clean page's block is its file's block-map
+        entry.
 
-        An overwrite run takes the pages of a live dirty-run hint as
-        one slice.  A run that merged a new writer into its set, or had
-        to be scanned page by page, gets a new hint over its pages.  A
-        run made only of allocated hints' pages does no block work: a
-        dirty page's block, once set, is its file's block-map entry, so
-        taking the map's blocks again would change nothing.
+        An overwrite stretch splits the runs at its ends only if it
+        changes them (a new writer, or a run under writeback, which it
+        re-dirties); an overwrite by the run's own writer costs one
+        lookup.  A stretch of runs that all have disk blocks does no
+        block work either: a dirty page's block, once set, is its
+        file's block-map entry.
         """
         if causes is None:
             causes = self.tags.current_causes(task)
-        pages, by_inode = self._pages, self._dirty_by_inode
-        account_tags, subscribers = self.tags.account_tags, self._sub_dirtied
-        now = self.env.now
-        run: List[Page] = []
+        if stop == first + 1:
+            return self._dirty_one(inode_id, first, block_map, causes)
+        files = self._dirty.files
         index = first
         while index < stop:
-            start = index
-            run = []
-            page = pages.get((inode_id, index))
-            if page is None:
-                # Births: the clean (or uncached) pages up to the next dirty one.
-                old_causes = EMPTY_CAUSES
-                merged = causes
-                dirty = by_inode.get(inode_id)
-                if dirty is None:
-                    dirty = by_inode[inode_id] = OrderedDict()
-                while True:
-                    end, extent = self._locate(inode_id, index, stop)
-                    if extent is None:
-                        block = None
-                    else:
-                        block = extent.block_of(index)
-                        self._take(extent, index, end)
-                    while True:
-                        key = PageKey(inode_id, index)
-                        page = pages[key] = Page(key, self, block, causes, now)
-                        dirty[key] = None
-                        run.append(page)
-                        index += 1
-                        if block is not None:
-                            block += 1
-                        # A clean stretch holds no dirty page.
-                        if index == end or (extent is None and (inode_id, index) in pages):
-                            break
-                    if extent is None:
-                        self._maybe_evict()
-                    if index == stop or (inode_id, index) in pages:
-                        break
-                self.dirty_bytes += PAGE_SIZE * len(run)
-                hints = ()
-                fresh = None
-                allocated = False
+            entry = files.get(inode_id)
+            if entry is None:
+                index = self._births(inode_id, index, stop, block_map, causes, None)
+                continue
+            starts, runs = entry
+            j = bisect_right(starts, index) - 1
+            if j >= 0 and index < runs[j].stop:
+                index = self._overwrite(runs, j, index, stop, block_map, causes)
             else:
-                # Overwrites: the dirty pages that share this page's set,
-                # a live hint's pages as one slice, others one by one.
-                old_causes = page.causes
-                merged = old_causes | causes
-                hints = []
-                scanned = False
-                allocated = True
-                while True:
-                    hint = page.hint
-                    if hint is not None and hint.live:
-                        offset = hint.start
-                        end = offset + len(hint.pages)
-                        if end > stop:
-                            end = stop
-                        run += hint.pages[index - offset:end - offset]
-                        hints.append(hint)
-                        if not hint.allocated:
-                            allocated = False
-                        index = end
-                    else:
-                        run.append(page)
-                        scanned = True
-                        allocated = False
-                        index += 1
-                    if index == stop:
-                        break
-                    page = pages.get((inode_id, index))
-                    if page is None or page.causes is not old_causes:
-                        break
-                for page in run:
-                    if page.under_writeback:
-                        page.redirtied = True
-                self.overwrites += len(run)
-                fresh = None
-                if scanned or merged is not old_causes:
-                    for hint in hints:
-                        hint.live = False
-                    fresh = _DirtyRun(start, run, allocated)
-                    for page in run:
-                        page.causes = merged
-                        page.hint = fresh
-            if merged is not old_causes:
-                account_tags(run, merged)
-            if subscribers:
-                self.bus.publish(PageDirtied(now, tuple(run), old_causes))
-            if not allocated:
-                if block_map is not None:
-                    for i, block, count in block_map.runs(start, index):
-                        for page in run[i - start:i - start + count]:
-                            page.disk_block = block
-                            block += 1
-                if fresh is not None:
-                    fresh.allocated = all(page.disk_block is not None for page in run)
-                else:
-                    for hint in hints:
-                        if not hint.allocated:
-                            hint.allocated = all(page.disk_block is not None for page in hint.pages)
-        return run[-1] if run else None
+                # The births stretch ends at the file's next dirty run.
+                j += 1
+                end = starts[j] if j < len(starts) and starts[j] < stop else stop
+                index = self._births(inode_id, index, end, block_map, causes, entry)
+        return self._dirty.find(inode_id, stop - 1) if first < stop else None
 
-    def mark_dirty(self, key: PageKey, task: "Task") -> Page:
+    def _dirty_one(self, inode_id, index, block_map, causes) -> DirtyRun:
+        """:meth:`mark_dirty_range` over page *index* alone: the same
+        event, tags and blocks, without the stretch bookkeeping."""
+        dirty = self._dirty
+        entry = dirty.files.get(inode_id)
+        if entry is None:
+            entry = dirty.files[inode_id] = ([], [])
+            at = 0
+        else:
+            starts, runs = entry
+            at = bisect_right(starts, index)
+            if at and index < runs[at - 1].stop:
+                run = runs[at - 1]
+                old = run.causes
+                merged = old | causes
+                self.overwrites += 1
+                if merged is not old or run.under_writeback:
+                    if run.stop - run.start > 1:
+                        run = dirty.isolate(inode_id, index, index + 1)[0]
+                    if run.under_writeback:
+                        run.redirtied = True
+                    if merged is not old:
+                        run.causes = merged
+                        self.tags.account_tags(1, merged, old)
+                if self._sub_dirtied:
+                    self.bus.publish(
+                        PageDirtied(self.env.now, inode_id, index, index + 1, merged, old)
+                    )
+                if run.disk_block is None and block_map is not None:
+                    block = block_map.get(index)
+                    if block is not None:
+                        run = dirty.assign(inode_id, index, block)
+                return run
+        now = self.env.now
+        extent = self._locate(inode_id, index, index + 1)[1]
+        if extent is None:
+            block = None
+        else:
+            block = extent.block_of(index)
+            self._take(extent, index, index + 1)
+        run = DirtyRun(inode_id, index, index + 1, self, block, causes, now)
+        dirty.add(entry, at, run)
+        self.dirty_bytes += PAGE_SIZE
+        if extent is None:
+            self._maybe_evict()
+        self.tags.account_tags(1, causes)
+        if self._sub_dirtied:
+            self.bus.publish(PageDirtied(now, inode_id, index, index + 1, causes, EMPTY_CAUSES))
+        if block is None and block_map is not None:
+            run.disk_block = block_map.get(index)
+        return run
+
+    def _births(self, inode_id, first, stop, block_map, causes, entry) -> int:
+        """Dirty the uncached or clean pages ``first..stop-1``."""
+        now = self.env.now
+        born: List[DirtyRun] = []
+        dirty = self._dirty
+        if entry is None:
+            entry = dirty.files[inode_id] = ([], [])
+        at = bisect_left(entry[0], first)
+        from_extents = True
+        index = first
+        while index < stop:
+            end, extent = self._locate(inode_id, index, stop)
+            if extent is None:
+                block = None
+                from_extents = False
+            else:
+                block = extent.block_of(index)
+                self._take(extent, index, end)
+                if block is None:
+                    from_extents = False
+            last = born[-1] if born else None
+            if last is not None and (
+                block is None if last.disk_block is None
+                else block == last.disk_block + index - last.start
+            ):
+                last.stop = end  # continues the previous piece on disk
+                dirty.pages += end - index
+            else:
+                run = DirtyRun(inode_id, index, end, self, block, causes, now)
+                dirty.add(entry, at, run)
+                at += 1
+                born.append(run)
+            self.dirty_bytes += PAGE_SIZE * (end - index)
+            index = end
+            if extent is None:
+                self._maybe_evict()
+        self.tags.account_tags(stop - first, causes)
+        if self._sub_dirtied:
+            self.bus.publish(PageDirtied(now, inode_id, first, stop, causes, EMPTY_CAUSES))
+        if block_map is not None and not from_extents:
+            dirty.take_blocks(inode_id, first, stop, block_map)
+        return stop
+
+    def _overwrite(self, runs, j, index, stop, block_map, causes) -> int:
+        """Overwrite the dirty runs from ``runs[j]`` (holding page
+        *index*) on that share its cause set object, up to *stop*;
+        returns where the stretch ends."""
+        run = runs[j]
+        old = run.causes
+        merged = old | causes
+        stretch = [run]
+        end = run.stop
+        last = len(runs) - 1
+        while end < stop and j < last:
+            j += 1
+            run = runs[j]
+            if run.start != end or run.causes is not old:
+                break
+            stretch.append(run)
+            end = run.stop
+        if end > stop:
+            end = stop
+        self.overwrites += end - index
+        changed = merged is not old
+        if changed or any(run.under_writeback for run in stretch):
+            head = stretch[0]
+            if head.start < index and (changed or head.under_writeback):
+                stretch[0] = self._dirty.split(head, index)
+            tail = stretch[-1]
+            if tail.stop > end and (changed or tail.under_writeback):
+                self._dirty.split(tail, end)
+            for run in stretch:
+                if run.under_writeback:
+                    run.redirtied = True
+                if changed:
+                    run.causes = merged
+            if changed:
+                self.tags.account_tags(end - index, merged, old)
+        if self._sub_dirtied:
+            self.bus.publish(
+                PageDirtied(self.env.now, stretch[0].inode_id, index, end, merged, old)
+            )
+        if block_map is not None and any(run.disk_block is None for run in stretch):
+            self._dirty.take_blocks(stretch[0].inode_id, index, end, block_map)
+        return end
+
+    def mark_dirty(self, key: PageKey, task: "Task") -> DirtyRun:
         """Dirty one page: :meth:`mark_dirty_range` over *key* alone,
         leaving its disk block as it is."""
         return self.mark_dirty_range(key.inode_id, key.index, key.index + 1, None, task)
@@ -442,20 +454,18 @@ class PageCache:
     def assign_block(self, inode_id: int, index: int, block: int) -> None:
         """A dirty page waiting for delayed allocation takes *block*,
         which its file just allocated for it (an O_DIRECT write)."""
-        page = self._pages.get((inode_id, index))
-        if page is not None and page.disk_block is None:
-            page.disk_block = block
+        self._dirty.assign(inode_id, index, block)
 
-    def write_completed(self, pages: List[Page]) -> None:
-        """The block write carrying *pages* finished (block-layer callback).
+    def write_completed(self, runs: List[DirtyRun]) -> None:
+        """The block write carrying *runs* finished (block-layer callback).
 
-        Each page, in request order, leaves writeback.  One re-dirtied
+        Each run, in request order, leaves writeback.  One re-dirtied
         while its write was in flight stays dirty.  One the cache no
         longer holds (freed or dropped while in flight) is ignored: its
-        accounting already left with it, and a newer page may now hold
-        the same key.  The rest turn clean: their tags are released with
-        one call, they join the MRU end as one extent per run of
-        consecutive indices on consecutive blocks, ``PageCleaned`` is
+        accounting already left with it, and a newer run may now hold
+        the same pages.  The rest turn clean: their tags are released,
+        they join the MRU end as extents (the newest extent grows when
+        a run continues it in file and on disk), ``PageCleaned`` is
         published for each in order, and the LRU front is evicted once.
 
         Cleaning moves a page from dirty to clean, so the cache's length
@@ -465,117 +475,53 @@ class PageCache:
         evicting after each clean (the argument of
         :meth:`insert_clean_run`).
         """
-        current, by_inode = self._pages, self._dirty_by_inode
-        append = self._append
+        append, release = self._append, self.tags.release_tags
         cleaned = []
-        # The run of cleaned pages not yet appended: file, indices
-        # start..stop-1, first disk block.
-        run_inode = run_start = run_stop = run_block = None
-        for page in pages:
-            page.under_writeback = False
-            if page.redirtied:
-                continue  # still dirty: it was modified mid-flight
-            key = page.key
-            if not page.dirty or current.get(key) is not page:
-                continue
-            page.dirty = False
-            page.dirtied_at = None
-            page.causes = EMPTY_CAUSES
-            if page.hint is not None:
-                page.hint.live = False
-            del current[key]
-            inode_id, index = key
-            dirty = by_inode[inode_id]
-            del dirty[key]
-            if not dirty:
-                del by_inode[inode_id]
-            cleaned.append(page)
-            block = page.disk_block
-            if (
-                index == run_stop
-                and inode_id == run_inode
-                and (block is None if run_block is None else block == run_block + index - run_start)
-            ):
-                run_stop += 1
-            else:
-                if run_inode is not None:
-                    append(run_inode, run_start, run_stop, run_block)
-                run_inode, run_start, run_stop, run_block = inode_id, index, index + 1, block
+        for run in runs:
+            run.under_writeback = False
+            run.batch = None
+            if run.redirtied or run.next is None:
+                continue  # modified mid-flight, or no longer cached
+            self._unlink(run)
+            run.dirty = False
+            release(len(run), run.causes)
+            run.causes = EMPTY_CAUSES
+            run.dirtied_at = None
+            append(run.inode_id, run.start, run.stop, run.disk_block)
+            cleaned.append(run)
         if cleaned:
-            append(run_inode, run_start, run_stop, run_block)
-            self.dirty_bytes -= PAGE_SIZE * len(cleaned)
-            self.tags.release_tags(cleaned)
             if self._sub_cleaned:
                 now = self.env.now
-                for page in cleaned:
-                    self.bus.publish(PageCleaned(now, page))
+                for run in cleaned:
+                    self.bus.publish(PageCleaned(now, run.inode_id, run.start, run.stop))
             self._maybe_evict()
 
     def free(self, key: PageKey) -> None:
-        """Drop a page (file deletion / truncation).
-
-        A dirty page freed before writeback fires the buffer-free hook:
-        the work disappeared, and schedulers may refund its cost.
-        """
-        page = self._pages.pop(key, None)
-        if page is None:
-            inode_id, index = key
-            extent = self._locate(inode_id, index, index + 1)[1]
-            if extent is not None:
-                self._take(extent, index, index + 1)
-            return
-        if page.hint is not None:
-            page.hint.live = False
-        self._discard_dirty(key)
-        self.dirty_bytes -= PAGE_SIZE
-        self.tags.release_tag(page)
-        if self._sub_freed:
-            self.bus.publish(PageFreed(self.env.now, page))
+        """Drop a page (file deletion / truncation): :meth:`free_range`
+        over *key* alone."""
+        self.free_range(key.inode_id, key.index, key.index + 1)
 
     def free_range(self, inode_id: int, first: int, stop: int) -> None:
         """Drop pages ``first..stop-1`` of a file (truncation): the clean
-        extents there are cut out whole, then dirty pages are freed as
-        :meth:`free` would, in index order."""
+        extents there are cut out whole, then the dirty runs there are
+        freed in index order.
+
+        A dirty run freed before writeback fires the buffer-free hook:
+        the work disappeared, and schedulers may refund its cost.
+        """
         index = first
         while index < stop:
             end, extent = self._locate(inode_id, index, stop)
             if extent is not None:
                 self._take(extent, index, end)
             index = end
-        dirty = self._dirty_by_inode.get(inode_id)
-        if dirty:
-            for key in sorted(key for key in dirty if first <= key.index < stop):
-                self.free(key)
-
-    def _discard_dirty(self, key: PageKey) -> None:
-        index = self._dirty_by_inode.get(key.inode_id)
-        if index is not None:
-            index.pop(key, None)
-            if not index:
-                del self._dirty_by_inode[key.inode_id]
-
-    def drop_volatile(self) -> int:
-        """Simulate power loss: every cached page vanishes, no hooks.
-
-        DRAM contents are gone, so dirty pages are lost *without*
-        firing buffer-free hooks or releasing tags — there is no
-        orderly teardown in a crash.  Their dirty-run hints become
-        unreachable with them.  Returns the number of pages dropped.
-        Only meaningful on a halted environment.
-        """
-        count = len(self)
-        self._pages.clear()
-        self._lru.prev = self._lru.next = self._lru
-        self._extents.clear()
-        self._clean_pages = 0
-        self._dirty_by_inode.clear()
-        self.dirty_bytes = 0
-        return count
+        for run in self._dirty.isolate(inode_id, first, stop):
+            self._free(run)
 
     def free_file(self, inode_id: int) -> int:
         """Drop every cached page of a file; returns count freed.
 
-        Dirty pages are freed (and publish :class:`PageFreed`) oldest
+        Dirty runs are freed (and publish :class:`PageFreed`) oldest
         first.
         """
         clean = 0
@@ -584,104 +530,52 @@ class PageCache:
             extent.next.prev = extent.prev
             clean += extent.stop - extent.start
         self._clean_pages -= clean
-        dirty = list(self._dirty_by_inode.get(inode_id, ()))
-        for key in dirty:
-            self.free(key)
-        return clean + len(dirty)
+        dirty = 0
+        if inode_id in self._dirty.files:
+            for run in [run for run in self._dirty if run.inode_id == inode_id]:
+                dirty += len(run)
+                self._free(run)
+        return clean + dirty
 
-    # -- clean extents -----------------------------------------------------
+    def drop_volatile(self) -> int:
+        """Simulate power loss: every cached page vanishes, no hooks.
 
-    def _locate(
-        self, inode_id: int, index: int, stop: int
-    ) -> Tuple[int, Optional[_Extent]]:
-        """The run of pages from *index* (up to *stop*) in one state:
-        ``(end, extent)`` if page *index* is clean in *extent*, else
-        ``(end, None)`` up to the file's next clean extent."""
-        entry = self._extents.get(inode_id)
-        if entry is None:
-            return stop, None
-        starts, extents = entry
-        j = bisect_right(starts, index)
-        if j:
-            extent = extents[j - 1]
-            if index < extent.stop:
-                return min(extent.stop, stop), extent
-        if j < len(starts) and starts[j] < stop:
-            return starts[j], None
-        return stop, None
+        DRAM contents are gone, so dirty pages are lost *without*
+        firing buffer-free hooks or releasing tags — there is no
+        orderly teardown in a crash.  Returns the number of pages
+        dropped.  Only meaningful on a halted environment.
+        """
+        count = len(self)
+        cost = self.tags.tag_cost
+        for run in self._dirty.clear():
+            self.lost_tags += len(run)
+            self.lost_tag_bytes += len(run) * cost(run.causes)
+        self._lru.prev = self._lru.next = self._lru
+        self._extents.clear()
+        self._clean_pages = 0
+        self.dirty_bytes = 0
+        return count
 
-    def _append(self, inode_id: int, start: int, stop: int, block: Optional[int]) -> None:
-        """Add uncached pages ``start..stop-1`` (on blocks ``block..``)
-        at the MRU end, extending the newest extent if they continue it
-        in file, index and block."""
-        lru = self._lru
-        tail = lru.prev
-        if (
-            tail.stop == start
-            and tail.inode_id == inode_id
-            and (block is None if tail.block is None else tail.block + start - tail.start == block)
-        ):
-            tail.stop = stop
-        else:
-            extent = _Extent(inode_id, start, stop, block)
-            extent.prev = tail
-            extent.next = lru
-            tail.next = lru.prev = extent
-            entry = self._extents.get(inode_id)
-            if entry is None:
-                self._extents[inode_id] = ([start], [extent])
-            else:
-                starts, extents = entry
-                j = bisect_left(starts, start)
-                starts.insert(j, start)
-                extents.insert(j, extent)
-        self._clean_pages += stop - start
+    # -- dirty runs ----------------------------------------------------------
 
-    def _take(self, extent: _Extent, start: int, stop: int) -> None:
-        """Remove pages ``start..stop-1`` from *extent*; what is left of
-        it keeps its place in the LRU."""
-        self._clean_pages -= stop - start
-        if start > extent.start:
-            if stop < extent.stop:
-                # Split: the pages after the cut follow in the LRU.
-                right = _Extent(extent.inode_id, stop, extent.stop, extent.block_of(stop))
-                right.prev = extent
-                right.next = extent.next
-                extent.next.prev = right
-                extent.next = right
-                starts, extents = self._extents[extent.inode_id]
-                j = bisect_left(starts, stop)
-                starts.insert(j, stop)
-                extents.insert(j, right)
-            extent.stop = start
-            return
-        starts, extents = self._extents[extent.inode_id]
-        j = bisect_left(starts, start)
-        if stop < extent.stop:
-            extent.start = starts[j] = stop
-            if extent.block is not None:
-                extent.block += stop - start
-            return
-        extent.prev.next = extent.next
-        extent.next.prev = extent.prev
-        del starts[j], extents[j]
-        if not starts:
-            del self._extents[extent.inode_id]
+    def _unlink(self, run: DirtyRun) -> None:
+        """Take *run* out of the cache's dirty runs and bytes."""
+        self._dirty.remove(run)
+        self.dirty_bytes -= PAGE_SIZE * len(run)
 
-    def _touch(self, extent: _Extent, start: int, stop: int) -> None:
-        """Pages ``start..stop-1`` of *extent* were read: move them to
-        the MRU end, in index order, as per-page touches would."""
-        if extent is self._lru.prev and stop == extent.stop:
-            return  # already the newest pages, in this order
-        block = extent.block_of(start)
-        self._take(extent, start, stop)
-        self._append(extent.inode_id, start, stop, block)
+    def _free(self, run: DirtyRun) -> None:
+        """Drop a dirty run before its writeback: release its tags and
+        fire the buffer-free hook."""
+        self._unlink(run)
+        self.tags.release_tags(len(run), run.causes)
+        if self._sub_freed:
+            self.bus.publish(PageFreed(self.env.now, run.inode_id, run.start, run.stop))
 
     def _maybe_evict(self) -> None:
         """Evict clean pages from the LRU front while over capacity:
         whole extents first, then a trim of the last one reached."""
         clean = self._clean_pages
-        excess = min(len(self._pages) + clean - self.capacity_pages, clean)
+        excess = min(self._dirty.pages + clean - self.capacity_pages, clean)
         if excess > 0:
             self.evictions += excess
             lru = self._lru

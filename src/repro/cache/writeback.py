@@ -19,10 +19,10 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List
 
-from repro.cache.page import Page
+from repro.cache.page import DirtyRun
 
-_page_key = attrgetter("key")
-_inode_of = attrgetter("key.inode_id")
+_start_of = attrgetter("start")
+_inode_of = attrgetter("inode_id")
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import PageCache
@@ -30,16 +30,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
 
-def pages_by_file(pages: List[Page]) -> Dict[int, List[Page]]:
-    """*pages* grouped by file, files in order of first appearance, each
-    file's pages sorted by index (their keys compare as tuples, so the
-    sort needs no per-page key function)."""
-    inode_ids = list(map(_inode_of, pages))
-    by_inode: Dict[int, List[Page]] = {inode_id: [] for inode_id in dict.fromkeys(inode_ids)}
-    for inode_id, page in zip(inode_ids, pages):
-        by_inode[inode_id].append(page)
-    for file_pages in by_inode.values():
-        file_pages.sort(key=_page_key)
+def pages_by_file(runs: List[DirtyRun]) -> Dict[int, List[DirtyRun]]:
+    """Dirty *runs* grouped by file, files in order of first appearance,
+    each file's runs sorted by index (a file's runs are disjoint)."""
+    inode_ids = list(map(_inode_of, runs))
+    by_inode: Dict[int, List[DirtyRun]] = {inode_id: [] for inode_id in dict.fromkeys(inode_ids)}
+    for inode_id, run in zip(inode_ids, runs):
+        by_inode[inode_id].append(run)
+    for file_runs in by_inode.values():
+        file_runs.sort(key=_start_of)
     return by_inode
 
 
@@ -175,32 +174,32 @@ class WritebackDaemon:
     def _flush_expired(self):
         cutoff = self.env.now - self.config.dirty_expire
         expired = []
-        for page in self.cache.iter_dirty_by_age():
-            if page.dirtied_at > cutoff:
+        for run in self.cache.iter_dirty_by_age():
+            if run.dirtied_at > cutoff:
                 break  # age-ordered: the rest are younger
-            expired.append(page)
+            expired.append(run)
         if expired:
             yield from self._writeback_pages(expired)
 
     def _flush_batch(self, max_pages: int):
-        pages = self.cache.dirty_pages_by_age(limit=max_pages)
-        if not pages:
+        runs = self.cache.dirty_pages_by_age(limit=max_pages)
+        if not runs:
             return 0
-        yield from self._writeback_pages(pages)
-        return len(pages)
+        return (yield from self._writeback_pages(runs))
 
-    def _writeback_pages(self, pages: List[Page]):
-        """Group pages by file and hand them to the filesystem, each
-        file's in index order."""
+    def _writeback_pages(self, runs: List[DirtyRun]):
+        """Group dirty runs by file and hand them to the filesystem,
+        each file's in index order; returns the pages flushed."""
+        pages = sum(map(len, runs))
         done_events = []
-        for inode_id, file_pages in pages_by_file(pages).items():
+        for inode_id, file_runs in pages_by_file(runs).items():
             inode = self.fs.inode_by_id(inode_id)
             if inode is None:
                 continue
-            events = self.fs.writepages(self.task, inode, file_pages)
+            events = self.fs.writepages(self.task, inode, file_runs)
             done_events.extend(events)
         self.flushes += 1
-        self.pages_flushed += len(pages)
+        self.pages_flushed += pages
 
         # Pace the daemon: wait for the batch to reach the platter so we
         # do not flood the block queue unboundedly.
@@ -214,3 +213,4 @@ class WritebackDaemon:
                 if getattr(event.value, "failed", False):
                     self.write_errors += 1
         self._wake_throttled()
+        return pages

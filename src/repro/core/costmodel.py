@@ -19,7 +19,6 @@ from repro.units import MB, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.block.request import BlockRequest
-    from repro.cache.page import Page
     from repro.devices.base import Device
 
 
@@ -32,15 +31,14 @@ class MemoryCostModel:
         #: inode id -> next expected page index (sequentiality detector).
         self._expected_next: Dict[int, int] = {}
 
-    def looks_sequential(self, page: "Page") -> bool:
-        inode_id, index = page.key.inode_id, page.key.index
+    def looks_sequential(self, inode_id: int, index: int) -> bool:
         expected = self._expected_next.get(inode_id)
         self._expected_next[inode_id] = index + 1
         return expected is None or index == expected or index == expected - 1
 
-    def estimate(self, page: "Page") -> float:
-        """Normalized-byte cost guessed for dirtying *page*."""
-        if self.looks_sequential(page):
+    def estimate(self, inode_id: int, index: int) -> float:
+        """Normalized-byte cost guessed for dirtying page *index* of a file."""
+        if self.looks_sequential(inode_id, index):
             return float(PAGE_SIZE)
         return PAGE_SIZE * self.random_penalty
 

@@ -18,12 +18,11 @@ the scheduler put the caller to sleep for as long as its policy wants
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Tuple
+from typing import TYPE_CHECKING, Any, Dict
 
 from repro.block.elevator import BlockScheduler
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cache.page import Page
     from repro.core.tags import CauseSet
     from repro.proc import Task
 
@@ -73,18 +72,22 @@ class SchedulerHooks:
 
     # -- memory level -----------------------------------------------------------
 
-    def on_buffers_dirty(self, pages: Tuple["Page", ...], old_causes: "CauseSet") -> None:
-        """A run of buffers was dirtied (or dirty buffers re-modified).
+    def on_buffers_dirty(
+        self, inode_id: int, first: int, stop: int, causes: "CauseSet", old_causes: "CauseSet"
+    ) -> None:
+        """Buffers were dirtied (or dirty buffers re-modified).
 
-        *pages* are consecutive pages of one file, in file order, that
-        all carried *old_causes* before the write (empty for pages just
-        born dirty); each now carries the run's merged causes.  One call
-        per run, not per page: a policy that ignores overwrites returns
-        at once for a whole run.
+        Pages ``first..stop-1`` of file *inode_id* all carried
+        *old_causes* before the write (empty for pages just born dirty);
+        each now carries *causes*.  One call per stretch, not per page:
+        a policy that ignores overwrites returns at once for all of
+        them.  The OS subscribes a scheduler to this hook only if its
+        class overrides it.
         """
 
-    def on_buffer_free(self, page: "Page") -> None:
-        """A dirty buffer was deleted before writeback."""
+    def on_buffer_free(self, inode_id: int, first: int, stop: int) -> None:
+        """Dirty buffers ``first..stop-1`` of a file were deleted before
+        writeback (subscribed only if overridden)."""
 
     # -- block level --------------------------------------------------------------
 

@@ -13,8 +13,7 @@ proxy itself (Figure 7 in the paper).
 
 from __future__ import annotations
 
-from itertools import repeat
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet, Iterable, Optional
 
 from repro.proc import Task
 
@@ -96,8 +95,10 @@ class TagManager:
         self._proxies: Dict[int, CauseSet] = {}
         #: Singleton CauseSets for unproxied tasks (hot path).
         self._self_causes: Dict[int, CauseSet] = {}
-        #: Live tag allocations, keyed by the tagged object's id.
+        #: Live tag allocations, keyed by the tagged object's id (journal
+        #: transactions; dirty pages are counted in ``_page_tags``).
         self._allocations: Dict[int, int] = {}
+        self._page_tags = 0
         self.bytes_allocated = 0
         self.max_bytes_allocated = 0
 
@@ -139,40 +140,46 @@ class TagManager:
 
     def account_tag(self, obj: object, causes: CauseSet) -> None:
         """Record the allocation of a causes tag attached to *obj*."""
-        cost = self.TAG_OVERHEAD_BASE + self.TAG_OVERHEAD_PER_PID * len(causes)
+        cost = self.tag_cost(causes)
         previous = self._allocations.pop(id(obj), 0)
         self.bytes_allocated += cost - previous
         self._allocations[id(obj)] = cost
         if self.bytes_allocated > self.max_bytes_allocated:
             self.max_bytes_allocated = self.bytes_allocated
 
-    def account_tags(self, objs: Iterable[object], causes: CauseSet) -> None:
-        """Record a tag of *causes* on each of *objs*, in order, exactly
-        as one :meth:`account_tag` call each would (a run of pages
-        dirtied together shares one cost).  Costs are integers, so the
-        running total and its peak match the per-object sequence."""
-        cost = self.TAG_OVERHEAD_BASE + self.TAG_OVERHEAD_PER_PID * len(causes)
-        allocations = self._allocations
-        total, peak = self.bytes_allocated, self.max_bytes_allocated
-        for obj in objs:
-            key = id(obj)
-            total += cost - allocations.get(key, 0)
-            allocations[key] = cost
-            if total > peak:
-                peak = total
-        self.bytes_allocated, self.max_bytes_allocated = total, peak
+    def tag_cost(self, causes: CauseSet) -> int:
+        """Bytes one tag of *causes* costs."""
+        return self.TAG_OVERHEAD_BASE + self.TAG_OVERHEAD_PER_PID * len(causes)
+
+    def account_tags(self, count: int, causes: CauseSet, old: Optional[CauseSet] = None) -> None:
+        """Record *count* page tags of *causes*: new tags, or, with
+        *old*, tags of *old* re-priced.  A run of dirty pages holds one
+        tag per page but no entry per page; this equals one
+        :meth:`account_tag` call per page in order, since costs are
+        integers and a page's re-price never lowers its cost (the new
+        set holds the old), so the running total only rises and its
+        last value is the peak."""
+        cost = count * self.tag_cost(causes)
+        if old is None:
+            self._page_tags += count
+        else:
+            cost -= count * self.tag_cost(old)
+        total = self.bytes_allocated + cost
+        self.bytes_allocated = total
+        if total > self.max_bytes_allocated:
+            self.max_bytes_allocated = total
 
     def release_tag(self, obj: object) -> None:
         """Record that *obj*'s tag was freed."""
         cost = self._allocations.pop(id(obj), 0)
         self.bytes_allocated -= cost
 
-    def release_tags(self, objs: Iterable[object]) -> None:
-        """Record that the tags of *objs* were freed, as one
-        :meth:`release_tag` call each would (the total only falls, so
-        the peak cannot move)."""
-        self.bytes_allocated -= sum(map(self._allocations.pop, map(id, objs), repeat(0)))
+    def release_tags(self, count: int, causes: CauseSet) -> None:
+        """Record that *count* page tags of *causes* were freed (the
+        total only falls, so the peak cannot move)."""
+        self._page_tags -= count
+        self.bytes_allocated -= count * self.tag_cost(causes)
 
     @property
     def live_tags(self) -> int:
-        return len(self._allocations)
+        return len(self._allocations) + self._page_tags

@@ -117,7 +117,11 @@ def merge_cell_results(
 
 def _execute_cell(default_module: str, func: str, kwargs: Dict[str, Any]):
     """Run one cell; drain the fault summaries and spans its stacks
-    produced, also when it raises, so none leak into the next cell."""
+    produced, also when it raises, so none leak into the next cell.
+    Leftovers from stacks built outside any cell (a cell function
+    called directly) are discarded first, so none leak into this one."""
+    common.drain_fault_summaries()
+    common.drain_spans()
     started = time.perf_counter()  # simlint: disable=SIM001 (host wall time, not sim time)
     try:
         result = call_cell(default_module, func, kwargs)

@@ -60,7 +60,7 @@ def _block_runs(runs: List[Run]) -> List[List[Run]]:
 if TYPE_CHECKING:  # pragma: no cover
     from repro.block.queue import BlockQueue
     from repro.cache.cache import PageCache
-    from repro.cache.page import Page
+    from repro.cache.page import DirtyRun
     from repro.core.tags import TagManager
     from repro.proc import ProcessTable, Task
     from repro.sim.core import Environment
@@ -404,66 +404,67 @@ class FileSystem:
 
     # -- writeback path ------------------------------------------------------------
 
-    def writepages(self, task: "Task", inode: Inode, pages: List["Page"], sync: bool = False):
-        """Flush dirty *pages* of *inode*, given in index order: allocate
+    def writepages(self, task: "Task", inode: Inode, runs: List["DirtyRun"], sync: bool = False):
+        """Flush dirty *runs* of *inode*, given in index order: allocate
         (delayed allocation), tag proxies, and submit block writes.
         Returns completion events.
 
         Callers: the writeback daemon, fsync, the journal's ordered-data
         step, and schedulers initiating async writeback.
         """
-        pages = [p for p in pages if p.dirty and not p.under_writeback]
-        if not pages:
+        runs = [run for run in runs if run.dirty and not run.under_writeback]
+        if not runs:
             return []
 
-        unallocated = [p for p in pages if p.disk_block is None]
+        unallocated = [run for run in runs if run.disk_block is None]
         if unallocated:
             self._allocate_pages(inode, unallocated)
 
         # One block request per stretch of consecutive disk blocks,
-        # tagged with the union of its pages' causes.  Chains of pages
-        # on consecutive blocks come out of index order; sorted by
-        # block, a chain joins the one before it when its blocks
-        # continue that chain's, so each request lists its pages in
-        # block order, as sorting every page by block would.
+        # tagged with the union of its runs' causes.  A run sits on
+        # consecutive blocks; chains of runs that continue each other
+        # on disk come out of index order; sorted by block, a chain
+        # joins the one before it when its blocks continue that
+        # chain's, so each request lists its runs in block order, as
+        # sorting every page by block would.
         chains = []
         chain = expected = None
-        for page in pages:
-            block = page.disk_block
+        for run in runs:
+            block = run.disk_block
             if block == expected:
-                chain.append(page)
+                chain.append(run)
             else:
-                chain = [page]
+                chain = [run]
                 chains.append(chain)
-            expected = block + 1
+            expected = block + len(run)
         if len(chains) > 1:
             chains.sort(key=lambda chain: chain[0].disk_block)
             merged = [chains[0]]
             for chain in chains[1:]:
                 last = merged[-1]
-                if chain[0].disk_block == last[-1].disk_block + 1:
+                if chain[0].disk_block == last[-1].disk_block + len(last[-1]):
                     last += chain
                 else:
                     merged.append(chain)
             chains = merged
-        runs = []
-        for run in chains:
-            # A run's pages mostly share a few set objects: union only
+        requests = []
+        for chain in chains:
+            # A chain's runs mostly share a few set objects: union only
             # where the object changes (a set already merged in adds
             # nothing, so the result is the same object).
-            run_causes = last_causes = run[0].causes
-            for page in run:
-                causes = page.causes
+            chain_causes = last_causes = chain[0].causes
+            for run in chain:
+                causes = run.causes
                 if causes is not last_causes:
                     last_causes = causes
-                    run_causes = run_causes | causes
-            runs.append((run, run_causes))
+                    chain_causes = chain_causes | causes
+            requests.append((chain, chain_causes))
 
         proxying = task.kernel and self.full_integration
         if proxying:
-            union_causes = runs[0][1]
-            for _, run_causes in runs:
-                union_causes = union_causes | run_causes
+            union_causes = requests[0][1]
+            for _, chain_causes in requests:
+                union_causes = union_causes | chain_causes
             self.tags.set_proxy(task, union_causes)
         try:
             if unallocated:
@@ -473,18 +474,18 @@ class FileSystem:
                 # (its data must precede the commit).
                 self.journal.add_metadata(task, inode.metadata_block, ordered_inode=inode.id)
             events = []
-            for run, run_causes in runs:
+            for chain, chain_causes in requests:
                 request = BlockRequest(
                     WRITE,
-                    block=run[0].disk_block,
-                    nblocks=len(run),
+                    block=chain[0].disk_block,
+                    nblocks=sum(map(len, chain)),
                     submitter=task,
-                    causes=run_causes,
+                    causes=chain_causes,
                     sync=sync,
-                    pages=run,
+                    runs=chain,
                 )
-                for page in run:
-                    page.write_submitted()
+                for run in chain:
+                    run.write_submitted(chain)
                 done = self.block_queue.submit(request)
                 events.append(done)
                 self._track_inflight(inode.id, done)
@@ -493,27 +494,27 @@ class FileSystem:
             if proxying:
                 self.tags.clear_proxy(task)
 
-    def _allocate_pages(self, inode: Inode, pages: List["Page"]) -> None:
+    def _allocate_pages(self, inode: Inode, runs: List["DirtyRun"]) -> None:
         """Delayed allocation at flush time: assign contiguous extents,
-        one per run of consecutive page indices (*pages* are in index
+        one per stretch of consecutive page indices (*runs* are in index
         order)."""
-        runs = []
-        run = expected = None
-        for page in pages:
-            index = page.key.index
-            if index == expected:
-                run.append(page)
-            else:
-                run = [page]
-                runs.append(run)
-            expected = index + 1
-        allocate, map_run = self.allocator.allocate, inode.block_map.map_run
+        stretches = []
+        stretch = expected = None
         for run in runs:
-            block = allocate(inode.id, len(run))
-            map_run(run[0].key.index, block, len(run))
-            for page in run:
-                page.disk_block = block
-                block += 1
+            if run.start == expected:
+                stretch.append(run)
+            else:
+                stretch = [run]
+                stretches.append(stretch)
+            expected = run.stop
+        allocate, map_run = self.allocator.allocate, inode.block_map.map_run
+        for stretch in stretches:
+            count = sum(map(len, stretch))
+            block = allocate(inode.id, count)
+            map_run(stretch[0].start, block, count)
+            for run in stretch:
+                run.disk_block = block
+                block += len(run)
 
     def _track_inflight(self, inode_id: int, done) -> None:
         pending = self._inflight.setdefault(inode_id, set())

@@ -18,7 +18,7 @@ reads the bus.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Type
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Type
 
 
 class SyscallEnter(NamedTuple):
@@ -40,33 +40,43 @@ class SyscallReturn(NamedTuple):
 
 
 class PageDirtied(NamedTuple):
-    """A run of page-cache buffers was dirtied (or dirty ones re-modified).
+    """Page-cache buffers were dirtied (or dirty ones re-modified).
 
-    ``pages`` are consecutive pages of one file, in file order, dirtied
-    by one write and all carrying the same cause set object before it:
-    ``old_causes``, which is empty for pages born clean->dirty.  That
-    old set is the information the paper's memory-level ``buffer-dirty``
-    hook exposes; one event per run gives each page of the write the
-    old causes it would have had alone, with a single publish.
+    Pages ``first..stop-1`` of one file, dirtied by one write, all
+    carried the same cause set object before it: ``old_causes``, which
+    is empty for pages born clean->dirty; they now carry ``causes``.
+    That old set is the information the paper's memory-level
+    ``buffer-dirty`` hook exposes; one event per stretch gives each
+    page of the write the old causes it would have had alone, with a
+    single publish.
     """
 
     time: float
-    pages: Tuple[Any, ...]  # repro.cache.page.Page, in file order
+    inode_id: int
+    first: int
+    stop: int
+    causes: Any  # repro.core.tags.CauseSet
     old_causes: Any  # repro.core.tags.CauseSet
 
 
 class PageCleaned(NamedTuple):
-    """Writeback for a dirty page completed and it stayed clean."""
+    """Writeback of dirty pages ``first..stop-1`` of one file completed
+    and they stayed clean."""
 
     time: float
-    page: Any
+    inode_id: int
+    first: int
+    stop: int
 
 
 class PageFreed(NamedTuple):
-    """A dirty page was deleted before writeback (its work vanished)."""
+    """Dirty pages ``first..stop-1`` of one file were deleted before
+    writeback (their work vanished)."""
 
     time: float
-    page: Any
+    inode_id: int
+    first: int
+    stop: int
 
 
 class JournalTxnCommit(NamedTuple):

@@ -116,13 +116,13 @@ class SpanBuilder:
     def _on_block_add(self, event: BlockAdd) -> None:
         request = event.request
         cache_wait: Optional[float] = None
-        if request.pages:
+        if request.runs:
             # Cache residency: how long the oldest dirty page this
             # write carries sat in memory before heading to disk.
             ages = [
-                event.time - page.dirtied_at
-                for page in request.pages
-                if page.dirtied_at is not None
+                event.time - run.dirtied_at
+                for run in request.runs
+                if run.dirtied_at is not None
             ]
             if ages:
                 cache_wait = max(ages)

@@ -250,18 +250,6 @@ class AFQ(SplitScheduler):
         call.event.succeed()
 
     # ------------------------------------------------------------------
-    # memory level
-    # ------------------------------------------------------------------
-
-    def on_buffers_dirty(self, pages, old_causes) -> None:
-        # Nothing to do promptly: write admission is paced at the
-        # syscall level and true costs are charged at block completion.
-        pass
-
-    def on_buffer_free(self, page) -> None:
-        pass
-
-    # ------------------------------------------------------------------
     # block level
     # ------------------------------------------------------------------
 

@@ -58,11 +58,11 @@ class SplitNoop(SplitScheduler):
         self.hook_invocations += 1
 
     # Memory hooks: observe and pass through.
-    def on_buffers_dirty(self, pages, old_causes) -> None:
-        self.hook_invocations += len(pages)  # one per page dirtied
+    def on_buffers_dirty(self, inode_id, first, stop, causes, old_causes) -> None:
+        self.hook_invocations += stop - first  # one per page dirtied
 
-    def on_buffer_free(self, page) -> None:
-        self.hook_invocations += 1
+    def on_buffer_free(self, inode_id, first, stop) -> None:
+        self.hook_invocations += stop - first  # one per page freed
 
     # Block hooks: FIFO.
     def add_request(self, request: BlockRequest) -> None:

@@ -155,7 +155,7 @@ class SplitDeadline(SplitScheduler):
         return self.commit_overhead + 3.0 * dirty_bytes / rate
 
     def _drain_chunk(self, inode):
-        pages = self.os.cache.dirty_pages_of(inode.id)[: self.drain_chunk_pages]
+        pages = self.os.cache.dirty_pages_of(inode.id, limit=self.drain_chunk_pages)
         if not pages:
             yield self.os.env.timeout(0.002)
             return
@@ -192,8 +192,8 @@ class SplitDeadline(SplitScheduler):
                 yield AllOf(env, events)
 
     def _aged_dirty(self, age: float) -> bool:
-        oldest = self.os.cache.dirty_pages_by_age(limit=1)
-        return bool(oldest) and self.os.env.now - oldest[0].dirtied_at >= age
+        oldest = next(self.os.cache.iter_dirty_by_age(), None)
+        return oldest is not None and self.os.env.now - oldest.dirtied_at >= age
 
     def _deadline_imminent(self, margin: float = 0.05) -> bool:
         now = self.os.env.now

@@ -29,10 +29,9 @@ How to charge (§3.2, two-stage):
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.block.request import BlockRequest
-from repro.cache.page import PageKey
 from repro.core.hooks import SplitScheduler
 from repro.schedulers.tokens import BucketRegistry, TokenBucket
 
@@ -57,8 +56,9 @@ class SplitToken(SplitScheduler):
         self.prompt_charging = prompt_charging
         self.block_revision = block_revision
         self.buckets: Optional[BucketRegistry] = None
-        #: Prompt (memory-level) charges per page: key -> [(bucket, amount)].
-        self._page_charges: Dict[PageKey, List[Tuple[TokenBucket, float]]] = {}
+        #: Prompt (memory-level) charges per page: (inode id, index) ->
+        #: (buckets, the share charged to each).
+        self._page_charges: Dict[Tuple[int, int], Tuple[Tuple[TokenBucket, ...], float]] = {}
         self._dispatch_fifo: deque = deque()
         #: Reads held because their account is out of tokens.
         self._held_reads: deque = deque()
@@ -103,27 +103,32 @@ class SplitToken(SplitScheduler):
     # memory level: prompt charging
     # ------------------------------------------------------------------
 
-    def on_buffers_dirty(self, pages, old_causes) -> None:
+    def on_buffers_dirty(self, inode_id, first, stop, causes, old_causes) -> None:
         if old_causes or not self.prompt_charging:
             return  # overwrite of dirty data: no new I/O work
-        # Pages born in one run share their causes.  Each page is still
+        # Pages born together share their causes.  Each page is still
         # estimated and charged on its own, in file order: the estimate
         # tracks sequentiality, and one summed charge would round
         # differently.
-        causes = pages[0].causes
-        buckets = list(self.buckets.buckets_for_causes(causes).values())
+        buckets = tuple(self.buckets.buckets_for_causes(causes).values())
         estimate = self.os.memory_cost_model.estimate
-        for page in pages:
-            share = estimate(page) / len(causes)
+        charges = self._page_charges
+        pids = len(causes)
+        for index in range(first, stop):
+            share = estimate(inode_id, index) / pids
             if buckets:
                 for bucket in buckets:
                     bucket.charge(share)
-                self._page_charges[page.key] = [(bucket, share) for bucket in buckets]
+                charges[inode_id, index] = (buckets, share)
 
-    def on_buffer_free(self, page) -> None:
-        """The work disappeared before writeback: refund the estimate."""
-        for bucket, amount in self._page_charges.pop(page.key, ()):
-            bucket.refund(amount)
+    def on_buffer_free(self, inode_id, first, stop) -> None:
+        """The work disappeared before writeback: refund the estimates,
+        page by page in file order."""
+        charges = self._page_charges
+        for index in range(first, stop):
+            buckets, share = charges.pop((inode_id, index), ((), 0.0))
+            for bucket in buckets:
+                bucket.refund(share)
 
     # ------------------------------------------------------------------
     # block level: hold broke readers, revise write costs
@@ -227,9 +232,13 @@ class SplitToken(SplitScheduler):
         actual = self.os.disk_cost_model.normalized_bytes(request, duration)
 
         preliminary: Dict[TokenBucket, float] = {}
-        for page in request.pages:
-            for bucket, amount in self._page_charges.pop(page.key, ()):
-                preliminary[bucket] = preliminary.get(bucket, 0.0) + amount
+        charges = self._page_charges
+        for run in request.runs:
+            inode_id = run.inode_id
+            for index in range(run.start, run.stop):
+                buckets, share = charges.pop((inode_id, index), ((), 0.0))
+                for bucket in buckets:
+                    preliminary[bucket] = preliminary.get(bucket, 0.0) + share
         for bucket, amount in self._read_charges.pop(request.id, {}).items():
             preliminary[bucket] = preliminary.get(bucket, 0.0) + amount
 

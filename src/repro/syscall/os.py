@@ -127,14 +127,24 @@ class OS:
         self.disk_cost_model = DiskCostModel(self.device)
 
         # The split framework's memory-level hooks (Table 2): a split
-        # scheduler observes page dirtying and freeing on the bus.  A
-        # block-only scheduler gets no memory hooks at all.
+        # scheduler observes page dirtying and freeing on the bus, each
+        # only if its class implements the hook, so a write on a stack
+        # whose scheduler ignores them publishes nothing.  A block-only
+        # scheduler gets no memory hooks at all.
         if self.scheduler is not None:
             sched = self.scheduler
-            self.bus.subscribe(
-                PageDirtied, lambda e: sched.on_buffers_dirty(e.pages, e.old_causes)
-            )
-            self.bus.subscribe(PageFreed, lambda e: sched.on_buffer_free(e.page))
+            implements = type(sched)
+            if implements.on_buffers_dirty is not SchedulerHooks.on_buffers_dirty:
+                self.bus.subscribe(
+                    PageDirtied,
+                    lambda e: sched.on_buffers_dirty(
+                        e.inode_id, e.first, e.stop, e.causes, e.old_causes
+                    ),
+                )
+            if implements.on_buffer_free is not SchedulerHooks.on_buffer_free:
+                self.bus.subscribe(
+                    PageFreed, lambda e: sched.on_buffer_free(e.inode_id, e.first, e.stop)
+                )
             sched.attach_stack(self)
 
     # -- process management -------------------------------------------------

@@ -243,8 +243,8 @@ def _sanitized_machine():
     return env, machine, sanitizer
 
 
-def _fake_complete(env, request_id=1, pages=()):
-    request = types.SimpleNamespace(id=request_id, failed=False, pages=list(pages))
+def _fake_complete(env, request_id=1, runs=()):
+    request = types.SimpleNamespace(id=request_id, failed=False, runs=list(runs))
     return BlockComplete(time=env.now, request=request)
 
 
@@ -324,13 +324,15 @@ def test_tag_accounting_drift_detected():
 
     drive(env, write())
     machine.bus.publish(_fake_complete(env))  # consistent: passes
-    allocations = dict(tags._allocations)
+    allocations, page_tags = dict(tags._allocations), tags._page_tags
     tags._allocations.clear()  # dirty pages whose tags were dropped
+    tags._page_tags = 0
     with pytest.raises(SanitizerError, match="tag accounting") as excinfo:
         machine.bus.publish(_fake_complete(env))
     assert excinfo.value.context["live_tags"] == 0
     assert excinfo.value.context["dirty"] == machine.cache.dirty_pages > 0
     tags._allocations.update(allocations)
+    tags._page_tags = page_tags
     tags.bytes_allocated = tags.max_bytes_allocated + 1  # total above its peak
     with pytest.raises(SanitizerError, match="tag accounting"):
         machine.bus.publish(_fake_complete(env))
@@ -397,7 +399,7 @@ def test_direct_write_leak_is_caught_by_block_conservation():
         handle = yield from machine.creat(task, "/f")
         yield from handle.pwrite(0, 4 * KB)
         yield from handle.pwrite(0, 4 * KB, direct=True)
-        machine.cache.dirty_pages_of(handle.inode.id)[0].disk_block = None
+        machine.cache.dirty_run((handle.inode.id, 0)).disk_block = None
         yield from handle.fsync()
 
     with pytest.raises(SanitizerError, match="block conservation") as excinfo:
@@ -405,9 +407,8 @@ def test_direct_write_leak_is_caught_by_block_conservation():
     assert excinfo.value.context == {"allocated": 2, "mapped": 1}
 
 
-def _hinted_pages(env, machine):
-    """Four dirty pages of a file on allocated blocks, overwritten by
-    their writer, so they share one live, allocated dirty-run hint; then
+def _redirtied_runs(env, machine):
+    """Four dirty pages of a file on allocated blocks, one run; then
     written and dirtied again while in flight, so a completed write of
     them leaves them dirty."""
     task = machine.spawn("t")
@@ -421,45 +422,65 @@ def _hinted_pages(env, machine):
         return handle.inode
 
     inode = drive(env, work())
-    pages = machine.cache.dirty_pages_of(inode.id)
-    for page in pages:
-        page.write_submitted()
+    runs = machine.cache.dirty_pages_of(inode.id)
+    for run in runs:
+        run.write_submitted(runs)
     machine.cache.mark_dirty_range(inode.id, 0, 4, inode.block_map, task)
-    machine.cache.write_completed(pages)
-    hint = pages[0].hint
-    assert hint.live and hint.allocated and hint.pages == pages
-    assert all(page.dirty and page.redirtied for page in pages)
-    return inode, pages
+    machine.cache.write_completed(runs)
+    assert [(run.start, run.stop) for run in runs] == [(0, 4)]
+    assert all(run.dirty and run.redirtied for run in runs)
+    return inode, runs
 
 
 def test_dirty_page_block_drift_detected():
     env, machine, _san = _sanitized_machine()
-    inode, pages = _hinted_pages(env, machine)
-    machine.bus.publish(_fake_complete(env, pages=pages))  # consistent: passes
-    block = pages[2].disk_block
-    pages[2].disk_block = block + 100  # a block its file does not map there
-    with pytest.raises(SanitizerError, match="dirty-page block") as excinfo:
-        machine.bus.publish(_fake_complete(env, pages=pages))
+    inode, runs = _redirtied_runs(env, machine)
+    machine.bus.publish(_fake_complete(env, runs=runs))  # consistent: passes
+    block = runs[0].disk_block
+    runs[0].disk_block = block + 100  # blocks its file does not map there
+    with pytest.raises(SanitizerError, match="dirty-run block") as excinfo:
+        machine.bus.publish(_fake_complete(env, runs=runs))
     assert excinfo.value.context == {
-        "page": (inode.id, 2), "disk_block": block + 100, "mapped": block,
+        "run": (inode.id, 0, 4), "disk_block": block + 100, "mapped": [(0, block, 4)],
     }
-    pages[2].disk_block = None  # delayed allocation is legal, but not in an allocated hint
-    with pytest.raises(SanitizerError, match="marked allocated"):
-        machine.bus.publish(_fake_complete(env, pages=pages))
+    runs[0].disk_block = None  # delayed allocation is legal
+    machine.bus.publish(_fake_complete(env, runs=runs))
 
 
 def test_hint_left_live_after_its_page_was_cleaned_is_detected():
+    """A cleaned run left in its file's dirty-run index is caught (the
+    name records the dirty-run hint this index replaced)."""
     env, machine, _san = _sanitized_machine()
-    inode, pages = _hinted_pages(env, machine)
-    hint = pages[0].hint
-    pages[0].write_submitted()
-    pages[0].write_completed()  # cleaned: the hint dies with it
-    assert not hint.live
-    machine.bus.publish(_fake_complete(env, pages=pages))  # consistent: passes
-    hint.live = True  # the cleaning forgot to kill the hint
-    with pytest.raises(SanitizerError, match="dirty-run hint") as excinfo:
-        machine.bus.publish(_fake_complete(env, pages=pages))
-    assert excinfo.value.context["page"] == (inode.id, 0)
+    inode, runs = _redirtied_runs(env, machine)
+    run = runs[0]
+    run.write_submitted()
+    run.write_completed()  # cleaned: out of the index and the age list
+    assert run.next is None and inode.id not in machine.cache._dirty.files
+    machine.bus.publish(_fake_complete(env, runs=runs))  # consistent: passes
+    machine.cache._dirty.files[inode.id] = ([run.start], [run])  # the cleaning forgot it
+    with pytest.raises(SanitizerError, match="dirty-run violation") as excinfo:
+        machine.bus.publish(_fake_complete(env))
+    assert excinfo.value.context["run"] == (inode.id, 0, 4)
+
+
+def test_dirty_run_tag_and_write_drift_detected():
+    env, machine, _san = _sanitized_machine()
+    inode, runs = _redirtied_runs(env, machine)
+    tags = machine.cache.tags
+    extra = tags.tag_cost(runs[0].causes)
+    tags.bytes_allocated += extra  # a page's tag bytes counted twice
+    tags.max_bytes_allocated += extra
+    with pytest.raises(SanitizerError, match="dirty-run violation") as excinfo:
+        machine.bus.publish(_fake_complete(env, runs=runs))
+    context = excinfo.value.context
+    assert context["pages"] == context["page_tags"] == 4
+    assert context["run_tag_bytes"] == 4 * extra
+    tags.bytes_allocated -= extra
+    run = runs[0]
+    run.write_submitted()
+    run.batch = []  # in flight, but in no write's list
+    with pytest.raises(SanitizerError, match="dirty-run violation"):
+        machine.bus.publish(_fake_complete(env))
 
 
 def _write_and_fsync(env, machine):
@@ -480,22 +501,23 @@ def test_written_page_left_dirty_is_detected(monkeypatch):
     cache = machine.cache
     complete = cache.write_completed
 
-    def forgetful(pages):  # the last page of each write is never cleaned
-        pages[-1].under_writeback = False
-        complete(pages[:-1])
+    def forgetful(runs):  # the last run of each write is never cleaned
+        runs[-1].under_writeback = False
+        complete(runs[:-1])
 
     monkeypatch.setattr(cache, "write_completed", forgetful)
     with pytest.raises(SanitizerError, match="still dirty") as excinfo:
         _write_and_fsync(env, machine)
-    assert excinfo.value.context["page"][1] == 15
+    assert excinfo.value.context["run"][1:] == (0, 16)
 
 
 def test_cleaned_page_keeping_its_tag_is_detected(monkeypatch):
     env, machine, _san = _sanitized_machine()
-    monkeypatch.setattr(machine.cache.tags, "release_tags", lambda objs: None)
-    with pytest.raises(SanitizerError, match="cleaned-page") as excinfo:
+    monkeypatch.setattr(machine.cache.tags, "release_tags", lambda count, causes: None)
+    with pytest.raises(SanitizerError, match="dirty-run violation") as excinfo:
         _write_and_fsync(env, machine)
-    assert excinfo.value.context["page"][1] == 0
+    assert excinfo.value.context["pages"] == 0
+    assert excinfo.value.context["page_tags"] == 16
 
 
 def test_cleaned_page_on_the_wrong_block_is_detected(monkeypatch):
@@ -507,7 +529,7 @@ def test_cleaned_page_on_the_wrong_block_is_detected(monkeypatch):
         append(inode_id, start, stop, block + 1)
 
     monkeypatch.setattr(cache, "_append", shifted)
-    with pytest.raises(SanitizerError, match="cleaned-page") as excinfo:
+    with pytest.raises(SanitizerError, match="cleaned-run") as excinfo:
         _write_and_fsync(env, machine)
     context = excinfo.value.context
     assert context["clean_block"] == context["disk_block"] + 1
@@ -519,15 +541,15 @@ def test_cleaned_pages_evicted_at_once_from_a_full_cache_pass():
     env, machine, _san = _sanitized_machine()
     cache = machine.cache
     cache.mark_dirty_range(99, 0, cache.capacity_pages + 2, None, machine.spawn("t"))
-    pages = cache.dirty_pages_of(99)
-    for page in pages:
-        page.write_submitted()
-    cache.write_completed(pages)
+    runs = cache.dirty_pages_of(99)
+    for run in runs:
+        run.write_submitted(runs)
+    cache.write_completed(runs)
     assert cache.evictions == 2 and len(cache) == cache.capacity_pages
-    machine.bus.publish(_fake_complete(env, pages=pages))  # consistent: passes
+    machine.bus.publish(_fake_complete(env, runs=runs))  # consistent: passes
     cache._extents[99][1][0].block = 5  # a clean page off its disk block
-    with pytest.raises(SanitizerError, match="cleaned-page"):
-        machine.bus.publish(_fake_complete(env, pages=pages))
+    with pytest.raises(SanitizerError, match="cleaned-run"):
+        machine.bus.publish(_fake_complete(env, runs=runs))
 
 
 def test_clean_machine_passes_all_checks():

@@ -9,7 +9,12 @@ from repro.obs.bus import PageCleaned, PageDirtied, PageFreed
 from repro.proc import Task
 from repro.sim import Environment
 from repro.units import MB, PAGE_SIZE
-from tests.cache.test_cache_properties import assert_hints, clean_with_blocks
+from tests.cache.test_cache_properties import assert_runs, clean_with_blocks, dirty_keys, event_keys
+
+
+def dirty_block(cache, inode_id, index):
+    """The disk block of a dirty page (None while allocation is delayed)."""
+    return cache.dirty_run((inode_id, index)).block_of(index)
 
 
 def make_cache(memory=16 * MB):
@@ -58,7 +63,7 @@ def test_page_dirtied_reports_old_causes():
     a, b = Task("a"), Task("b")
     calls = []
     cache.bus.subscribe(
-        PageDirtied, lambda e: calls.extend((page.key, e.old_causes) for page in e.pages)
+        PageDirtied, lambda e: calls.extend((key, e.old_causes) for key in event_keys(e))
     )
     key = PageKey(1, 5)
     cache.mark_dirty(key, a)
@@ -71,7 +76,7 @@ def test_page_freed_fires_for_dirty_page_only():
     env, tags, cache = make_cache()
     task = Task("t")
     freed = []
-    cache.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key))
+    cache.bus.subscribe(PageFreed, lambda e: freed.extend(event_keys(e)))
     dirty_key, clean_key = PageKey(1, 0), PageKey(1, 1)
     cache.mark_dirty(dirty_key, task)
     cache.insert_clean_run(1, [(1, 500, 1)])
@@ -226,7 +231,7 @@ def test_range_dirty_evicts_page_by_page():
     cache.mark_dirty_range(1, 0, 3, BlockMap({0: 10, 1: 11, 2: 12}), task)
     assert cache.evictions == 2
     assert cache.dirty_pages == 4
-    assert [cache._pages[(1, i)].disk_block for i in range(3)] == [10, 11, 12]
+    assert [dirty_block(cache, 1, i) for i in range(3)] == [10, 11, 12]
 
 
 def test_range_dirty_takes_disk_blocks_after_the_hook():
@@ -236,12 +241,13 @@ def test_range_dirty_takes_disk_blocks_after_the_hook():
     task = Task("t")
     seen = []
     cache.bus.subscribe(
-        PageDirtied, lambda e: seen.extend((page.key.index, page.disk_block) for page in e.pages)
+        PageDirtied,
+        lambda e: seen.extend((i, dirty_block(cache, 1, i)) for i in range(e.first, e.stop)),
     )
     last = cache.mark_dirty_range(1, 0, 3, BlockMap({0: 50, 2: 52}), task)
     assert seen == [(0, None), (1, None), (2, None)]
-    assert [cache._pages[(1, i)].disk_block for i in range(3)] == [50, None, 52]
-    assert last is cache._pages[(1, 2)]
+    assert [dirty_block(cache, 1, i) for i in range(3)] == [50, None, 52]
+    assert last is cache.dirty_run((1, 2))
 
 
 # -- buffer-dirty runs ---------------------------------------------------------
@@ -273,21 +279,22 @@ def test_range_dirty_publishes_one_event_per_run_in_file_order():
     cache = mixed_run_cache(a, b)
     runs = record_runs(cache)
     last = cache.mark_dirty_range(1, 0, 6, block_map, writer)
-    assert [[page.key.index for page in e.pages] for e in runs] == [[0, 1], [2, 3], [4], [5]]
+    assert [list(range(e.first, e.stop)) for e in runs] == [[0, 1], [2, 3], [4], [5]]
     assert [e.old_causes for e in runs] == [
         CauseSet(), CauseSet([a.pid]), CauseSet([b.pid]), CauseSet()
     ]
-    assert runs[1].pages[0].causes is runs[1].pages[1].causes  # one union per run
-    assert last is runs[-1].pages[-1]
+    # One union per stretch, which its pages share.
+    assert cache.dirty_run((1, 2)).causes is cache.dirty_run((1, 3)).causes is runs[1].causes
+    assert last is cache.dirty_run((1, 5))
 
     reference = mixed_run_cache(a, b)
     one_by_one = record_runs(reference)
     for index in range(6):
         reference.mark_dirty_range(1, index, index + 1, block_map, writer)
-    assert all(len(e.pages) == 1 for e in one_by_one)
+    assert all(e.stop - e.first == 1 for e in one_by_one)
 
     def expand(events):
-        return [(page.key, e.old_causes) for e in events for page in e.pages]
+        return [(key, e.old_causes) for e in events for key in event_keys(e)]
 
     assert expand(runs) == expand(one_by_one)
     for attr in ("overwrites", "evictions", "dirty_bytes"):
@@ -295,25 +302,27 @@ def test_range_dirty_publishes_one_event_per_run_in_file_order():
     for attr in ("bytes_allocated", "max_bytes_allocated", "live_tags"):
         assert getattr(cache.tags, attr) == getattr(reference.tags, attr)
     for index in range(6):
-        page, ref = cache._pages[(1, index)], reference._pages[(1, index)]
-        assert (page.causes, page.disk_block) == (ref.causes, ref.disk_block)
+        page, ref = cache.dirty_run((1, index)), reference.dirty_run((1, index))
+        assert (page.causes, page.block_of(index)) == (ref.causes, ref.block_of(index))
 
 
 def test_page_under_writeback_in_an_overwrite_run_is_redirtied():
     env, tags, cache = make_cache()
     a, b = Task("a"), Task("b")
     cache.mark_dirty_range(1, 0, 3, None, a)
-    cache._pages[(1, 1)].write_submitted()
+    cache._dirty.isolate(1, 1, 2)[0].write_submitted()
     runs = record_runs(cache)
     cache.mark_dirty_range(1, 0, 3, None, b)
     assert len(runs) == 1 and runs[0].old_causes == CauseSet([a.pid])
-    assert [page.redirtied for page in runs[0].pages] == [False, True, False]
+    assert (runs[0].first, runs[0].stop) == (0, 3)
+    assert [cache.dirty_run((1, i)).redirtied for i in range(3)] == [False, True, False]
     assert cache.overwrites == 3
+    assert_runs(cache)
 
 
-# -- dirty-run hints ------------------------------------------------------------
+# -- dirty runs: divergence -------------------------------------------------------
 
-#: The block map of file 1 in the hint tests.
+#: The block map of file 1 in the dirty-run tests.
 BLOCKS = BlockMap({i: 100 + i for i in range(16)})
 
 
@@ -324,14 +333,14 @@ def recording_cache():
     events = []
     cache.bus.subscribe(
         PageDirtied,
-        lambda e: events.extend((tuple(page.key), e.old_causes.pids) for page in e.pages),
+        lambda e: events.extend((tuple(key), e.old_causes.pids) for key in event_keys(e)),
     )
     return cache, events
 
 
 def run_steps(cache, tasks, steps, per_page=False):
     """Apply ``(op, first, stop, writer)`` steps to file 1 of *cache*,
-    checking the hint invariant after each.  With *per_page*, each
+    checking the dirty-run invariant after each.  With *per_page*, each
     ``dirty`` step is split into one-page writes: the reference a
     run-at-a-time write must match event for event, once expanded."""
     for op, first, stop, writer in steps:
@@ -340,7 +349,7 @@ def run_steps(cache, tasks, steps, per_page=False):
             for lo, hi in pieces:
                 cache.mark_dirty_range(1, lo, hi, BLOCKS, tasks[writer])
         elif op == "clean":
-            page = cache._pages[(1, first)]
+            page = cache._dirty.isolate(1, first, first + 1)[0]
             page.write_submitted()
             page.write_completed()
         elif op == "free":
@@ -352,14 +361,14 @@ def run_steps(cache, tasks, steps, per_page=False):
         else:
             assert op == "drop_volatile"
             cache.drop_volatile()
-        assert_hints(cache)
+        assert_runs(cache)
 
 
 def cache_state(cache):
     """Everything a write can change, keyed by page, not by object."""
     pages = {
-        key: (page.causes.pids, page.disk_block, page.redirtied)
-        for key, page in cache._pages.items()
+        key: (run.causes.pids, run.block_of(key.index), run.redirtied)
+        for key, run in sorted(dirty_keys(cache).items())
     }
     tags = cache.tags
     return (
@@ -368,8 +377,8 @@ def cache_state(cache):
     )
 
 
-#: Pages 0-7 of file 1 born by writer a, then overwritten by a: the
-#: scanned overwrite leaves one live, allocated hint over all eight.
+#: Pages 0-7 of file 1 born by writer a, then overwritten by a: one
+#: run over all eight, on disk blocks 100-107.
 HINTED = [("dirty", 0, 8, "a"), ("dirty", 0, 8, "a")]
 
 
@@ -381,21 +390,23 @@ HINTED = [("dirty", 0, 8, "a"), ("dirty", 0, 8, "a")]
         ("free_range", 2, 4, None),
         ("free_file", 0, 0, None),
         ("drop_volatile", 0, 0, None),
-        ("dirty", 2, 4, "b"),  # a merge over part of the hint
+        ("dirty", 2, 4, "b"),  # a merge over part of the run
     ],
 )
 def test_breaking_a_hint_keeps_the_next_overwrite_exact(breaker):
+    """A step that makes part of a run diverge splits it, and later
+    overwrites stay exact against one-page writes (the name records
+    the hint this run replaced)."""
     tasks = {name: Task(name) for name in "abc"}
     cache, events = recording_cache()
     run_steps(cache, tasks, HINTED)
-    hint = cache._pages[(1, 0)].hint
-    assert hint.live and hint.allocated
-    assert hint.pages == [cache._pages[(1, i)] for i in range(8)]
+    run = cache.dirty_run((1, 0))
+    assert (run.start, run.stop, run.disk_block) == (0, 8, 100)
     run_steps(cache, tasks, [breaker])
-    if breaker[0] == "drop_volatile":
-        assert not cache._pages  # the hint is unreachable with its pages
+    if breaker[0] in ("free_file", "drop_volatile"):
+        assert run.next is None and not list(cache.dirty_runs())
     else:
-        assert not hint.live
+        assert len(run) < 8  # split where its pages diverged
     later = [("dirty", 0, 8, "c"), ("dirty", 0, 8, "c")]
     run_steps(cache, tasks, later)
     reference, reference_events = recording_cache()
@@ -405,22 +416,23 @@ def test_breaking_a_hint_keeps_the_next_overwrite_exact(breaker):
 
 
 def test_run_over_two_hints_of_one_set_publishes_one_event():
+    """Two runs of one cause set object make one overwrite stretch: one
+    event, and one union they then both carry."""
     a, b = Task("a"), Task("b")
     env, tags, cache = make_cache()
-    cache.mark_dirty_range(1, 0, 8, BLOCKS, a)
     cache.mark_dirty_range(1, 0, 4, BLOCKS, a)
     cache.mark_dirty_range(1, 4, 8, BLOCKS, a)
-    first, second = cache._pages[(1, 0)].hint, cache._pages[(1, 4)].hint
-    assert first is not second and first.live and second.live
+    first, second = cache.dirty_run((1, 0)), cache.dirty_run((1, 4))
+    assert first is not second and first.causes is second.causes
     runs = record_runs(cache)
-    cache.mark_dirty_range(1, 0, 8, BLOCKS, a)  # both hints reused
+    cache.mark_dirty_range(1, 0, 8, BLOCKS, a)  # both runs, unchanged
     cache.mark_dirty_range(1, 0, 8, BLOCKS, b)  # one merge over both
-    assert [[page.key.index for page in e.pages] for e in runs] == [list(range(8))] * 2
+    assert [(e.first, e.stop) for e in runs] == [(0, 8)] * 2
     assert [e.old_causes for e in runs] == [CauseSet([a.pid])] * 2
-    assert not first.live and not second.live
-    merged = cache._pages[(1, 0)].hint
-    assert merged.live and merged.pages == list(runs[1].pages)
-    assert_hints(cache)
+    assert list(cache.dirty_runs()) == [first, second]  # whole runs: no split
+    assert first.causes is second.causes is runs[1].causes
+    assert first.causes == CauseSet([a.pid, b.pid])
+    assert_runs(cache)
 
 
 def test_overwrite_over_a_hint_with_an_unallocated_page_takes_the_map_blocks():
@@ -428,19 +440,18 @@ def test_overwrite_over_a_hint_with_an_unallocated_page_takes_the_map_blocks():
     env, tags, cache = make_cache()
     cache.mark_dirty_range(1, 0, 4, None, a)  # delayed allocation
     cache.mark_dirty_range(1, 0, 4, None, a)
-    hint = cache._pages[(1, 0)].hint
-    assert hint.live and not hint.allocated
+    assert [(run.start, run.stop, run.disk_block) for run in cache.dirty_runs()] == [(0, 4, None)]
     cache.mark_dirty_range(1, 0, 4, BlockMap({0: 10, 1: 11, 3: 13}), a)
-    assert [cache._pages[(1, i)].disk_block for i in range(4)] == [10, 11, None, 13]
-    assert hint.live and not hint.allocated
+    assert [dirty_block(cache, 1, i) for i in range(4)] == [10, 11, None, 13]
     cache.mark_dirty_range(1, 0, 4, BlockMap({i: 10 + i for i in range(4)}), a)
-    assert [cache._pages[(1, i)].disk_block for i in range(4)] == [10, 11, 12, 13]
-    assert hint.live and hint.allocated
-    assert_hints(cache)
+    assert [dirty_block(cache, 1, i) for i in range(4)] == [10, 11, 12, 13]
+    # A run sits on consecutive blocks: the map's hole split it.
+    assert [(run.start, run.stop) for run in cache.dirty_runs()] == [(0, 2), (2, 3), (3, 4)]
+    assert_runs(cache)
 
 
 class CountingBlockMap(BlockMap):
-    """A block map that counts its extent lookups."""
+    """A block map that counts its lookups (of extents or one page)."""
 
     calls = 0
 
@@ -448,49 +459,66 @@ class CountingBlockMap(BlockMap):
         self.calls += 1
         return super().runs(first, stop)
 
-
-class CountingDict(dict):
-    """A dict that counts ``get`` calls."""
-
-    gets = 0
-
-    def get(self, key, default=None):
-        self.gets += 1
-        return super().get(key, default)
+    def get(self, index, default=None):
+        self.calls += 1
+        return super().get(index, default)
 
 
 def test_overwrite_inside_an_allocated_hint_does_no_per_page_work():
+    """An overwrite by a run's own writer inside an allocated run
+    changes nothing: no split and no block-map lookup."""
     a = Task("a")
     env, tags, cache = make_cache()
     block_map = CountingBlockMap({i: 100 + i for i in range(16)})
     cache.mark_dirty_range(1, 0, 16, block_map, a)
-    cache.mark_dirty_range(1, 0, 16, block_map, a)  # scanned: builds the hint
-    hint = cache._pages[(1, 0)].hint
-    assert hint.live and hint.allocated and block_map.calls == 2
-    cache._pages = CountingDict(cache._pages)
+    cache.mark_dirty_range(1, 0, 16, block_map, a)
+    run = cache.dirty_run((1, 0))
+    assert (run.start, run.stop, run.disk_block) == (0, 16, 100) and block_map.calls == 1
     runs = record_runs(cache)
     cache.mark_dirty_range(1, 2, 14, block_map, a)
-    assert [page.key.index for page in runs[0].pages] == list(range(2, 14))
-    assert cache._pages.gets == 1  # the run's first page only
-    assert block_map.calls == 2
-    assert hint.live and cache.overwrites == 16 + 12
-    assert_hints(cache)
+    assert [(e.first, e.stop) for e in runs] == [(2, 14)]
+    assert list(cache.dirty_runs()) == [run] and len(run) == 16
+    assert block_map.calls == 1
+    assert cache.overwrites == 16 + 12
+    assert_runs(cache)
+
+
+def test_one_page_writes_over_clean_or_allocated_pages_skip_the_block_map():
+    """A one-page birth from a clean extent with a disk block, and a
+    one-page overwrite of an allocated dirty page, look nothing up in
+    the block map; a one-page append, with no clean page to take its
+    block from, looks once.  Each birth builds one run."""
+    env, tags, cache = make_cache()
+    block_map = CountingBlockMap({i: 100 + i for i in range(8)})
+    cache.insert_clean_run(1, [(0, 100, 8)])
+    task = Task("t")
+    for index in (3, 5, 4):
+        cache.mark_dirty_range(1, index, index + 1, block_map, task)
+    assert block_map.calls == 0
+    assert [dirty_block(cache, 1, i) for i in (3, 4, 5)] == [103, 104, 105]
+    assert len(list(cache.dirty_runs())) == 3
+    cache.mark_dirty_range(1, 4, 5, block_map, Task("u"))  # a new writer's overwrite
+    cache.mark_dirty_range(1, 4, 5, block_map, task)
+    assert block_map.calls == 0 and cache.overwrites == 2
+    cache.mark_dirty_range(1, 8, 9, block_map, task)  # an append past the clean pages
+    assert block_map.calls == 1 and dirty_block(cache, 1, 8) is None
+    assert len(list(cache.dirty_runs())) == 4
+    assert_runs(cache)
 
 
 def test_page_under_writeback_inside_a_hinted_run_is_redirtied():
     a = Task("a")
     env, tags, cache = make_cache()
     cache.mark_dirty_range(1, 0, 4, BLOCKS, a)
-    cache.mark_dirty_range(1, 0, 4, BLOCKS, a)
-    hint = cache._pages[(1, 0)].hint
-    cache._pages[(1, 2)].write_submitted()
+    in_flight = cache._dirty.isolate(1, 2, 3)[0]
+    in_flight.write_submitted()
     runs = record_runs(cache)
     cache.mark_dirty_range(1, 0, 4, BLOCKS, a)
-    assert hint.live and list(runs[0].pages) == hint.pages
-    assert [page.redirtied for page in hint.pages] == [False, False, True, False]
-    hint.pages[2].write_completed()  # modified mid-flight: stays dirty
-    assert hint.live and hint.pages[2].dirty
-    assert_hints(cache)
+    assert [(e.first, e.stop) for e in runs] == [(0, 4)]
+    assert [cache.dirty_run((1, i)).redirtied for i in range(4)] == [False, False, True, False]
+    in_flight.write_completed()  # modified mid-flight: stays dirty
+    assert in_flight.dirty and cache.dirty_run((1, 2)) is in_flight
+    assert_runs(cache)
 
 
 @pytest.mark.parametrize(
@@ -509,7 +537,7 @@ def test_range_dirty_returns_the_last_page_for_every_run_shape(dirty_first, firs
     if dirty_first:
         cache.mark_dirty_range(1, *dirty_first, None, Task("a"))
     last = cache.mark_dirty_range(1, first, stop, None, Task("b"))
-    assert last is cache._pages[(1, stop - 1)]
+    assert last is cache.dirty_run((1, stop - 1))
     assert cache.mark_dirty_range(1, 2, 2, None, Task("b")) is None  # nothing dirtied
 
 
@@ -608,28 +636,31 @@ def test_in_order_writeback_completions_coalesce():
 
 def test_completion_evicting_its_own_cleaned_pages_matches_page_at_a_time():
     """A cache over capacity with dirty pages only: one call completing
-    a write of eight pages (one dirtied again and one freed mid-flight)
-    cleans six, and its one eviction pops the first three it cleaned,
-    exactly as completing the pages one at a time does, event for event
-    and state for state."""
+    a write of eight pages (one dirtied again and one freed mid-flight,
+    each splitting the run in flight) cleans six, and its one eviction
+    pops the first three it cleaned, exactly as completing the pieces
+    one at a time does, event for event and state for state."""
 
     task = Task("w")
 
     def complete(one_call):
         env, tags, cache = make_cache(memory=4 * PAGE_SIZE)
         cache.mark_dirty_range(1, 0, 8, BlockMap({i: 100 + i for i in range(8)}), task)
-        pages = cache.dirty_pages_of(1)
-        for page in pages:
-            page.write_submitted()
+        write = cache.dirty_pages_of(1)
+        for run in write:
+            run.write_submitted(write)
         cache.mark_dirty(PageKey(1, 1), task)  # dirtied again mid-flight
         cache.free(PageKey(1, 3))  # freed mid-flight
+        assert [(run.start, run.stop) for run in write] == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 8)]
         events = []
-        cache.bus.subscribe(PageCleaned, lambda e: events.append((e.time, tuple(e.page.key))))
+        cache.bus.subscribe(
+            PageCleaned, lambda e: events.extend((e.time, tuple(key)) for key in event_keys(e))
+        )
         if one_call:
-            cache.write_completed(pages)
+            cache.write_completed(write)
         else:
-            for page in pages:
-                page.write_completed()
+            for run in list(write):
+                cache.write_completed([run])
         return events, cache_state(cache), clean_with_blocks(cache), cache.evictions
 
     batched = complete(one_call=True)
@@ -662,14 +693,14 @@ def test_birth_stretch_at_capacity_crossing_a_clean_extent_matches_page_at_a_tim
         events = []
         cache.bus.subscribe(
             PageDirtied,
-            lambda e: events.extend((tuple(page.key), e.old_causes.pids) for page in e.pages),
+            lambda e: events.extend((tuple(key), e.old_causes.pids) for key in event_keys(e)),
         )
         if one_call:
             cache.mark_dirty_range(1, 0, 10, None, task)
         else:
             for index in range(10):
                 cache.mark_dirty(PageKey(1, index), task)
-        blocks = [cache._pages[(1, index)].disk_block for index in range(10)]
+        blocks = [dirty_block(cache, 1, index) for index in range(10)]
         return events, cache_state(cache), cache.evictions, blocks
 
     batched = write(one_call=True)
@@ -722,7 +753,7 @@ def test_free_range_cuts_extents_and_frees_dirty_pages_in_index_order():
     env, tags, cache = make_cache()
     task = Task("t")
     freed = []
-    cache.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key.index))
+    cache.bus.subscribe(PageFreed, lambda e: freed.extend(range(e.first, e.stop)))
     cache.insert_clean_run(1, [(0, 100, 8)])
     cache.mark_dirty(PageKey(1, 5), task)
     cache.mark_dirty(PageKey(1, 3), task)

@@ -46,22 +46,42 @@ def clean_with_blocks(cache):
     return pages
 
 
-def assert_hints(cache):
-    """Every live dirty-run hint lists exactly the cache's dirty pages
-    at its indices, all of one cause set object and each pointing back
-    at it; a hint marked allocated lists only pages with a disk block."""
-    pages = cache._pages
-    for page in pages.values():
-        hint = page.hint
-        if hint is None or not hint.live:
-            continue
-        inode_id, offset = page.key.inode_id, page.key.index - hint.start
-        assert 0 <= offset < len(hint.pages) and hint.pages[offset] is page
-        causes = hint.pages[0].causes
-        for offset, listed in enumerate(hint.pages):
-            assert pages.get((inode_id, hint.start + offset)) is listed
-            assert listed.hint is hint and listed.causes is causes
-            assert listed.disk_block is not None or not hint.allocated
+def dirty_keys(cache):
+    """Each dirty page's key mapped to the dirty run holding it."""
+    return {
+        PageKey(run.inode_id, index): run
+        for run in cache.dirty_runs()
+        for index in range(run.start, run.stop)
+    }
+
+
+def event_keys(event):
+    """The keys of the pages a buffer-dirty, -free or -cleaned event
+    names, in file order."""
+    return [PageKey(event.inode_id, index) for index in range(event.first, event.stop)]
+
+
+def assert_runs(cache):
+    """The cache's dirty runs: each file's are non-empty, sorted and
+    disjoint; the age list holds exactly the indexed runs; a run is in
+    flight exactly when a write lists it; and their pages and tags make
+    up the cache's and the tag manager's counts."""
+    aged = list(cache.dirty_runs())
+    indexed = [run for _, runs in cache._dirty.files.values() for run in runs]
+    assert len(aged) == len(indexed) and set(map(id, aged)) == set(map(id, indexed))
+    for inode_id, (starts, runs) in cache._dirty.files.items():
+        assert runs and starts == [run.start for run in runs]
+        assert all(run.inode_id == inode_id and run.start < run.stop for run in runs)
+        assert all(a.stop <= b.start for a, b in zip(runs, runs[1:]))
+        for run in runs:
+            assert run.dirty and run.next is not None
+            assert (run.batch is not None) == run.under_writeback
+            assert run.batch is None or any(listed is run for listed in run.batch)
+    tags = cache.tags
+    assert sum(map(len, aged)) == cache.dirty_pages == tags._page_tags - cache.lost_tags
+    assert tags.bytes_allocated - cache.lost_tag_bytes == sum(
+        len(run) * tags.tag_cost(run.causes) for run in aged
+    )
 
 
 class LruModel:
@@ -69,11 +89,11 @@ class LruModel:
 
     ``clean`` is the LRU (front = least recently used), and ``blocks``
     maps each clean key to its disk block (None for a zero-filled
-    page).  ``dirty`` maps a key to the page object the cache returned
-    when it was dirtied (identity only, to tell a current page from a
-    freed one), its cause pids, and whether its writeback is in flight
-    or it was re-dirtied meanwhile.  Every insert evicts on its own,
-    which is what the cache's batched run insert must match.
+    page).  ``dirty`` maps a key to the incarnation number its birth
+    drew (to tell a current page from a freed one), its cause pids, and
+    whether its writeback is in flight or it was re-dirtied meanwhile.
+    Every insert evicts on its own, which is what the cache's batched
+    run insert must match.
     """
 
     def __init__(self, capacity):
@@ -83,6 +103,7 @@ class LruModel:
         self.dirty = {}
         self.evictions = 0
         self.overwrites = 0
+        self.births = 0
 
     def resident(self):
         return set(self.clean) | set(self.dirty)
@@ -120,7 +141,7 @@ class LruModel:
             if index in block_map and (inode_id, index) not in self.resident()
         ]
 
-    def mark_dirty(self, key, page, pid):
+    def mark_dirty(self, key, pid):
         """Dirty one page; returns the ``(key, old causes)`` its
         buffer-dirty event must carry."""
         if key in self.dirty:
@@ -134,27 +155,35 @@ class LruModel:
         if key in self.clean:
             self.clean.remove(key)
             del self.blocks[key]
+        self.births += 1
         self.dirty[key] = {
-            "page": page, "causes": frozenset({pid}), "wb": False, "redirtied": False,
+            "birth": self.births, "causes": frozenset({pid}), "wb": False, "redirtied": False,
         }
         self._evict()
         return key, frozenset()
 
     def submitted(self, key):
-        self.dirty[key]["wb"] = True
-        self.dirty[key]["redirtied"] = False
+        """Writeback of page *key* begins; returns its incarnation."""
+        entry = self.dirty[key]
+        entry["wb"] = True
+        entry["redirtied"] = False
+        return entry["birth"]
 
-    def completed(self, page):
-        key = tuple(page.key)
+    def completed(self, key, birth, block):
         entry = self.dirty.get(key)
-        if entry is None or entry["page"] is not page:
+        if entry is None or entry["birth"] != birth:
             return  # freed while in flight: the cache ignores it
         entry["wb"] = False
         if entry["redirtied"]:
             entry["redirtied"] = False
             return
         del self.dirty[key]
-        self._insert_clean(key, page.disk_block)
+        self._insert_clean(key, block)
+
+    def failed(self, key, birth):
+        entry = self.dirty.get(key)
+        if entry is not None and entry["birth"] == birth:
+            entry["wb"] = entry["redirtied"] = False
 
     def free(self, key):
         if key in self.clean:
@@ -182,7 +211,8 @@ class CacheMachine:
         self.block_maps = {inode_id: block_maps(inode_id, file_pages) for inode_id in INODES}
         self.extent_maps = {inode_id: BlockMap(pages) for inode_id, pages in self.block_maps.items()}
         self.tasks = [Task(f"t{i}") for i in range(3)]
-        #: Pages whose writeback was submitted and has not completed.
+        #: Writes submitted and not finished: each is its runs (the list
+        #: the cache adds pieces to) and each page's model incarnation.
         self.in_flight = []
         #: ``(key, old cause pids)`` of each page of each buffer-dirty
         #: event, in order, and the old cause set of each event.
@@ -191,15 +221,23 @@ class CacheMachine:
         self.cache.bus.subscribe(PageDirtied, self.on_dirtied)
         #: Keys of each buffer-free event, in order.
         self.freed = []
-        self.cache.bus.subscribe(PageFreed, lambda e: self.freed.append(tuple(e.page.key)))
+        self.cache.bus.subscribe(PageFreed, lambda e: self.freed.extend(map(tuple, event_keys(e))))
 
     def on_dirtied(self, event):
-        keys = [tuple(page.key) for page in event.pages]
-        inode_id, first = keys[0]
-        # A run is consecutive pages of one file.
-        assert keys == [(inode_id, first + i) for i in range(len(keys))]
+        keys = [tuple(key) for key in event_keys(event)]
+        assert keys  # an event names at least one page
         self.dirtied.extend((key, event.old_causes.pids) for key in keys)
         self.run_causes.append(event.old_causes)
+
+    def submit(self, runs):
+        """Start one write of *runs*, as the filesystem does."""
+        births = {}
+        for run in runs:
+            run.write_submitted(runs)
+            for index in range(run.start, run.stop):
+                key = (run.inode_id, index)
+                births[key] = self.model.submitted(key)
+        self.in_flight.append((runs, births))
 
     def apply(self, op):
         kind, inode_id, index, arg = op
@@ -218,37 +256,51 @@ class CacheMachine:
             task = self.tasks[arg % len(self.tasks)]
             was_dirty = key in model.dirty
             clean_block = model.blocks.get(key)
-            page = cache.mark_dirty(key, task)
-            assert self.dirtied == [model.mark_dirty(key, page, task.pid)]
-            assert page.disk_block is None or page.disk_block == block_map.get(index)
+            run = cache.mark_dirty(key, task)
+            assert self.dirtied == [model.mark_dirty(key, task.pid)]
+            block = run.block_of(index)
+            assert block is None or block == block_map.get(index)
             if not was_dirty:
                 # Born from its clean page's disk block, or unallocated.
-                assert page.disk_block == clean_block
+                assert block == clean_block
         elif kind == 3:
+            # One write of one or two whole runs, oldest first.
             candidates = cache.dirty_pages_by_age()
             if candidates:
-                page = candidates[arg % len(candidates)]
-                page.write_submitted()
-                model.submitted(page.key)
-                self.in_flight.append(page)
-        elif kind == 4:
+                first = arg % len(candidates)
+                self.submit(candidates[first:first + 1 + arg % 2])
+        elif kind in (4, 10):
+            # A write finishes: it succeeds (4) or fails for good (10).
+            # Its runs may have been split, dirtied again or freed since.
             if self.in_flight:
-                page = self.in_flight.pop(arg % len(self.in_flight))
-                page.write_completed()
-                model.completed(page)
+                runs, births = self.in_flight.pop(arg % len(self.in_flight))
+                if kind == 4:
+                    blocks = {
+                        (run.inode_id, i): run.block_of(i)
+                        for run in runs
+                        for i in range(run.start, run.stop)
+                    }
+                    cache.write_completed(runs)
+                    for page_key in blocks:
+                        model.completed(page_key, births[page_key], blocks[page_key])
+                else:
+                    for run in runs:
+                        run.write_failed()
+                    for page_key, birth in births.items():
+                        model.failed(page_key, birth)
+        elif kind == 11:
+            # One write of a file's first dirty pages, cutting the run
+            # that reaches past them.
+            runs = cache.dirty_pages_of(inode_id, limit=arg + 1)
+            if runs:
+                assert sum(map(len, runs)) == min(
+                    arg + 1,
+                    sum(1 for k, e in model.dirty.items() if k[0] == inode_id and not e["wb"]),
+                )
+                self.submit(runs)
         elif kind == 5:
             cache.free(key)
             model.free(key)
-        elif kind == 10:
-            # One write's completion: several in-flight pages in one
-            # call, some of them dirtied again, freed or stale since.
-            if self.in_flight:
-                first = index % len(self.in_flight)
-                batch = self.in_flight[first:first + arg + 1]
-                del self.in_flight[first:first + arg + 1]
-                cache.write_completed(batch)
-                for page in batch:
-                    model.completed(page)
         elif kind == 6:
             # Dirty pages go oldest first (model dicts keep dirtying order).
             expected = [k for k in model.dirty if k[0] == inode_id]
@@ -270,11 +322,10 @@ class CacheMachine:
             cache.mark_dirty_range(inode_id, index, stop, extent_map, task)
             expected = []
             for i in range(index, stop):
-                page = cache._pages[(inode_id, i)]
-                expected.append(model.mark_dirty((inode_id, i), page, task.pid))
-                assert page.disk_block == block_map.get(i)
+                expected.append(model.mark_dirty((inode_id, i), task.pid))
+                assert cache.dirty_run((inode_id, i)).block_of(i) == block_map.get(i)
             assert self.dirtied == expected
-            # Runs are maximal: neighbours had different old sets.
+            # Stretches are maximal: neighbours had different old sets.
             assert all(a is not b for a, b in zip(self.run_causes, self.run_causes[1:]))
         self.dirtied.clear()
         self.run_causes.clear()
@@ -285,13 +336,21 @@ class CacheMachine:
         assert len(cache) == len(model.clean) + len(model.dirty)
         assert cache.evictions == model.evictions
         assert cache.overwrites == model.overwrites
-        assert set(cache.clean_keys()) | set(cache._pages) == model.resident()
+        dirty = dirty_keys(cache)
+        assert set(cache.clean_keys()) | set(dirty) == model.resident()
         assert list(cache.clean_keys()) == model.clean
         assert clean_with_blocks(cache) == [(*key, model.blocks[key]) for key in model.clean]
-        # Causes and tags: each dirty page holds one tag priced by its set.
-        tags = self.tags
+        # Dirty pages in age order, with their causes and writeback state.
+        assert [
+            PageKey(run.inode_id, i)
+            for run in cache.dirty_runs()
+            for i in range(run.start, run.stop)
+        ] == list(model.dirty)
         for key, entry in model.dirty.items():
-            assert cache._pages[key].causes.pids == entry["causes"]
+            assert dirty[key].causes.pids == entry["causes"]
+            assert dirty[key].under_writeback == entry["wb"]
+        # Tags: each dirty page holds one tag priced by its set.
+        tags = self.tags
         assert tags.live_tags == len(model.dirty)
         assert tags.bytes_allocated == sum(
             tags.TAG_OVERHEAD_BASE + tags.TAG_OVERHEAD_PER_PID * len(entry["causes"])
@@ -301,27 +360,23 @@ class CacheMachine:
             for index in range(self.file_pages):
                 key = PageKey(inode_id, index)
                 assert cache.contains(key) == (key in model.resident())
-        assert_hints(cache)
+        assert_runs(cache)
 
     def check_invariants(self):
         cache = self.cache
-        dirty_count = len(cache._pages)
+        dirty = dirty_keys(cache)
+        dirty_count = len(dirty)
         assert cache.dirty_pages == dirty_count
         assert cache.dirty_bytes == dirty_count * PAGE_SIZE
-        # Page objects exist only for dirty pages; clean ones are extents.
-        assert all(page.dirty for page in cache._pages.values())
         clean = list(cache.clean_keys())
         assert len(clean) == len(set(clean)) == cache.clean_pages == len(cache) - dirty_count
-        assert not set(clean) & set(cache._pages)
+        assert not set(clean) & set(dirty)
         # Each file's extent index is sorted, non-empty and disjoint.
         for inode_id, (starts, extents) in cache._extents.items():
             assert starts == [extent.start for extent in extents]
             assert all(e.inode_id == inode_id and e.start < e.stop for e in extents)
             assert all(a.stop <= b.start for a, b in zip(extents, extents[1:]))
-        # The per-inode index covers exactly the dirty pages.
-        per_inode = {key for index in cache._dirty_by_inode.values() for key in index}
-        assert per_inode == set(cache._pages)
-        assert all(cache._dirty_by_inode.values())
+        assert_runs(cache)
         # Dirty pages are never evicted: the cache may exceed capacity
         # only by holding nothing but dirty pages.
         assert len(cache) <= cache.capacity_pages or not clean
@@ -329,7 +384,7 @@ class CacheMachine:
 
 
 operations = st.tuples(
-    st.integers(min_value=0, max_value=10),  # op kind
+    st.integers(min_value=0, max_value=11),  # op kind
     st.sampled_from(INODES),                 # inode
     st.integers(min_value=0, max_value=FILE_PAGES - 1),  # page index
     st.integers(min_value=0, max_value=5),   # run length / task / pick / batch size
@@ -337,7 +392,7 @@ operations = st.tuples(
 #: Mostly reads and writeback completions, so clean pages stay cached
 #: long enough to be hit again: a uniform mix fills the cache with
 #: dirty pages and evicts every clean one at once.
-READ_HEAVY_KINDS = (0,) * 6 + (1, 2) + (3,) * 4 + (4,) * 4 + (5, 6, 7, 8, 9, 9, 10, 10)
+READ_HEAVY_KINDS = (0,) * 6 + (1, 2) + (3,) * 4 + (4,) * 4 + (5, 6, 7, 8, 9, 9, 10, 11, 11)
 #: Long runs over files wider than the cache: extents split on
 #: mid-extent hits, get trimmed by partial eviction, and coalesce as
 #: writebacks complete.
@@ -416,6 +471,28 @@ def test_cache_matches_lru_model_on_long_seeded_runs():
                 rng.choice(INODES),
                 rng.randrange(machine.file_pages),
                 rng.randint(0, max_arg),
+            ))
+            machine.check_invariants()
+            machine.check_model()
+
+
+#: Writes, flushes, failures and frees over runs many pages long, so
+#: runs diverge: a new writer over part of a run, a page freed or
+#: truncated inside one, a run dirtied again under writeback, and a
+#: write of part of a run that fails.
+DIVERGING_KINDS = (7,) * 4 + (2, 3, 3, 4, 4, 5, 8, 10, 10, 11, 11, 0, 9)
+
+
+def test_diverging_runs_match_the_page_at_a_time_model():
+    for seed in range(4):
+        rng = random.Random(seed)
+        machine = CacheMachine(capacity_pages=24, file_pages=64)
+        for _ in range(1000):
+            machine.apply((
+                rng.choice(DIVERGING_KINDS),
+                rng.choice(INODES),
+                rng.randrange(machine.file_pages),
+                rng.randint(0, 20),
             ))
             machine.check_invariants()
             machine.check_model()

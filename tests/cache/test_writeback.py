@@ -166,3 +166,40 @@ def test_expiry_flush_stops_at_the_first_young_page():
     old_id, young_id = p.value
     assert machine.cache.dirty_bytes_of(old_id) == 0
     assert machine.cache.dirty_bytes_of(young_id) == 64 * KB
+
+
+def test_prefill_in_megabyte_appends_builds_one_run_per_append(monkeypatch):
+    """A CFQ stack's 16 MB prefill in 1 MB appends, fsynced and dropped:
+    each append births one dirty run of 256 pages, and flushing and
+    cleaning them builds no other run, so no per-page object is made."""
+    from repro import HDD
+    from repro.cache import cache as cache_module, page as page_module
+    from repro.schedulers import make_scheduler
+
+    built = []
+
+    class CountingRun(page_module.DirtyRun):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(len(self))
+
+    env = Environment()
+    machine = OS(env, device=HDD(), scheduler=make_scheduler("cfq"), memory_bytes=256 * MB)
+    for module in (cache_module, page_module):  # births, and splits
+        monkeypatch.setattr(module, "DirtyRun", CountingRun)
+    task = machine.spawn("setup")
+
+    def prefill():
+        handle = yield from machine.creat(task, "/f")
+        for _ in range(16):
+            yield from handle.append(1 * MB)
+        yield from handle.fsync()
+        handle.drop_cache()
+        return handle.inode
+
+    inode = env.run(until=env.process(prefill()))
+    assert built == [256] * 16
+    assert machine.cache.dirty_pages == 0 and len(machine.cache) == 0
+    assert len(inode.block_map) == 4096

@@ -3,47 +3,42 @@
 import pytest
 
 from repro.block.request import BlockRequest, READ, WRITE
-from repro.cache.cache import PageCache
-from repro.cache.page import PageKey
 from repro.core.costmodel import DiskCostModel, MemoryCostModel
-from repro.core.tags import TagManager
 from repro.devices import HDD, SSD
 from repro.proc import Task
-from repro.sim import Environment
 from repro.units import MB, PAGE_SIZE
 
 
 def make_page(inode_id, index):
-    env = Environment()
-    cache = PageCache(env, TagManager(), memory_bytes=16 * MB)
-    return cache.mark_dirty(PageKey(inode_id, index), Task("t"))
+    """The ``(inode id, index)`` a dirtied page is estimated by."""
+    return inode_id, index
 
 
 def test_memory_model_sequential_writes_cheap():
     model = MemoryCostModel()
-    costs = [model.estimate(make_page(1, index)) for index in range(5)]
+    costs = [model.estimate(*make_page(1, index)) for index in range(5)]
     assert all(cost == PAGE_SIZE for cost in costs)
 
 
 def test_memory_model_random_writes_penalized():
     model = MemoryCostModel(random_penalty=10)
-    model.estimate(make_page(1, 0))
-    cost = model.estimate(make_page(1, 5000))  # big jump in the file
+    model.estimate(*make_page(1, 0))
+    cost = model.estimate(*make_page(1, 5000))  # big jump in the file
     assert cost == 10 * PAGE_SIZE
 
 
 def test_memory_model_overwrite_of_previous_page_is_sequential():
     model = MemoryCostModel()
-    model.estimate(make_page(1, 10))
+    model.estimate(*make_page(1, 10))
     # Writing index 10 again (expected_next is 11; 10 == 11 - 1).
-    assert model.estimate(make_page(1, 10)) == PAGE_SIZE
+    assert model.estimate(*make_page(1, 10)) == PAGE_SIZE
 
 
 def test_memory_model_per_file_tracking():
     model = MemoryCostModel()
-    model.estimate(make_page(1, 0))
-    model.estimate(make_page(2, 9000))  # different file: fresh detector
-    assert model.estimate(make_page(1, 1)) == PAGE_SIZE
+    model.estimate(*make_page(1, 0))
+    model.estimate(*make_page(2, 9000))  # different file: fresh detector
+    assert model.estimate(*make_page(1, 1)) == PAGE_SIZE
 
 
 def test_disk_model_normalizes_by_sequential_rate():

@@ -38,8 +38,8 @@ def test_default_hooks_are_noops():
     task = Task("t")
     assert hooks.syscall_entry(task, "write", {}) is None
     hooks.syscall_return(task, "write", {})  # must not raise
-    hooks.on_buffers_dirty((), None)
-    hooks.on_buffer_free(None)
+    hooks.on_buffers_dirty(1, 0, 1, None, None)
+    hooks.on_buffer_free(1, 0, 1)
 
 
 def test_default_elevator_is_noop():

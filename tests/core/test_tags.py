@@ -180,13 +180,12 @@ class _TagReference:
 PAGES, TXNS = 12, 3
 
 tag_steps = st.one_of(
-    # A run re-price: distinct pages in order, one cause set.
+    # Page births, or a re-price of pages of one old set to a superset.
     st.tuples(
-        st.just("run"),
+        st.sampled_from(["birth", "merge"]),
         st.lists(st.integers(0, PAGES - 1), min_size=1, max_size=PAGES, unique=True),
         st.integers(1, 6),
     ),
-    st.tuples(st.just("page"), st.integers(0, PAGES - 1), st.integers(1, 6)),
     st.tuples(st.just("txn"), st.integers(0, TXNS - 1), st.integers(1, 6)),
     st.tuples(st.just("release_page"), st.integers(0, PAGES - 1), st.just(0)),
     st.tuples(st.just("release_txn"), st.integers(0, TXNS - 1), st.just(0)),
@@ -195,27 +194,43 @@ tag_steps = st.one_of(
 
 @given(st.lists(tag_steps, max_size=60))
 def test_run_reprice_matches_per_object_accounting(steps):
-    """``account_tags`` over a run equals one ``account_tag`` per object,
-    interleaved with single tags, journal-transaction tags and releases:
+    """``account_tags`` over a run of pages equals one ``account_tag``
+    per page, in order: births, and re-prices of pages of one old set
+    to a set holding it (as a merge of writers makes), interleaved
+    with page releases, journal-transaction tags and their releases:
     the total, its peak and the live count agree after every step."""
     tags, reference = TagManager(), _TagReference()
     pages = [object() for _ in range(PAGES)]
     txns = [object() for _ in range(TXNS)]
+    npids_of = {}  # tagged page -> its set's size
     for kind, target, npids in steps:
-        causes = CauseSet(range(npids))
-        if kind == "run":
-            run = [pages[i] for i in target]
-            tags.account_tags(run, causes)
-            for page in run:
-                reference.account(page, npids)
-        elif kind in ("page", "txn"):
-            obj = (pages if kind == "page" else txns)[target]
-            tags.account_tag(obj, causes)
-            reference.account(obj, npids)
+        if kind == "birth":
+            born = [i for i in target if i not in npids_of]
+            if born:
+                tags.account_tags(len(born), CauseSet(range(npids)))
+            for i in born:
+                reference.account(pages[i], npids)
+                npids_of[i] = npids
+        elif kind == "merge":
+            old = npids_of.get(target[0])
+            if old is not None:
+                run = [i for i in target if npids_of.get(i) == old]
+                new = max(old, npids)
+                tags.account_tags(len(run), CauseSet(range(new)), CauseSet(range(old)))
+                for i in run:
+                    reference.account(pages[i], new)
+                    npids_of[i] = new
+        elif kind == "release_page":
+            old = npids_of.pop(target, None)
+            if old is not None:
+                tags.release_tags(1, CauseSet(range(old)))
+                reference.release(pages[target])
+        elif kind == "txn":
+            tags.account_tag(txns[target], CauseSet(range(npids)))
+            reference.account(txns[target], npids)
         else:
-            obj = (pages if kind == "release_page" else txns)[target]
-            tags.release_tag(obj)
-            reference.release(obj)
+            tags.release_tag(txns[target])
+            reference.release(txns[target])
         assert tags.bytes_allocated == reference.bytes_allocated
         assert tags.max_bytes_allocated == reference.max_bytes_allocated
         assert tags.live_tags == len(reference.costs)

@@ -79,6 +79,17 @@ def test_failed_cell_leaks_no_faults_or_spans():
     assert after.spans == clean.spans
 
 
+def test_direct_cell_call_leaks_no_faults_into_the_next_run():
+    """A stack built by calling a cell function directly under a fault
+    plan must not hand its summary to the next runner call."""
+    from repro.experiments import fig03_cfq_writeback
+
+    with common.using(fault=(FaultPlan(read_error_prob=0.001), 0)):
+        fig03_cfq_writeback.run(duration=1.0)
+        after = runner.run_experiment("fig03", {"duration": 1.0})
+    assert len(after.faults) == 1
+
+
 def test_cells_fallback_for_module_without_cells():
     """Experiments that expose no cells() degrade to a single cell."""
     cells = runner.experiment_cells("fig03", {"duration": 1.0})

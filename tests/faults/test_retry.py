@@ -42,8 +42,8 @@ def make_queue(device, **kwargs):
     return env, table, queue
 
 
-def submit_one(env, queue, task, op=READ, pages=None):
-    request = BlockRequest(op, 0, 8, task, pages=pages)
+def submit_one(env, queue, task, op=READ, runs=None):
+    request = BlockRequest(op, 0, 8, task, runs=runs)
     queue.submit(request)
     env.run(until=request.done)
     return request
@@ -86,7 +86,7 @@ def test_failed_write_redirties_pages():
     page.write_submitted()
     assert page.under_writeback
 
-    request = submit_one(env, queue, task, op=WRITE, pages=[page])
+    request = submit_one(env, queue, task, op=WRITE, runs=[page])
     assert request.failed
     assert page.dirty and not page.under_writeback  # stays dirty for a later flush
     assert cache.dirty_pages == 1
@@ -98,7 +98,7 @@ def test_successful_write_cleans_pages():
     task = table.spawn("t")
     page = cache.mark_dirty(PageKey(1, 0), task)
     page.write_submitted()
-    submit_one(env, queue, task, op=WRITE, pages=[page])
+    submit_one(env, queue, task, op=WRITE, runs=[page])
     assert not page.dirty
 
 

@@ -117,8 +117,8 @@ def test_failed_write_redirties_pages_at_depth():
         page.write_submitted()
 
     requests = [
-        BlockRequest(WRITE, 0, 8, task, pages=[bad_page]),
-        BlockRequest(WRITE, 64, 8, task, pages=[good_page]),
+        BlockRequest(WRITE, 0, 8, task, runs=[bad_page]),
+        BlockRequest(WRITE, 64, 8, task, runs=[good_page]),
     ]
     submit_all(env, table, queue, requests)
     assert requests[0].failed and not requests[1].failed

@@ -201,7 +201,9 @@ def test_unlink_discards_dirty_buffers():
     env, machine = make_os()
     task = machine.spawn("t")
     freed = []
-    machine.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key))
+    machine.bus.subscribe(
+        PageFreed, lambda e: freed.extend((e.inode_id, i) for i in range(e.first, e.stop))
+    )
 
     def proc():
         handle = yield from machine.creat(task, "/f")
@@ -382,7 +384,7 @@ def test_truncate_discards_dirty_tail_with_hook():
     env, machine = make_os()
     task = machine.spawn("t")
     freed = []
-    machine.bus.subscribe(PageFreed, lambda e: freed.append(e.page.key.index))
+    machine.bus.subscribe(PageFreed, lambda e: freed.extend(range(e.first, e.stop)))
 
     def proc():
         handle = yield from machine.creat(task, "/f")

@@ -22,12 +22,12 @@ def test_hot_objects_have_no_instance_dict():
     assert not hasattr(env.process(proc()), "__dict__")
 
     from repro.block.request import BlockRequest
-    from repro.cache.page import Page, PageKey
+    from repro.cache.page import DirtyRun
     from repro.proc import Task
 
     task = Task("w")
     assert not hasattr(BlockRequest("read", 0, 1, task), "__dict__")
-    assert not hasattr(Page(PageKey(1, 0), cache=None), "__dict__")
+    assert not hasattr(DirtyRun(1, 0, 1, cache=None), "__dict__")
 
 
 def test_cancelled_timeout_is_swept_not_dispatched():

@@ -213,7 +213,3 @@ class HDFSCluster:
             yield from node.os.close(handle)
             block_index += 1
         return total
-
-    def total_disk_writes(self) -> int:
-        """Bytes actually written across all workers (includes replicas)."""
-        return sum(node.os.device.stats.bytes_written for node in self.datanodes)

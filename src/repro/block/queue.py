@@ -11,9 +11,9 @@ consulted at dispatch time anyway (see DESIGN.md §6).  At the default
 ``queue_depth=1`` the engine is a single slot running exactly the
 classic one-request-at-a-time dispatch loop, event for event.
 
-Completion triggers the request's ``done`` event, cleans the pages a
-write carried, performs per-cause byte accounting, and informs the
-scheduler.
+Completion triggers the request's ``done`` event (and clears
+``request.done``), cleans the pages a write carried, performs per-cause
+byte accounting, and informs the scheduler.
 
 Failure handling mirrors the kernel block layer and is *per slot*: a
 retryable :class:`~repro.devices.base.DeviceError` from the device
@@ -397,8 +397,10 @@ class BlockQueue:
                 self.scheduler.request_completed(request)
             if self._sub_complete:
                 self.bus.publish(BlockComplete(self.env.now, request))
-            if not request.done.triggered:
-                request.done.succeed(request)
+            # The request lets go of its event, so neither keeps the
+            # other alive: refcounting frees both, not the cyclic GC.
+            done, request.done = request.done, None
+            done.succeed(request)
 
     def _serve(self, request: BlockRequest, slot: DispatchSlot, outcome):
         """Generator: settle a request whose first attempt did not simply

@@ -86,7 +86,9 @@ class BlockRequest:
         #: Triggered when the device finishes the request.  The event
         #: *succeeds* with the request even on failure — waiters must
         #: check :attr:`failed` — so kernel daemons are never killed by
-        #: an I/O error they should merely count.
+        #: an I/O error they should merely count.  Set by
+        #: :meth:`BlockQueue.submit` (which returns it) and None again
+        #: once the request completes.
         self.done: Optional["Event"] = None
         #: Per-request deadline (absolute time), used by deadline schedulers.
         self.deadline: Optional[float] = None

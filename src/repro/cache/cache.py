@@ -136,11 +136,15 @@ class PageCache(CleanExtents):
         entry = self._dirty.files.get(inode_id)
         return sum(map(len, entry[1])) * PAGE_SIZE if entry else 0
 
-    def iter_dirty_by_age(self) -> Iterator[DirtyRun]:
-        """Dirty runs not under writeback, oldest first, lazily."""
-        for run in self._dirty:
+    def oldest_dirty(self) -> Optional[DirtyRun]:
+        """The oldest dirty run not under writeback, or None."""
+        age = self._dirty.age
+        run = age.next
+        while run is not age:
             if not run.under_writeback:
-                yield run
+                return run
+            run = run.next
+        return None
 
     def dirty_pages_by_age(self, limit: Optional[int] = None) -> List[DirtyRun]:
         """Dirty runs not under writeback, oldest first; with *limit*,
@@ -245,7 +249,7 @@ class PageCache(CleanExtents):
         block_map: Optional["BlockMap"],
         task: "Task",
         causes: Optional[CauseSet] = None,
-    ) -> Optional[DirtyRun]:
+    ) -> None:
         """Dirty pages ``first..stop-1`` of a file on behalf of *task*
         (*causes* is *task*'s current cause set, if the caller already
         looked it up).
@@ -264,8 +268,7 @@ class PageCache(CleanExtents):
         After its stretch's event, the stretch's pages take their disk
         blocks from the extents of *block_map* there (a page outside
         them keeps its allocation delayed; without a *block_map*, every
-        page keeps its block).  Returns the dirty run holding the last
-        page.
+        page keeps its block).
 
         A stretch of births becomes one new run per piece of
         consecutive disk blocks (one run for an append).  Births go an
@@ -289,7 +292,8 @@ class PageCache(CleanExtents):
         if causes is None:
             causes = self.tags.current_causes(task)
         if stop == first + 1:
-            return self._dirty_one(inode_id, first, block_map, causes)
+            self._dirty_one(inode_id, first, block_map, causes)
+            return
         files = self._dirty.files
         index = first
         while index < stop:
@@ -306,7 +310,6 @@ class PageCache(CleanExtents):
                 j += 1
                 end = starts[j] if j < len(starts) and starts[j] < stop else stop
                 index = self._births(inode_id, index, end, block_map, causes, entry)
-        return self._dirty.find(inode_id, stop - 1) if first < stop else None
 
     def _dirty_one(self, inode_id, index, block_map, causes) -> DirtyRun:
         """:meth:`mark_dirty_range` over page *index* alone: the same
@@ -448,8 +451,8 @@ class PageCache(CleanExtents):
 
     def mark_dirty(self, key: PageKey, task: "Task") -> DirtyRun:
         """Dirty one page: :meth:`mark_dirty_range` over *key* alone,
-        leaving its disk block as it is."""
-        return self.mark_dirty_range(key.inode_id, key.index, key.index + 1, None, task)
+        leaving its disk block as it is; returns the run holding it."""
+        return self._dirty_one(key.inode_id, key.index, None, self.tags.current_causes(task))
 
     def assign_block(self, inode_id: int, index: int, block: int) -> None:
         """A dirty page waiting for delayed allocation takes *block*,

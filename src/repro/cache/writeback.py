@@ -20,6 +20,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List
 
 from repro.cache.page import DirtyRun
+from repro.sim.events import PENDING, AllOf, Event
 
 _start_of = attrgetter("start")
 _inode_of = attrgetter("inode_id")
@@ -40,6 +41,21 @@ def pages_by_file(runs: List[DirtyRun]) -> Dict[int, List[DirtyRun]]:
     for file_runs in by_inode.values():
         file_runs.sort(key=_start_of)
     return by_inode
+
+
+class _Wake(Event):
+    """The flusher's wake-up for one pass: its timer or a kick, whichever
+    is processed first, triggers it (a later one is ignored).
+
+    Both reach it through one callback, so it triggers one step after
+    its cause, as an ``AnyOf(timer, kick)`` would, with the same eids.
+    """
+
+    __slots__ = ()
+
+    def fire(self, _event) -> None:
+        if self._value is PENDING:
+            self.succeed()
 
 
 class WritebackConfig:
@@ -119,9 +135,6 @@ class WritebackDaemon:
 
     # -- foreground throttling ---------------------------------------------
 
-    def over_background(self) -> bool:
-        return self.cache.dirty_fraction > self.config.dirty_background_ratio
-
     def over_limit(self) -> bool:
         return self.cache.dirty_fraction > self.config.dirty_ratio
 
@@ -143,13 +156,15 @@ class WritebackDaemon:
     # -- the flusher --------------------------------------------------------
 
     def _run(self):
+        env = self.env
         config = self.config
         while True:
-            timer = self.env.timeout(config.wakeup_interval)
-            self._kick = self.env.event()
-            from repro.sim.events import AnyOf
-
-            yield AnyOf(self.env, [timer, self._kick])
+            timer = env.timeout(config.wakeup_interval)
+            self._kick = kick = env.event()
+            wake = _Wake(env)
+            timer.callbacks.append(wake.fire)
+            kick.callbacks.append(wake.fire)
+            yield wake
             if not timer.processed:
                 # Kicked early: the losing timer has no other
                 # subscribers, so let the run loop sweep it lazily
@@ -173,13 +188,17 @@ class WritebackDaemon:
 
     def _flush_expired(self):
         cutoff = self.env.now - self.config.dirty_expire
+        oldest = self.cache.oldest_dirty()
+        if oldest is None or oldest.dirtied_at > cutoff:
+            return  # nothing expired: the idle pass
         expired = []
-        for run in self.cache.iter_dirty_by_age():
+        for run in self.cache.dirty_runs():
+            if run.under_writeback:
+                continue
             if run.dirtied_at > cutoff:
                 break  # age-ordered: the rest are younger
             expired.append(run)
-        if expired:
-            yield from self._writeback_pages(expired)
+        yield from self._writeback_pages(expired)
 
     def _flush_batch(self, max_pages: int):
         runs = self.cache.dirty_pages_by_age(limit=max_pages)
@@ -203,8 +222,6 @@ class WritebackDaemon:
 
         # Pace the daemon: wait for the batch to reach the platter so we
         # do not flood the block queue unboundedly.
-        from repro.sim.events import AllOf
-
         if done_events:
             yield AllOf(self.env, done_events)
             # A kernel flusher survives I/O errors: failed pages are

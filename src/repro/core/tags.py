@@ -122,9 +122,6 @@ class TagManager:
     def is_proxy(self, task: Task) -> bool:
         return task.pid in self._proxies
 
-    def proxy_causes(self, task: Task) -> CauseSet:
-        return self._proxies.get(task.pid, EMPTY_CAUSES)
-
     def current_causes(self, task: Task) -> CauseSet:
         """The causes to tag new work performed by *task* with."""
         proxied = self._proxies.get(task.pid)

@@ -9,6 +9,8 @@ parameters rather than replaying measured traces.
 from repro.devices.base import Device, DeviceError, DeviceStats
 from repro.devices.hdd import HDD
 from repro.devices.ssd import SSD
-from repro.devices.composite import JitteryDevice, RAID0
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {"repro.devices.composite": ("JitteryDevice", "RAID0")})
 
 __all__ = ["Device", "DeviceError", "DeviceStats", "HDD", "JitteryDevice", "RAID0", "SSD"]

@@ -13,17 +13,18 @@ environment for a journal :func:`recovery pass <recover>` checked
 against the ordered-mode invariant.
 """
 
-from repro.faults.device import FaultyDevice
 from repro.faults.errors import EIO, MediumError, PowerLoss
-from repro.faults.injector import CLEAN, FaultDecision, FaultInjector
-from repro.faults.plan import ChannelFault, FaultPlan, FaultWindow, Hiccup, SlowWindow
-from repro.faults.recovery import (
-    DurabilityLog,
-    RecoveryReport,
-    crash,
-    crash_and_recover,
-    recover,
-)
+from repro.lazy import lazy_exports
+
+# Every stack raises and catches the errors; the rest loads on first use.
+__getattr__ = lazy_exports(__name__, {
+    "repro.faults.device": ("FaultyDevice",),
+    "repro.faults.injector": ("CLEAN", "FaultDecision", "FaultInjector"),
+    "repro.faults.plan": ("ChannelFault", "FaultPlan", "FaultWindow", "Hiccup", "SlowWindow"),
+    "repro.faults.recovery": (
+        "DurabilityLog", "RecoveryReport", "crash", "crash_and_recover", "recover",
+    ),
+})
 
 __all__ = [
     "CLEAN",

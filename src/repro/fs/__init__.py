@@ -19,6 +19,8 @@ from repro.fs.alloc import Allocator
 from repro.fs.journal import Journal, Transaction
 from repro.fs.base import FileSystem
 from repro.fs.ext4 import Ext4
-from repro.fs.xfs import XFS
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {"repro.fs.xfs": ("XFS",)})
 
 __all__ = ["Allocator", "BlockMap", "Ext4", "FileSystem", "Inode", "Journal", "Transaction", "XFS"]

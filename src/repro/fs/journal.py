@@ -21,7 +21,7 @@ task itself — reproducing Figure 17.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.block.request import WRITE, BlockRequest
 from repro.core.tags import CauseSet
@@ -40,7 +40,8 @@ class CheckpointEntry(NamedTuple):
 
     time: float
     tid: int
-    blocks: Set[int]
+    #: In ascending order, the order the checkpointer writes them.
+    blocks: Tuple[int, ...]
     causes: CauseSet
 
 
@@ -66,7 +67,8 @@ class Transaction:
         #: Inodes whose data must reach disk before the commit record
         #: (ordered mode: their allocations are in this transaction).
         self.ordered_inodes: Set[int] = set()
-        #: Triggered when the commit record is durable.
+        #: Triggered (with no value: waiters read :attr:`state`) when
+        #: the commit record is durable or the commit aborted.
         self.done = env.event()
         self.commit_start: Optional[float] = None
         self.commit_end: Optional[float] = None
@@ -266,10 +268,10 @@ class Journal:
             if self._sub_commit_record:
                 self.bus.publish(self._commit_record(txn))
             self._checkpoint_queue.append(
-                CheckpointEntry(self.env.now, txn.tid, set(txn.metadata_blocks), causes)
+                CheckpointEntry(self.env.now, txn.tid, tuple(sorted(txn.metadata_blocks)), causes)
             )
             self._publish_commit(txn, causes, nblocks, aborted=False)
-            txn.done.succeed(txn)
+            txn.done.succeed()
         finally:
             self.committing = None
 
@@ -293,7 +295,7 @@ class Journal:
         self._publish_commit(txn, txn.joiners, 0, aborted=True)
         # Release waiters; they observe ABORTED and raise EIO themselves
         # (failing the event would kill kernel daemons waiting on it).
-        txn.done.succeed(txn)
+        txn.done.succeed()
 
     def commit_size(self, txn: Transaction) -> int:
         """Journal blocks for one commit.
@@ -348,7 +350,7 @@ class Journal:
             ]
             pending = []  # (entry, block, done-event)
             for entry in due:
-                for block in sorted(entry.blocks):
+                for block in entry.blocks:
                     request = BlockRequest(
                         WRITE,
                         block=block,
@@ -360,17 +362,16 @@ class Journal:
                     pending.append((entry, block, self.fs.block_queue.submit(request)))
             if pending:
                 yield AllOf(self.env, [event for _, _, event in pending])
-                requeue: Dict[int, CheckpointEntry] = {}
+                requeue: Dict[int, Tuple[CauseSet, List[int]]] = {}
                 for entry, block, event in pending:
                     if not event.value.failed:
                         continue
                     self.checkpoint_errors += 1
-                    retry = requeue.get(entry.tid)
-                    if retry is None:
-                        retry = CheckpointEntry(self.env.now, entry.tid, set(), entry.causes)
-                        requeue[entry.tid] = retry
-                    retry.blocks.add(block)
-                self._checkpoint_queue.extend(requeue.values())
+                    requeue.setdefault(entry.tid, (entry.causes, []))[1].append(block)
+                self._checkpoint_queue.extend(
+                    CheckpointEntry(self.env.now, tid, tuple(blocks), causes)
+                    for tid, (causes, blocks) in requeue.items()
+                )
 
 
 class LogicalJournal(Journal):

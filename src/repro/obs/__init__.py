@@ -26,14 +26,16 @@ from repro.obs.bus import (
     SyscallEnter,
     SyscallReturn,
 )
-from repro.obs.export import (
-    SpanSchemaError,
-    format_report,
-    load_spans,
-    validate_span,
-    write_spans,
-)
-from repro.obs.span import STAGES, SpanBuilder, bytes_by_cause, latency_breakdown
+from repro.lazy import lazy_exports
+
+# Spans and their export load on first use: a stack that is not traced
+# never imports them.
+__getattr__ = lazy_exports(__name__, {
+    "repro.obs.export": (
+        "SpanSchemaError", "format_report", "load_spans", "validate_span", "write_spans",
+    ),
+    "repro.obs.span": ("STAGES", "SpanBuilder", "bytes_by_cause", "latency_breakdown"),
+})
 
 __all__ = [
     "EVENT_TYPES",

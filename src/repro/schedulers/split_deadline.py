@@ -192,7 +192,7 @@ class SplitDeadline(SplitScheduler):
                 yield AllOf(env, events)
 
     def _aged_dirty(self, age: float) -> bool:
-        oldest = next(self.os.cache.iter_dirty_by_age(), None)
+        oldest = self.os.cache.oldest_dirty()
         return oldest is not None and self.os.env.now - oldest.dirtied_at >= age
 
     def _deadline_imminent(self, margin: float = 0.05) -> bool:

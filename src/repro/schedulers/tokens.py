@@ -94,9 +94,6 @@ class BucketRegistry:
     def bucket_for(self, task: "Task") -> Optional[TokenBucket]:
         return self._by_pid.get(task.pid)
 
-    def bucket_for_pid(self, pid: int) -> Optional[TokenBucket]:
-        return self._by_pid.get(pid)
-
     def buckets_for_causes(self, causes) -> Dict[int, TokenBucket]:
         """Buckets of the throttled pids inside a cause set."""
         found = {}

@@ -20,7 +20,9 @@ from repro.sim.events import (
     Timeout,
 )
 from repro.sim.process import Process, ProcessDied
-from repro.sim.rand import RandomStreams
+from repro.lazy import lazy_exports
+
+__getattr__ = lazy_exports(__name__, {"repro.sim.rand": ("RandomStreams",)})
 
 __all__ = [
     "AllOf",

@@ -91,14 +91,15 @@ class OS:
         # Health monitoring: explicit True/config attaches a monitor;
         # None (auto) attaches one exactly when something will consume
         # it — hedged dispatch or an injected fault plan — so a plain
-        # stack publishes no health events and stays byte-identical.
-        from repro.health import HealthConfig, HealthMonitor, resolve_health
-
-        health = resolve_health(health)
+        # stack publishes no health events and stays byte-identical (and
+        # never imports the monitor).
         if health is None:
             health = hedge or hasattr(self.device, "injector")
         monitor = None
         if health is not False:
+            from repro.health import HealthConfig, HealthMonitor, resolve_health
+
+            health = resolve_health(health)
             monitor = HealthMonitor(
                 env, self.device.name, self.bus,
                 health if isinstance(health, HealthConfig) else None,

@@ -244,10 +244,9 @@ def test_range_dirty_takes_disk_blocks_after_the_hook():
         PageDirtied,
         lambda e: seen.extend((i, dirty_block(cache, 1, i)) for i in range(e.first, e.stop)),
     )
-    last = cache.mark_dirty_range(1, 0, 3, BlockMap({0: 50, 2: 52}), task)
+    cache.mark_dirty_range(1, 0, 3, BlockMap({0: 50, 2: 52}), task)
     assert seen == [(0, None), (1, None), (2, None)]
     assert [dirty_block(cache, 1, i) for i in range(3)] == [50, None, 52]
-    assert last is cache.dirty_run((1, 2))
 
 
 # -- buffer-dirty runs ---------------------------------------------------------
@@ -278,14 +277,13 @@ def test_range_dirty_publishes_one_event_per_run_in_file_order():
     a, b, writer = Task("a"), Task("b"), Task("c")
     cache = mixed_run_cache(a, b)
     runs = record_runs(cache)
-    last = cache.mark_dirty_range(1, 0, 6, block_map, writer)
+    cache.mark_dirty_range(1, 0, 6, block_map, writer)
     assert [list(range(e.first, e.stop)) for e in runs] == [[0, 1], [2, 3], [4], [5]]
     assert [e.old_causes for e in runs] == [
         CauseSet(), CauseSet([a.pid]), CauseSet([b.pid]), CauseSet()
     ]
     # One union per stretch, which its pages share.
     assert cache.dirty_run((1, 2)).causes is cache.dirty_run((1, 3)).causes is runs[1].causes
-    assert last is cache.dirty_run((1, 5))
 
     reference = mixed_run_cache(a, b)
     one_by_one = record_runs(reference)
@@ -532,13 +530,17 @@ def test_page_under_writeback_inside_a_hinted_run_is_redirtied():
         ((0, 4), 3, 4),  # a single overwritten page
     ],
 )
-def test_range_dirty_returns_the_last_page_for_every_run_shape(dirty_first, first, stop):
+def test_range_dirty_covers_the_range_for_every_run_shape(dirty_first, first, stop):
     env, tags, cache = make_cache()
     if dirty_first:
         cache.mark_dirty_range(1, *dirty_first, None, Task("a"))
-    last = cache.mark_dirty_range(1, first, stop, None, Task("b"))
-    assert last is cache.dirty_run((1, stop - 1))
-    assert cache.mark_dirty_range(1, 2, 2, None, Task("b")) is None  # nothing dirtied
+    b = Task("b")
+    cache.mark_dirty_range(1, first, stop, None, b)
+    assert all(b.pid in cache.dirty_run((1, i)).causes for i in range(first, stop))
+    dirty = cache.dirty_pages
+    cache.mark_dirty_range(1, 2, 2, None, b)  # nothing dirtied
+    assert cache.dirty_pages == dirty
+    assert_runs(cache)
 
 
 # -- clean extents ------------------------------------------------------------

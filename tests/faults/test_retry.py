@@ -73,9 +73,12 @@ def test_retry_exhaustion_fails_request():
 def test_done_event_succeeds_even_on_failure():
     """Waiters observe request.failed; done never .fail()s."""
     env, table, queue = make_queue(ScriptedDevice(failures=100))
-    request = submit_one(env, queue, table.spawn("t"))
-    assert request.done.triggered
-    assert request.done.value is request  # succeeded with the request
+    request = BlockRequest(READ, 0, 8, table.spawn("t"))
+    done = queue.submit(request)
+    env.run(until=done)
+    assert request.failed
+    assert done.triggered
+    assert done.value is request  # succeeded with the request
 
 
 def test_failed_write_redirties_pages():

@@ -7,53 +7,40 @@ per-worker rate, and the cluster-level effect (including the lost
 tokens from block-placement imbalance, and the improvement from a
 smaller block size) is printed — the paper's Figure 21 in miniature.
 
+Each point is one cell of Figure 21 (:func:`run_cell`), run on the
+cluster model of :mod:`repro.sim.shard`.  The script exits non-zero
+unless 16 MB blocks bring the throttled tenant closer to its bound
+than 64 MB blocks at every cap.
+
 Run:  python examples/hdfs_cluster.py
 """
 
-from repro import Environment, GB, MB
-from repro.apps.hdfs import HDFSCluster
-from repro.metrics import ThroughputTracker
-from repro.schedulers import SplitToken
+import sys
 
+from repro import MB
+from repro.experiments.fig21_hdfs import run_cell
 
-def run(block_size, rate_cap, duration=20.0):
-    env = Environment()
-    cluster = HDFSCluster(
-        env, workers=7, replication=3, block_size=block_size,
-        scheduler_factory=SplitToken,
-    )
-    cluster.set_account_limit("tenant-a", rate_cap)
-
-    throttled = ThroughputTracker()
-    free = ThroughputTracker()
-    for i in range(4):
-        env.process(cluster.write_file("tenant-a", f"/a{i}", 16 * GB,
-                                       duration=duration, tracker=throttled))
-        env.process(cluster.write_file("tenant-b", f"/b{i}", 16 * GB,
-                                       duration=duration, tracker=free))
-    env.run(until=duration)
-
-    upper = (rate_cap / 3) * 7
-    return {
-        "throttled": throttled.rate(env.now) / MB,
-        "free": free.rate(env.now) / MB,
-        "upper_bound": upper / MB,
-    }
+BLOCK_SIZES = (64 * MB, 16 * MB)
+RATE_CAPS = (8 * MB, 16 * MB)
 
 
 def main():
     print(f"{'block':>7} {'cap/node':>9} {'throttled':>10} {'bound':>7} "
           f"{'util':>5} {'unthrottled':>12}")
-    for block_size in (64 * MB, 16 * MB):
-        for rate_cap in (8 * MB, 16 * MB):
-            r = run(block_size, rate_cap)
-            util = r["throttled"] / r["upper_bound"]
+    util = {}
+    for block_size in BLOCK_SIZES:
+        for rate_cap in RATE_CAPS:
+            r = run_cell(rate_cap, block_size=block_size)
+            util[block_size, rate_cap] = r["bound_utilization"]
             print(f"{block_size // MB:>5}MB {rate_cap / MB:>7.0f}MB "
-                  f"{r['throttled']:>8.1f}MB {r['upper_bound']:>6.1f}MB "
-                  f"{util:>5.0%} {r['free']:>10.1f}MB")
+                  f"{r['throttled_mbps']:>8.1f}MB {r['upper_bound_mbps']:>6.1f}MB "
+                  f"{r['bound_utilization']:>5.0%} {r['unthrottled_mbps']:>10.1f}MB")
     print("\nSmaller blocks spread load better, so fewer tokens go unused")
     print("and the throttled tenant gets closer to its (cap/3)*7 bound.")
+    large, small = BLOCK_SIZES
+    return all(util[small, cap] > util[large, cap] for cap in RATE_CAPS)
 
 
 if __name__ == "__main__":
-    main()
+    if not main():
+        sys.exit("16 MB blocks did not beat 64 MB blocks at every cap")

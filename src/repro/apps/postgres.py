@@ -36,9 +36,6 @@ class PgbenchResult:
             return 0.0
         return sum(1 for lat in self.latencies if lat > threshold) / len(self.latencies)
 
-    def fraction_missing_target(self) -> float:
-        return self.fraction_over(self.target)
-
     def percentile(self, p: float) -> float:
         return percentile(self.latencies, p)
 

@@ -110,11 +110,6 @@ class TagManager:
             raise TypeError(f"causes must be a CauseSet, got {causes!r}")
         self._proxies[task.pid] = causes
 
-    def add_proxy_causes(self, task: Task, causes: CauseSet) -> None:
-        """Extend *task*'s proxy set (e.g. journal serving more joiners)."""
-        current = self._proxies.get(task.pid, EMPTY_CAUSES)
-        self._proxies[task.pid] = current | causes
-
     def clear_proxy(self, task: Task) -> None:
         """Clear *task*'s proxy state (done submitting delegated work)."""
         self._proxies.pop(task.pid, None)

@@ -40,10 +40,6 @@ class DeviceStats:
     def total_requests(self) -> int:
         return self.reads + self.writes
 
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_read + self.bytes_written
-
     def __repr__(self) -> str:
         return (
             f"DeviceStats(reads={self.reads}, writes={self.writes}, "
@@ -97,10 +93,6 @@ class Device:
         self._bus = bus
         self._bus_clock = clock
         self._sub_done = bus.listeners(DeviceDone)
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_blocks * PAGE_SIZE
 
     def is_sequential(self, block: int) -> bool:
         """Does *block* directly follow the previous request?"""

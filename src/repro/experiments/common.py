@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import os
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.config import StackConfig
 from repro.devices import HDD, SSD
@@ -307,19 +307,3 @@ def drive(env, generator):
 def run_for(env, duration: float) -> None:
     """Advance the simulation by *duration* seconds."""
     env.run(until=env.now + duration)
-
-
-def format_table(headers: List[str], rows: Iterable[Iterable]) -> str:
-    """Simple fixed-width table used by the benchmark printers."""
-    rows = [[str(cell) for cell in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)

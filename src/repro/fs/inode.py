@@ -202,12 +202,6 @@ class Inode:
     def size_pages(self) -> int:
         return (self.size + PAGE_SIZE - 1) // PAGE_SIZE
 
-    def allocated_fraction(self) -> float:
-        """How much of the file currently has on-disk locations."""
-        if self.size_pages == 0:
-            return 1.0
-        return len(self.block_map) / self.size_pages
-
     def __repr__(self) -> str:
         kind = "dir" if self.is_dir else "file"
         return f"<Inode #{self.id} {kind} {self.path!r} {self.size}B>"

@@ -13,20 +13,3 @@ PAGE_SIZE = 4 * KB
 
 MICROSECOND = 1e-6
 MILLISECOND = 1e-3
-
-
-def pages_for(nbytes: int) -> int:
-    """Number of pages needed to hold *nbytes* (at least one for nbytes>0)."""
-    if nbytes < 0:
-        raise ValueError(f"negative byte count {nbytes}")
-    return (nbytes + PAGE_SIZE - 1) // PAGE_SIZE
-
-
-def align_down(nbytes: int, unit: int = PAGE_SIZE) -> int:
-    """Round *nbytes* down to a multiple of *unit*."""
-    return (nbytes // unit) * unit
-
-
-def align_up(nbytes: int, unit: int = PAGE_SIZE) -> int:
-    """Round *nbytes* up to a multiple of *unit*."""
-    return ((nbytes + unit - 1) // unit) * unit

@@ -35,7 +35,6 @@ def test_result_statistics():
     assert result.count == 4
     assert result.fraction_over(0.015) == 0.5
     assert result.fraction_over(0.5) == 0.25
-    assert result.fraction_missing_target() == 0.5
     assert 0.001 <= result.median() <= 0.1
 
 

@@ -89,14 +89,6 @@ def test_proxy_redirects_causes():
     assert tags.current_causes(p3) == CauseSet([p3.pid])
 
 
-def test_proxy_causes_can_grow():
-    tags = TagManager()
-    journal, a, b = Task("jbd2", kernel=True), Task("a"), Task("b")
-    tags.set_proxy(journal, CauseSet.of(a))
-    tags.add_proxy_causes(journal, CauseSet.of(b))
-    assert tags.current_causes(journal) == CauseSet.of(a, b)
-
-
 def test_set_proxy_requires_cause_set():
     tags = TagManager()
     with pytest.raises(TypeError):

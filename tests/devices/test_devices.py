@@ -137,8 +137,3 @@ def test_hdd_write_and_read_same_sequential_rate():
     disk2 = HDD()
     t_write = disk2.service_time("write", 0, blocks)
     assert t_read == pytest.approx(t_write)
-
-
-def test_capacity_bytes_accessor():
-    disk = HDD(capacity_blocks=1000)
-    assert disk.capacity_bytes == 1000 * PAGE_SIZE

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import StackConfig
 from repro.devices import HDD, SSD
-from repro.experiments.common import build_stack, drive, format_table, make_device, run_for
+from repro.experiments.common import build_stack, drive, make_device, run_for
 from repro.fs.xfs import XFS
 from repro.schedulers import Noop
 from repro.units import MB
@@ -47,15 +47,6 @@ def test_drive_and_run_for():
     assert drive(env, proc()) == "done"
     run_for(env, 2.0)
     assert env.now == pytest.approx(3.5)
-
-
-def test_format_table_alignment():
-    table = format_table(["name", "value"], [["a", 1], ["longer", 22]])
-    lines = table.splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("name")
-    assert "------" in lines[1]
-    assert lines[3].startswith("longer")
 
 
 def test_build_stack_installs_and_clears_fault_plan():

@@ -109,6 +109,57 @@ class TestClusterRun:
         # flight at the stop may add one extra chunk per replica.
         assert disk >= 3 * acked
 
+    def test_each_block_gets_its_own_placement(self):
+        cluster = ClusterConfig(
+            nodes=5,
+            replication=2,
+            block_size=1 * MB,
+            tenants=(TenantContract("free"),),
+            seed=1,
+        )
+        streams = [StreamSpec(0, "free", 0, 6 * MB)]
+        result = run_cluster(cluster, streams, duration=1.0, shards=1, drain=True)
+        assert result["tenants"]["free"]["bytes"] == 6 * MB
+        written = {
+            index for index, node in result["per_node"].items() if node["bytes_written"]
+        }
+        placed = {
+            replica
+            for block in range(6)
+            for replica in place_block(1, 0, block, nodes=5, replication=2)
+        }
+        # Six 1 MB blocks, each placed afresh, reach every node; one
+        # placement for the whole stream would reach only two.
+        assert written == placed == set(range(5))
+
+    def test_rate_contract_needs_a_throttling_scheduler(self):
+        cluster = ClusterConfig(
+            nodes=3,
+            replication=2,
+            node=StackConfig(scheduler="noop"),
+            tenants=(TenantContract("a", rate_per_node=1 * MB),),
+        )
+        streams = [StreamSpec(0, "a", 0, 4 * MB)]
+        with pytest.raises(
+            ValueError,
+            match="node 0: tenant 'a' has a rate contract but the node scheduler cannot throttle",
+        ):
+            run_cluster(cluster, streams, duration=0.1, shards=1)
+
+    def test_throttled_tenant_writes_slower_than_unthrottled(self):
+        def mbps(rate_per_node):
+            cluster = ClusterConfig(
+                nodes=4,
+                replication=3,
+                block_size=4 * MB,
+                tenants=(TenantContract("a", rate_per_node=rate_per_node),),
+            )
+            streams = [StreamSpec(0, "a", 0, 1024 * MB)]
+            result = run_cluster(cluster, streams, duration=2.0, shards=1)
+            return result["tenants"]["a"]["mbps"]
+
+        assert mbps(2 * MB) < mbps(None) / 2
+
     def test_token_ledger_aggregates_across_nodes(self):
         cluster = ClusterConfig(
             nodes=3,

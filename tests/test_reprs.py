@@ -45,19 +45,8 @@ def test_page_repr_reflects_state():
     assert "wb" in repr(page)
 
 
-def test_inode_allocated_fraction():
-    inode = Inode("/f")
-    inode.size = 4 * 4096
-    assert inode.allocated_fraction() == 0.0
-    inode.block_map.map_run(0, 100, 2)
-    assert inode.allocated_fraction() == 0.5
-    empty = Inode("/e")
-    assert empty.allocated_fraction() == 1.0
-
-
 def test_device_stats_totals():
     disk = HDD()
     disk.service_time("read", 0, 2)
     disk.service_time("write", 10, 3)
     assert disk.stats.total_requests == 2
-    assert disk.stats.total_bytes == 5 * 4096

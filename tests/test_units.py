@@ -1,8 +1,6 @@
 """Tests for unit helpers."""
 
-import pytest
-
-from repro.units import GB, KB, MB, PAGE_SIZE, align_down, align_up, pages_for
+from repro.units import GB, KB, MB, PAGE_SIZE
 
 
 def test_constants_are_consistent():
@@ -11,28 +9,3 @@ def test_constants_are_consistent():
     assert GB == 1024 * MB
     assert PAGE_SIZE == 4 * KB
 
-
-def test_pages_for_exact():
-    assert pages_for(PAGE_SIZE) == 1
-    assert pages_for(10 * PAGE_SIZE) == 10
-
-
-def test_pages_for_rounds_up():
-    assert pages_for(1) == 1
-    assert pages_for(PAGE_SIZE + 1) == 2
-
-
-def test_pages_for_zero():
-    assert pages_for(0) == 0
-
-
-def test_pages_for_negative_rejected():
-    with pytest.raises(ValueError):
-        pages_for(-1)
-
-
-def test_align_down_up():
-    assert align_down(PAGE_SIZE + 5) == PAGE_SIZE
-    assert align_up(PAGE_SIZE + 5) == 2 * PAGE_SIZE
-    assert align_down(0) == 0
-    assert align_up(0) == 0

@@ -44,6 +44,11 @@ class TestClusterConfig:
                 tenants=(TenantContract("a"), TenantContract("a")),
             )
 
+    def test_replication_cannot_exceed_nodes(self):
+        with pytest.raises(ValueError, match=r"replication 3 outside \[1, 2\]"):
+            ClusterConfig(nodes=2, replication=3)
+        assert ClusterConfig(nodes=3, replication=3).replication == 3
+
     def test_replace(self):
         cluster = ClusterConfig(nodes=4, replication=2)
         bigger = cluster.replace(nodes=8)
@@ -60,6 +65,12 @@ class TestPlacement:
         assert a == b
         assert len(set(a)) == 3
         assert all(0 <= n < 10 for n in a)
+
+    def test_replicas_are_distinct_nodes(self):
+        for block in range(64):
+            replicas = place_block(1, 0, block, nodes=5, replication=3)
+            assert len(replicas) == 3
+            assert len(set(replicas)) == 3
 
     def test_spreads_over_blocks(self):
         placements = {
@@ -108,6 +119,22 @@ class TestClusterRun:
         # Every acked byte landed on all three replicas; bytes still in
         # flight at the stop may add one extra chunk per replica.
         assert disk >= 3 * acked
+
+    def test_drained_write_lands_on_three_replicas(self):
+        cluster = ClusterConfig(
+            nodes=4,
+            replication=3,
+            block_size=4 * MB,
+            tenants=(TenantContract("free"),),
+            seed=2,
+        )
+        streams = [StreamSpec(0, "free", 0, 8 * MB)]
+        result = run_cluster(cluster, streams, duration=1.0, shards=1, drain=True)
+        assert result["tenants"]["free"]["bytes"] == 8 * MB
+        # With the stream fully drained, the replica files hold exactly
+        # three times the client bytes across the fleet.
+        disk = sum(node["bytes_written"] for node in result["per_node"].values())
+        assert disk == 3 * 8 * MB
 
     def test_each_block_gets_its_own_placement(self):
         cluster = ClusterConfig(

@@ -470,7 +470,7 @@ class StackSanitizer:
             return
         # dict.fromkeys: deterministic dedupe of shared buckets
         # (insertion order), where set() would hash-order them.
-        for bucket in dict.fromkeys(registry._by_pid.values()):
+        for bucket in dict.fromkeys(registry.by_pid.values()):
             slack = self.EPSILON * max(1.0, bucket.charged_total)
             if bucket.refunded_total > bucket.charged_total + slack:
                 self._fail(

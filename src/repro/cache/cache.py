@@ -224,7 +224,8 @@ class PageCache(CleanExtents):
             index = end
         if not readahead:
             self.hits += hits
-            self.misses += sum(count for _, _, count in missing)
+            if missing:
+                self.misses += sum(count for _, _, count in missing)
         return missing
 
     def insert_clean_run(self, inode_id: int, runs: List["Run"]) -> None:
@@ -325,7 +326,9 @@ class PageCache(CleanExtents):
             if at and index < runs[at - 1].stop:
                 run = runs[at - 1]
                 old = run.causes
-                merged = old | causes
+                # A writer already in the set needs no union (it would
+                # return *old* itself).
+                merged = old if causes.pids <= old.pids else old | causes
                 self.overwrites += 1
                 if merged is not old or run.under_writeback:
                     if run.stop - run.start > 1:
@@ -346,11 +349,7 @@ class PageCache(CleanExtents):
                 return run
         now = self.env.now
         extent = self._locate(inode_id, index, index + 1)[1]
-        if extent is None:
-            block = None
-        else:
-            block = extent.block_of(index)
-            self._take(extent, index, index + 1)
+        block = None if extent is None else self._take(extent, index, index + 1)
         run = DirtyRun(inode_id, index, index + 1, self, block, causes, now)
         dirty.add(entry, at, run)
         self.dirty_bytes += PAGE_SIZE
@@ -379,8 +378,7 @@ class PageCache(CleanExtents):
                 block = None
                 from_extents = False
             else:
-                block = extent.block_of(index)
-                self._take(extent, index, end)
+                block = self._take(extent, index, end)
                 if block is None:
                     from_extents = False
             last = born[-1] if born else None
@@ -403,7 +401,9 @@ class PageCache(CleanExtents):
         if self._sub_dirtied:
             self.bus.publish(PageDirtied(now, inode_id, first, stop, causes, EMPTY_CAUSES))
         if block_map is not None and not from_extents:
-            dirty.take_blocks(inode_id, first, stop, block_map)
+            mapped = block_map.runs(first, stop)
+            if mapped:
+                dirty.take_blocks(inode_id, mapped)
         return stop
 
     def _overwrite(self, runs, j, index, stop, block_map, causes) -> int:
@@ -412,9 +412,13 @@ class PageCache(CleanExtents):
         returns where the stretch ends."""
         run = runs[j]
         old = run.causes
-        merged = old | causes
+        # A writer already in the set (the steady state of a cached
+        # overwrite) needs no union: it would return *old* itself.
+        merged = old if causes.pids <= old.pids else old | causes
         stretch = [run]
         end = run.stop
+        flushing = run.under_writeback
+        delayed = run.disk_block is None
         last = len(runs) - 1
         while end < stop and j < last:
             j += 1
@@ -423,11 +427,15 @@ class PageCache(CleanExtents):
                 break
             stretch.append(run)
             end = run.stop
+            if run.under_writeback:
+                flushing = True
+            if run.disk_block is None:
+                delayed = True
         if end > stop:
             end = stop
         self.overwrites += end - index
         changed = merged is not old
-        if changed or any(run.under_writeback for run in stretch):
+        if changed or flushing:
             head = stretch[0]
             if head.start < index and (changed or head.under_writeback):
                 stretch[0] = self._dirty.split(head, index)
@@ -445,8 +453,12 @@ class PageCache(CleanExtents):
             self.bus.publish(
                 PageDirtied(self.env.now, stretch[0].inode_id, index, end, merged, old)
             )
-        if block_map is not None and any(run.disk_block is None for run in stretch):
-            self._dirty.take_blocks(stretch[0].inode_id, index, end, block_map)
+        # Splitting keeps each piece's block state, so the stretch
+        # holds a page waiting for allocation iff it did before.
+        if block_map is not None and delayed:
+            mapped = block_map.runs(index, end)
+            if mapped:
+                self._dirty.take_blocks(stretch[0].inode_id, mapped)
         return end
 
     def mark_dirty(self, key: PageKey, task: "Task") -> DirtyRun:

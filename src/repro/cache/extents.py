@@ -109,11 +109,13 @@ class CleanExtents:
                 extents.insert(j, extent)
         self._clean_pages += stop - start
 
-    def _take(self, extent: _Extent, start: int, stop: int) -> None:
+    def _take(self, extent: _Extent, start: int, stop: int) -> Optional[int]:
         """Remove pages ``start..stop-1`` from *extent*; what is left of
-        it keeps its place in the LRU."""
+        it keeps its place in the LRU.  Returns the disk block page
+        *start* sat on (None for zero-filled pages)."""
         self._clean_pages -= stop - start
         if start > extent.start:
+            block = extent.block_of(start)
             if stop < extent.stop:
                 # Split: the pages after the cut follow in the LRU.
                 right = _Extent(extent.inode_id, stop, extent.stop, extent.block_of(stop))
@@ -126,25 +128,26 @@ class CleanExtents:
                 starts.insert(j, stop)
                 extents.insert(j, right)
             extent.stop = start
-            return
+            return block
+        block = extent.block
         starts, extents = self._extents[extent.inode_id]
         j = bisect_left(starts, start)
         if stop < extent.stop:
             extent.start = starts[j] = stop
-            if extent.block is not None:
-                extent.block += stop - start
-            return
+            if block is not None:
+                extent.block = block + stop - start
+            return block
         extent.prev.next = extent.next
         extent.next.prev = extent.prev
         del starts[j], extents[j]
         if not starts:
             del self._extents[extent.inode_id]
+        return block
 
     def _touch(self, extent: _Extent, start: int, stop: int) -> None:
         """Pages ``start..stop-1`` of *extent* were read: move them to
         the MRU end, in index order, as per-page touches would."""
         if extent is self._lru.prev and stop == extent.stop:
             return  # already the newest pages, in this order
-        block = extent.block_of(start)
-        self._take(extent, start, stop)
+        block = self._take(extent, start, stop)
         self._append(extent.inode_id, start, stop, block)

@@ -10,7 +10,7 @@ from repro.core.tags import CauseSet, EMPTY_CAUSES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache.cache import PageCache
-    from repro.fs.inode import BlockMap
+    from repro.fs.inode import Run
 
 
 class PageKey(NamedTuple):
@@ -233,11 +233,11 @@ class DirtyRuns:
             run.disk_block = block
         return run
 
-    def take_blocks(self, inode_id: int, first: int, stop: int, block_map: "BlockMap") -> None:
-        """Dirty pages ``first..stop-1`` take the disk blocks *block_map*
-        maps them to, splitting runs where that makes their blocks
-        diverge."""
-        for i, block, count in block_map.runs(first, stop):
+    def take_blocks(self, inode_id: int, mapped: List["Run"]) -> None:
+        """The dirty pages of a file's *mapped* runs (``(index, disk
+        block, count)``, from its :meth:`BlockMap.runs`) take those
+        blocks, splitting runs where that makes their blocks diverge."""
+        for i, block, count in mapped:
             end = i + count
             for run in self.covering(inode_id, i, end):
                 lo = max(run.start, i)

@@ -154,14 +154,14 @@ class Journal:
         tags = self.fs.tags
         if causes is None:
             causes = tags.current_causes(task)
-        joiners = txn.joiners
-        merged = joiners | causes
         if ordered_inode is not None:
             txn.ordered_inodes.add(ordered_inode)
         # Re-pricing an unchanged joiner set is a no-op: price the tag
-        # on the first join and whenever the set grows.
-        if merged is not joiners or not joiners.pids:
-            txn.joiners = merged
+        # on the first join and whenever the set grows (a joiner already
+        # in the set, the common case, needs no union).
+        joiners = txn.joiners
+        if not causes.pids <= joiners.pids or not joiners.pids:
+            txn.joiners = merged = joiners | causes
             tags.account_tag(txn, merged)
         return txn
 

@@ -87,7 +87,7 @@ class SplitToken(SplitScheduler):
     def syscall_entry(self, task, call, info):
         if call not in self.THROTTLED_CALLS:
             return None  # reads are never throttled above the cache
-        bucket = self.buckets.bucket_for(task)
+        bucket = self.buckets.by_pid.get(task.pid)
         if bucket is None or bucket.balance >= 0:
             return None
         return self._block_until_positive(bucket)
@@ -104,7 +104,7 @@ class SplitToken(SplitScheduler):
     # ------------------------------------------------------------------
 
     def on_buffers_dirty(self, inode_id, first, stop, causes, old_causes) -> None:
-        if old_causes or not self.prompt_charging:
+        if old_causes.pids or not self.prompt_charging:
             return  # overwrite of dirty data: no new I/O work
         # Pages born together share their causes.  Each page is still
         # estimated and charged on its own, in file order: the estimate

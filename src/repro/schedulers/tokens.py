@@ -37,16 +37,18 @@ class TokenBucket:
         #: the sharded runs aggregate into a cluster-wide token ledger.
         self.refunded_total = 0.0
 
-    @property
-    def balance(self) -> float:
-        self._accrue()
-        return self._balance
-
-    def _accrue(self) -> None:
+    def _accrue(self) -> float:
+        """Add the tokens earned since the last update; returns the
+        balance."""
         now = self.env.now
         if now > self._last_update:
             self._balance = min(self.cap, self._balance + self.rate * (now - self._last_update))
             self._last_update = now
+        return self._balance
+
+    #: The balance now (tokens accrued first); its getter is
+    #: :meth:`_accrue` itself, so reading it is one call.
+    balance = property(_accrue)
 
     def charge(self, amount: float) -> None:
         """Deduct *amount* tokens; the balance may go negative."""
@@ -78,7 +80,9 @@ class BucketRegistry:
 
     def __init__(self, env: "Environment"):
         self.env = env
-        self._by_pid: Dict[int, TokenBucket] = {}
+        #: pid -> its bucket (read-only outside this class; the
+        #: syscall-entry hot path looks tasks up here directly).
+        self.by_pid: Dict[int, TokenBucket] = {}
 
     def set_limit(self, tasks, rate: float, cap: Optional[float] = None) -> TokenBucket:
         """Throttle *tasks* (a Task or iterable) under one shared bucket."""
@@ -88,17 +92,17 @@ class BucketRegistry:
             tasks = [tasks]
         bucket = TokenBucket(self.env, rate, cap)
         for task in tasks:
-            self._by_pid[task.pid] = bucket
+            self.by_pid[task.pid] = bucket
         return bucket
 
     def bucket_for(self, task: "Task") -> Optional[TokenBucket]:
-        return self._by_pid.get(task.pid)
+        return self.by_pid.get(task.pid)
 
     def buckets_for_causes(self, causes) -> Dict[int, TokenBucket]:
         """Buckets of the throttled pids inside a cause set."""
         found = {}
         for pid in causes:
-            bucket = self._by_pid.get(pid)
+            bucket = self.by_pid.get(pid)
             if bucket is not None:
                 found[pid] = bucket
         return found

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Deque
 
-from repro.sim.events import Event
+from repro.sim.events import Event, Timeout
 from repro.units import GB
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -28,7 +28,9 @@ class CPU:
 
     Cores are granted in FIFO order.  A grant is an event succeeded
     when the core is handed over, so a task that finds a free core
-    still waits for its grant to be processed.
+    still waits for its grant to be processed.  :meth:`consume` is
+    :meth:`acquire`, the grant, a timeout and :meth:`release`; the
+    OS's read and write run the same four steps in their own frame.
     """
 
     def __init__(self, env: "Environment", cores: int = 8):
@@ -42,29 +44,48 @@ class CPU:
         self.waiters: Deque[Event] = deque()
         self.busy_time = 0.0
 
-    def consume(self, task: "Task", seconds: float):
-        """Generator: occupy one core for *seconds* of compute."""
-        if seconds <= 0:
-            return
+    def acquire(self) -> Event:
+        """Ask for a core: the grant event, succeeded at once when a core
+        is free, else queued behind the earlier askers.  Every grant is
+        given back with :meth:`release`."""
         grant = Event(self.env)
         if self.busy_cores < self.cores:
             self.busy_cores += 1
             grant.succeed()
         else:
             self.waiters.append(grant)
+        return grant
+
+    def release(self, grant: Event, seconds: float = 0.0) -> None:
+        """Give back the core *grant* asked for, after *seconds* of
+        finished compute (0 when its holder was interrupted first).
+
+        The core goes straight to the oldest waiter, or back to the
+        pool; a grant still queued (interrupted while waiting) is
+        withdrawn, holding no core.
+        """
+        if seconds:
+            self.busy_time += seconds
+        elif not grant.triggered:
+            self.waiters.remove(grant)
+            return
+        if self.waiters:
+            self.waiters.popleft().succeed()
+        else:
+            self.busy_cores -= 1
+
+    def consume(self, task: "Task", seconds: float):
+        """Generator: occupy one core for *seconds* of compute."""
+        if seconds <= 0:
+            return
+        grant = self.acquire()
+        done = 0.0
         try:
             yield grant
-            yield self.env.timeout(seconds)
-            self.busy_time += seconds
+            yield Timeout(self.env, seconds)
+            done = seconds
         finally:
-            if not grant.triggered:
-                # Interrupted while queued: withdraw, holding no core.
-                self.waiters.remove(grant)
-            elif self.waiters:
-                # Hand the core straight to the oldest waiter.
-                self.waiters.popleft().succeed()
-            else:
-                self.busy_cores -= 1
+            self.release(grant, done)
 
     def syscall_cost(self, nbytes: int = 0) -> float:
         """CPU seconds for a syscall moving *nbytes* through the cache."""

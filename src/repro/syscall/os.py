@@ -29,6 +29,7 @@ from repro.fs.ext4 import Ext4
 from repro.fs.inode import Inode
 from repro.obs.bus import PageDirtied, PageFreed, StackBus, SyscallEnter, SyscallReturn
 from repro.proc import ProcessTable, Task
+from repro.sim.events import Timeout
 from repro.syscall.cpu import CPU
 from repro.units import GB
 from repro.vfs.handle import OpenFile, parse_mode
@@ -127,14 +128,22 @@ class OS:
         self.memory_cost_model = MemoryCostModel()
         self.disk_cost_model = DiskCostModel(self.device)
 
-        # The split framework's memory-level hooks (Table 2): a split
+        # The split framework's hooks (Table 2), resolved once: a split
         # scheduler observes page dirtying and freeing on the bus, each
         # only if its class implements the hook, so a write on a stack
-        # whose scheduler ignores them publishes nothing.  A block-only
-        # scheduler gets no memory hooks at all.
+        # whose scheduler ignores them publishes nothing; a syscall
+        # calls its scheduler's entry or return hook only if the class
+        # overrides it.  A block-only scheduler gets no hooks at all.
+        #: The scheduler's ``syscall_entry`` / ``syscall_return``, or
+        #: None where its class keeps the base no-op.
+        self._sched_entry = self._sched_return = None
         if self.scheduler is not None:
             sched = self.scheduler
             implements = type(sched)
+            if implements.syscall_entry is not SchedulerHooks.syscall_entry:
+                self._sched_entry = sched.syscall_entry
+            if implements.syscall_return is not SchedulerHooks.syscall_return:
+                self._sched_return = sched.syscall_return
             if implements.on_buffers_dirty is not SchedulerHooks.on_buffers_dirty:
                 self.bus.subscribe(
                     PageDirtied,
@@ -147,6 +156,8 @@ class OS:
                     PageFreed, lambda e: sched.on_buffer_free(e.inode_id, e.first, e.stop)
                 )
             sched.attach_stack(self)
+        #: Whether the scheduler takes either syscall hook.
+        self._sched_hooked = self._sched_entry is not None or self._sched_return is not None
 
     # -- process management -------------------------------------------------
 
@@ -157,11 +168,13 @@ class OS:
     # -- hook plumbing --------------------------------------------------------
 
     def _hooked(self) -> bool:
-        """Whether a syscall runs its entry and return hooks: a split
-        scheduler or a ``SyscallEnter``/``SyscallReturn`` subscriber is
-        watching.  Without one, a call builds no ``info`` and runs
-        neither hook."""
-        return self.scheduler is not None or bool(self._sub_sys_enter) or bool(self._sub_sys_return)
+        """Whether a syscall runs its entry and return hooks: the
+        scheduler takes one, or a ``SyscallEnter``/``SyscallReturn``
+        subscriber is watching (the lists are live: a subscriber added
+        after set-up counts).  Without one, a call builds no ``info``
+        and runs neither hook.  ``read`` and ``write`` inline this
+        test and both hooks, the memory-speed paths."""
+        return self._sched_hooked or bool(self._sub_sys_enter) or bool(self._sub_sys_return)
 
     def _entry(self, task: Task, call: str, info: Dict[str, Any]):
         """Run the syscall-entry hooks; returns what the caller must
@@ -169,15 +182,15 @@ class OS:
         generator, or ``()`` when it lets the call proceed at once."""
         if self._sub_sys_enter:
             self.bus.publish(SyscallEnter(self.env.now, task, call, info))
-        if self.scheduler is not None:
-            gen = self.scheduler.syscall_entry(task, call, info)
+        if self._sched_entry is not None:
+            gen = self._sched_entry(task, call, info)
             if gen is not None:
                 return gen
         return ()
 
     def _return(self, task: Task, call: str, info: Dict[str, Any]) -> None:
-        if self.scheduler is not None:
-            self.scheduler.syscall_return(task, call, info)
+        if self._sched_return is not None:
+            self._sched_return(task, call, info)
         if self._sub_sys_return:
             self.bus.publish(SyscallReturn(self.env.now, task, call, info))
 
@@ -322,44 +335,83 @@ class OS:
 
         ``direct=True`` is O_DIRECT: the page cache is bypassed (used
         by hypervisors running with cache=none).
+
+        A cache hit is a memory-speed call, so this frame runs the
+        hooks (:meth:`_entry`, :meth:`_return`) and the CPU's
+        acquire/grant/timeout/release (:meth:`CPU.consume`) itself:
+        the same events in the same order, without their frames.
         """
         if offset < 0 or nbytes < 0:
             raise ValueError(f"negative read range: offset={offset} nbytes={nbytes}")
-        hooked = self._hooked()
+        hooked = self._sched_hooked or self._sub_sys_enter or self._sub_sys_return
         if hooked:
             info = {"inode": inode, "offset": offset, "nbytes": nbytes, "direct": direct}
-            yield from self._entry(task, "read", info)
+            if self._sub_sys_enter:
+                self.bus.publish(SyscallEnter(self.env.now, task, "read", info))
+            if self._sched_entry is not None:
+                gen = self._sched_entry(task, "read", info)
+                if gen is not None:
+                    yield from gen
+        cpu = self.cpu
+        seconds = cpu.syscall_cost(nbytes)
+        grant = cpu.acquire()
+        done = 0.0
+        try:
+            yield grant
+            yield Timeout(self.env, seconds)
+            done = seconds
+        finally:
+            cpu.release(grant, done)
         if direct:
-            yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.read_direct(task, inode, offset, nbytes)
         else:
-            yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.read(task, inode, offset, nbytes)
         if hooked:
             info["result"] = n
-            self._return(task, "read", info)
+            if self._sched_return is not None:
+                self._sched_return(task, "read", info)
+            if self._sub_sys_return:
+                self.bus.publish(SyscallReturn(self.env.now, task, "read", info))
         return n
 
     def write(self, task: Task, inode: Inode, offset: int, nbytes: int, direct: bool = False):
         """Generator: write; returns bytes written.
 
         Buffered by default; ``direct=True`` is synchronous O_DIRECT.
+        A cached overwrite is a memory-speed call: like :meth:`read`,
+        this frame runs the hooks and the CPU steps itself.
         """
         if offset < 0 or nbytes < 0:
             raise ValueError(f"negative write range: offset={offset} nbytes={nbytes}")
-        hooked = self._hooked()
+        hooked = self._sched_hooked or self._sub_sys_enter or self._sub_sys_return
         if hooked:
             info = {"inode": inode, "offset": offset, "nbytes": nbytes, "direct": direct}
-            yield from self._entry(task, "write", info)
+            if self._sub_sys_enter:
+                self.bus.publish(SyscallEnter(self.env.now, task, "write", info))
+            if self._sched_entry is not None:
+                gen = self._sched_entry(task, "write", info)
+                if gen is not None:
+                    yield from gen
+        cpu = self.cpu
+        seconds = cpu.syscall_cost(nbytes)
+        grant = cpu.acquire()
+        done = 0.0
+        try:
+            yield grant
+            yield Timeout(self.env, seconds)
+            done = seconds
+        finally:
+            cpu.release(grant, done)
         if direct:
-            yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.write_direct(task, inode, offset, nbytes)
         else:
-            yield from self.cpu.consume(task, self.cpu.syscall_cost(nbytes))
             n = yield from self.fs.write(task, inode, offset, nbytes)
         if hooked:
             info["result"] = n
-            self._return(task, "write", info)
+            if self._sched_return is not None:
+                self._sched_return(task, "write", info)
+            if self._sub_sys_return:
+                self.bus.publish(SyscallReturn(self.env.now, task, "write", info))
         return n
 
     def fsync(self, task: Task, inode: Inode):

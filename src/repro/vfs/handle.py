@@ -176,26 +176,28 @@ class OpenFile:
 
     # pread, pwrite and fsync check their arguments when called and
     # return the syscall's generator itself: no frame of their own.
+    # The checks and _tagged are inlined (the guards above raise the
+    # errors), since a cached pread or pwrite is a memory-speed call.
 
     def pread(self, offset: int, nbytes: int, direct: bool = False):
-        self._check_readable()
+        if self.closed or not self.flags.readable:
+            self._check_readable()
         if offset < 0:
             raise ValueError(f"negative offset: {offset}")
         if nbytes < 0:
             raise ValueError(f"negative read length: {nbytes}")
-        return self._tagged(
-            self.os.read(self.task, self.inode, offset, nbytes, direct=direct)
-        )
+        gen = self.os.read(self.task, self.inode, offset, nbytes, direct=direct)
+        return gen if self.causes is None else self._with_causes(gen)
 
     def pwrite(self, offset: int, nbytes: int, direct: bool = False):
-        self._check_writable()
+        if self.closed or not self.flags.writable:
+            self._check_writable()
         if offset < 0:
             raise ValueError(f"negative offset: {offset}")
         if nbytes < 0:
             raise ValueError(f"negative write length: {nbytes}")
-        return self._tagged(
-            self.os.write(self.task, self.inode, offset, nbytes, direct=direct)
-        )
+        gen = self.os.write(self.task, self.inode, offset, nbytes, direct=direct)
+        return gen if self.causes is None else self._with_causes(gen)
 
     # -- metadata / durability -------------------------------------------------
 

@@ -168,3 +168,97 @@ def test_hook_return_invoked_with_result():
     assert "creat" in calls
     assert ("write", 4 * KB) in seen
     assert ("read", 4 * KB) in seen
+
+
+# -- hooks resolved once at stack build -----------------------------------------
+
+
+def test_split_deadline_return_hook_clears_active_fsync():
+    from repro.schedulers.split_deadline import SplitDeadline
+
+    sched = SplitDeadline()
+    env = Environment()
+    machine = OS(env, device=SSD(), scheduler=sched)
+    task = machine.spawn("t")
+
+    def proc():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.append(64 * KB)
+        yield from handle.fsync()
+
+    drive(env, proc())
+    assert machine._sched_return == sched.syscall_return
+    assert task.pid not in sched._active_fsyncs
+
+
+def test_hookless_scheduler_triggers_no_hook_call():
+    called = []
+
+    class Quiet(SchedulerHooks):
+        pass
+
+    def spy(self, *args):
+        called.append(args)
+
+    env = Environment()
+    machine = OS(env, device=SSD(), scheduler=Quiet())
+    # Patched after the stack is built: the OS resolved the base
+    # no-ops away and must not call them.
+    Quiet.syscall_entry = Quiet.syscall_return = spy
+    task = machine.spawn("t")
+
+    def proc():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.pwrite(0, 8 * KB)
+        yield from handle.pread(0, 8 * KB)
+        yield from handle.fsync()
+
+    drive(env, proc())
+    assert machine._sched_entry is None and machine._sched_return is None
+    assert called == []
+
+
+def test_late_syscall_subscribers_see_every_call():
+    from repro.obs import SpanBuilder
+    from repro.obs.bus import SyscallEnter, SyscallReturn
+
+    env = Environment()
+    machine = OS(env, device=SSD())  # noop: no scheduler hooks at all
+    task = machine.spawn("t")
+    seen = []
+    machine.bus.subscribe(SyscallEnter, lambda e: seen.append(("enter", e.call)))
+    machine.bus.subscribe(SyscallReturn, lambda e: seen.append(("return", e.call)))
+    builder = SpanBuilder.attach(machine)
+
+    def proc():
+        handle = yield from machine.creat(task, "/f")
+        yield from handle.pwrite(0, 8 * KB)
+        yield from handle.pread(0, 8 * KB)
+
+    drive(env, proc())
+    assert seen == [("enter", "creat"), ("return", "creat"), ("enter", "write"),
+                    ("return", "write"), ("enter", "read"), ("return", "read")]
+    assert len(builder.spans) == 3
+
+
+def test_traced_run_matches_untraced():
+    from repro.obs import SpanBuilder
+
+    def run(traced):
+        env = Environment()
+        machine = OS(env, device=SSD(), scheduler="split-token", memory_bytes=64 * MB)
+        task = machine.spawn("t")
+        if traced:
+            SpanBuilder.attach(machine)
+
+        def proc():
+            handle = yield from machine.creat(task, "/f")
+            for i in range(64):
+                yield from handle.pwrite((i % 16) * 64 * KB, 64 * KB)
+                yield from handle.pread((i % 16) * 64 * KB, 4 * KB)
+            yield from handle.fsync()
+
+        drive(env, proc())
+        return env.now, env._eid, machine.cache.hits, machine.cache.overwrites
+
+    assert run(True) == run(False)

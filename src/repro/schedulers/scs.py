@@ -66,7 +66,7 @@ class SCSToken(SchedulerHooks):
         # SCS bookkeeping burns CPU on every intercepted call.
         yield from self.os.cpu.consume(task, SCS_HOOK_CPU)
 
-        bucket = self.buckets.bucket_for(task)
+        bucket = self.buckets.by_pid.get(task.pid)
         if bucket is None:
             return
 

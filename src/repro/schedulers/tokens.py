@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.proc import Task
     from repro.sim.core import Environment
 
 
@@ -80,8 +79,8 @@ class BucketRegistry:
 
     def __init__(self, env: "Environment"):
         self.env = env
-        #: pid -> its bucket (read-only outside this class; the
-        #: syscall-entry hot path looks tasks up here directly).
+        #: pid -> its bucket; read-only outside this class, where a
+        #: task's bucket is ``by_pid.get(task.pid)``.
         self.by_pid: Dict[int, TokenBucket] = {}
 
     def set_limit(self, tasks, rate: float, cap: Optional[float] = None) -> TokenBucket:
@@ -94,9 +93,6 @@ class BucketRegistry:
         for task in tasks:
             self.by_pid[task.pid] = bucket
         return bucket
-
-    def bucket_for(self, task: "Task") -> Optional[TokenBucket]:
-        return self.by_pid.get(task.pid)
 
     def buckets_for_causes(self, causes) -> Dict[int, TokenBucket]:
         """Buckets of the throttled pids inside a cause set."""

@@ -30,7 +30,8 @@ class CPU:
     when the core is handed over, so a task that finds a free core
     still waits for its grant to be processed.  :meth:`consume` is
     :meth:`acquire`, the grant, a timeout and :meth:`release`; the
-    OS's read and write run the same four steps in their own frame.
+    OS's read and write run the same four steps in one frame of their
+    own (``OS._transfer``).
     """
 
     def __init__(self, env: "Environment", cores: int = 8):
@@ -48,12 +49,13 @@ class CPU:
         """Ask for a core: the grant event, succeeded at once when a core
         is free, else queued behind the earlier askers.  Every grant is
         given back with :meth:`release`."""
-        grant = Event(self.env)
         if self.busy_cores < self.cores:
             self.busy_cores += 1
-            grant.succeed()
-        else:
-            self.waiters.append(grant)
+            # A zero-delay timeout is an event succeeded now: the same
+            # queue entry and eid as Event + succeed, in one call.
+            return Timeout(self.env, 0)
+        grant = Event(self.env)
+        self.waiters.append(grant)
         return grant
 
     def release(self, grant: Event, seconds: float = 0.0) -> None:

@@ -172,8 +172,8 @@ class OS:
         scheduler takes one, or a ``SyscallEnter``/``SyscallReturn``
         subscriber is watching (the lists are live: a subscriber added
         after set-up counts).  Without one, a call builds no ``info``
-        and runs neither hook.  ``read`` and ``write`` inline this
-        test and both hooks, the memory-speed paths."""
+        and runs neither hook.  :meth:`_transfer` (read and write, the
+        memory-speed paths) inlines this test and both hooks."""
         return self._sched_hooked or bool(self._sub_sys_enter) or bool(self._sub_sys_return)
 
     def _entry(self, task: Task, call: str, info: Dict[str, Any]):
@@ -331,65 +331,46 @@ class OS:
         return result
 
     def read(self, task: Task, inode: Inode, offset: int, nbytes: int, direct: bool = False):
-        """Generator: read; returns bytes actually read.
+        """Read: checks its range, then returns the call's generator,
+        which returns the bytes actually read.
 
         ``direct=True`` is O_DIRECT: the page cache is bypassed (used
         by hypervisors running with cache=none).
-
-        A cache hit is a memory-speed call, so this frame runs the
-        hooks (:meth:`_entry`, :meth:`_return`) and the CPU's
-        acquire/grant/timeout/release (:meth:`CPU.consume`) itself:
-        the same events in the same order, without their frames.
         """
         if offset < 0 or nbytes < 0:
             raise ValueError(f"negative read range: offset={offset} nbytes={nbytes}")
-        hooked = self._sched_hooked or self._sub_sys_enter or self._sub_sys_return
-        if hooked:
-            info = {"inode": inode, "offset": offset, "nbytes": nbytes, "direct": direct}
-            if self._sub_sys_enter:
-                self.bus.publish(SyscallEnter(self.env.now, task, "read", info))
-            if self._sched_entry is not None:
-                gen = self._sched_entry(task, "read", info)
-                if gen is not None:
-                    yield from gen
-        cpu = self.cpu
-        seconds = cpu.syscall_cost(nbytes)
-        grant = cpu.acquire()
-        done = 0.0
-        try:
-            yield grant
-            yield Timeout(self.env, seconds)
-            done = seconds
-        finally:
-            cpu.release(grant, done)
-        if direct:
-            n = yield from self.fs.read_direct(task, inode, offset, nbytes)
-        else:
-            n = yield from self.fs.read(task, inode, offset, nbytes)
-        if hooked:
-            info["result"] = n
-            if self._sched_return is not None:
-                self._sched_return(task, "read", info)
-            if self._sub_sys_return:
-                self.bus.publish(SyscallReturn(self.env.now, task, "read", info))
-        return n
+        body = self.fs.read_direct if direct else self.fs.read
+        return self._transfer(task, "read", inode, offset, nbytes, direct, body)
 
     def write(self, task: Task, inode: Inode, offset: int, nbytes: int, direct: bool = False):
-        """Generator: write; returns bytes written.
+        """Write: checks its range, then returns the call's generator,
+        which returns the bytes written.
 
         Buffered by default; ``direct=True`` is synchronous O_DIRECT.
-        A cached overwrite is a memory-speed call: like :meth:`read`,
-        this frame runs the hooks and the CPU steps itself.
         """
         if offset < 0 or nbytes < 0:
             raise ValueError(f"negative write range: offset={offset} nbytes={nbytes}")
+        body = self.fs.write_direct if direct else self.fs.write
+        return self._transfer(task, "write", inode, offset, nbytes, direct, body)
+
+    def _transfer(self, task: Task, call: str, inode: Inode, offset: int,
+                  nbytes: int, direct: bool, body):
+        """Generator: the read or write syscall *call*, moving data with
+        ``body(task, inode, offset, nbytes)``; returns what it returns.
+
+        A cache hit or a cached overwrite is a memory-speed call, so
+        this frame runs the hooks (:meth:`_entry`, :meth:`_return`) and
+        the CPU's acquire/grant/timeout/release (:meth:`CPU.consume`)
+        itself: the same events in the same order, without their
+        frames.
+        """
         hooked = self._sched_hooked or self._sub_sys_enter or self._sub_sys_return
         if hooked:
             info = {"inode": inode, "offset": offset, "nbytes": nbytes, "direct": direct}
             if self._sub_sys_enter:
-                self.bus.publish(SyscallEnter(self.env.now, task, "write", info))
+                self.bus.publish(SyscallEnter(self.env.now, task, call, info))
             if self._sched_entry is not None:
-                gen = self._sched_entry(task, "write", info)
+                gen = self._sched_entry(task, call, info)
                 if gen is not None:
                     yield from gen
         cpu = self.cpu
@@ -402,16 +383,13 @@ class OS:
             done = seconds
         finally:
             cpu.release(grant, done)
-        if direct:
-            n = yield from self.fs.write_direct(task, inode, offset, nbytes)
-        else:
-            n = yield from self.fs.write(task, inode, offset, nbytes)
+        n = yield from body(task, inode, offset, nbytes)
         if hooked:
             info["result"] = n
             if self._sched_return is not None:
-                self._sched_return(task, "write", info)
+                self._sched_return(task, call, info)
             if self._sub_sys_return:
-                self.bus.publish(SyscallReturn(self.env.now, task, "write", info))
+                self.bus.publish(SyscallReturn(self.env.now, task, call, info))
         return n
 
     def fsync(self, task: Task, inode: Inode):

@@ -71,8 +71,8 @@ def test_registry_shared_bucket():
     registry = BucketRegistry(env)
     a, b = Task("a"), Task("b")
     bucket = registry.set_limit([a, b], rate=100)
-    assert registry.bucket_for(a) is bucket
-    assert registry.bucket_for(b) is bucket
+    assert registry.by_pid.get(a.pid) is bucket
+    assert registry.by_pid.get(b.pid) is bucket
 
 
 def test_registry_single_task():
@@ -80,8 +80,8 @@ def test_registry_single_task():
     registry = BucketRegistry(env)
     task = Task("t")
     bucket = registry.set_limit(task, rate=10)
-    assert registry.bucket_for(task) is bucket
-    assert registry.bucket_for(Task("other")) is None
+    assert registry.by_pid.get(task.pid) is bucket
+    assert registry.by_pid.get(Task("other").pid) is None
 
 
 def test_buckets_for_causes():

@@ -5,7 +5,12 @@ clean pages each make exactly two kernel events (the core grant and the
 compute timeout).  Their host cost is the Python work between them, so
 these tests count Python-level calls (``sys.setprofile`` "call" events,
 generator resumptions included) and event ids for one steady-state
-call.  The counts do not depend on the host, so the gate is exact.
+call.  The counts do not depend on the host's speed or load, so the
+gate is exact, but they do depend on the interpreter: 3.12 runs legacy
+profiling on ``sys.monitoring`` and inlines comprehensions.  The
+budgets were measured on CPython 3.11, so the two budget tests run
+only there; budgets for other versions need measuring on them.  The
+re-read test counts only events and extents and runs everywhere.
 """
 
 import sys
@@ -16,10 +21,16 @@ from repro.sim.core import Environment
 from repro.syscall.os import OS
 from repro.units import KB, MB
 
-#: Budgets per call: (noop, split-token).  Before this gate the paths
-#: cost overwrite 34 / 44 and hit 27 / 31 calls.
+#: Budgets per call on CPython 3.11: (noop, split-token).  Before this
+#: gate the paths cost overwrite 34 / 44 and hit 27 / 31 calls.
 OVERWRITE_BUDGET = {"noop": 20, "split-token": 25}
 HIT_BUDGET = {"noop": 18, "split-token": 19}
+
+measured_interpreter = pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="call budgets were measured on CPython 3.11; the profiler's "
+    "call events differ on other versions",
+)
 
 
 def _drive(env, gen):
@@ -72,6 +83,7 @@ def _per_call(env, make_loop):
     return (eleven[0] - one[0]) / 10, (eleven[1] - one[1]) / 10
 
 
+@measured_interpreter
 @pytest.mark.parametrize("scheduler", ["noop", "split-token"])
 def test_cached_overwrite_budget(scheduler):
     env, _, handle = _stack(scheduler, clean=False)
@@ -86,6 +98,7 @@ def test_cached_overwrite_budget(scheduler):
     assert calls <= OVERWRITE_BUDGET[scheduler]
 
 
+@measured_interpreter
 @pytest.mark.parametrize("scheduler", ["noop", "split-token"])
 def test_cache_hit_budget(scheduler):
     env, machine, handle = _stack(scheduler, clean=True)

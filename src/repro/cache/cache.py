@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
 from repro.cache.extents import CleanExtents
 from repro.cache.page import DirtyRun, DirtyRuns, PageKey
 from repro.core.tags import EMPTY_CAUSES, CauseSet, TagManager
-from repro.obs.bus import PageCleaned, PageDirtied, PageFreed, StackBus
 from repro.units import GB, PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -21,12 +20,11 @@ class PageCache(CleanExtents):
     """An LRU page cache with dirty-page accounting and split hooks.
 
     The split framework's memory-level hooks (`buffer-dirty`,
-    `buffer-free`, Table 2) fire from here — published as
-    :class:`~repro.obs.bus.PageDirtied` / :class:`PageFreed` events on
-    the stack bus, so any number of subscribers (the installed split
-    scheduler, span builders, tests) observe them.  A stack running a
-    pure block-level scheduler has no memory subscribers, which is
-    exactly the information gap the paper describes.
+    `buffer-free`, Table 2) fire from here, as direct calls of
+    :attr:`on_buffers_dirty` and :attr:`on_buffer_free`.  The OS sets
+    them to its scheduler's bound hooks where the scheduler's class
+    overrides them; a stack running a pure block-level scheduler has
+    neither, which is exactly the information gap the paper describes.
 
     Clean pages carry no identity the schedulers read, so they live in
     an LRU list of extents (:class:`CleanExtents`): hits, misses and
@@ -46,7 +44,6 @@ class PageCache(CleanExtents):
         env: "Environment",
         tags: TagManager,
         memory_bytes: int = 16 * GB,
-        bus: Optional[StackBus] = None,
     ):
         if memory_bytes < PAGE_SIZE:
             raise ValueError("cache must hold at least one page")
@@ -61,14 +58,13 @@ class PageCache(CleanExtents):
         #: (:meth:`drop_volatile`): they stay allocated.
         self.lost_tags = self.lost_tag_bytes = 0
         self.dirty_bytes = 0
-        #: The stack event bus (shared with the rest of the stack when
-        #: assembled by the OS; private when constructed standalone).
-        self.bus = bus if bus is not None else StackBus()
-        # Live subscriber lists, cached so the hot paths pay one
-        # truthiness check when nobody listens (zero-cost-off).
-        self._sub_dirtied = self.bus.listeners(PageDirtied)
-        self._sub_cleaned = self.bus.listeners(PageCleaned)
-        self._sub_freed = self.bus.listeners(PageFreed)
+        #: The buffer-dirty hook, ``(inode_id, first, stop, causes,
+        #: old_causes)``: called once per stretch of pages a write
+        #: dirtied, or None.
+        self.on_buffers_dirty: Optional[Callable[..., None]] = None
+        #: The buffer-free hook, ``(inode_id, first, stop)``: called once
+        #: per dirty run freed before writeback, or None.
+        self.on_buffer_free: Optional[Callable[[int, int, int], None]] = None
         # Counters
         self.hits = 0
         self.misses = 0
@@ -263,10 +259,10 @@ class PageCache(CleanExtents):
         already-dirty page counts as an overwrite, and its stretch
         merges *task*'s causes into the old set once, so all its pages
         share the merged set.  Each stretch then re-prices its pages'
-        tags with one call and publishes one buffer-dirty event with its
+        tags with one call and makes one buffer-dirty hook call with its
         old causes, so a scheduler can skip overwrites or shift
         accounting to the last writer if its policy wants that (§4.2).
-        After its stretch's event, the stretch's pages take their disk
+        After its stretch's hook call, the stretch's pages take their disk
         blocks from the extents of *block_map* there (a page outside
         them keeps its allocation delayed; without a *block_map*, every
         page keeps its block).
@@ -314,7 +310,7 @@ class PageCache(CleanExtents):
 
     def _dirty_one(self, inode_id, index, block_map, causes) -> DirtyRun:
         """:meth:`mark_dirty_range` over page *index* alone: the same
-        event, tags and blocks, without the stretch bookkeeping."""
+        hook call, tags and blocks, without the stretch bookkeeping."""
         dirty = self._dirty
         entry = dirty.files.get(inode_id)
         if entry is None:
@@ -338,10 +334,8 @@ class PageCache(CleanExtents):
                     if merged is not old:
                         run.causes = merged
                         self.tags.account_tags(1, merged, old)
-                if self._sub_dirtied:
-                    self.bus.publish(
-                        PageDirtied(self.env.now, inode_id, index, index + 1, merged, old)
-                    )
+                if self.on_buffers_dirty is not None:
+                    self.on_buffers_dirty(inode_id, index, index + 1, merged, old)
                 if run.disk_block is None and block_map is not None:
                     block = block_map.get(index)
                     if block is not None:
@@ -356,8 +350,8 @@ class PageCache(CleanExtents):
         if extent is None:
             self._maybe_evict()
         self.tags.account_tags(1, causes)
-        if self._sub_dirtied:
-            self.bus.publish(PageDirtied(now, inode_id, index, index + 1, causes, EMPTY_CAUSES))
+        if self.on_buffers_dirty is not None:
+            self.on_buffers_dirty(inode_id, index, index + 1, causes, EMPTY_CAUSES)
         if block is None and block_map is not None:
             run.disk_block = block_map.get(index)
         return run
@@ -398,8 +392,8 @@ class PageCache(CleanExtents):
             if extent is None:
                 self._maybe_evict()
         self.tags.account_tags(stop - first, causes)
-        if self._sub_dirtied:
-            self.bus.publish(PageDirtied(now, inode_id, first, stop, causes, EMPTY_CAUSES))
+        if self.on_buffers_dirty is not None:
+            self.on_buffers_dirty(inode_id, first, stop, causes, EMPTY_CAUSES)
         if block_map is not None and not from_extents:
             mapped = block_map.runs(first, stop)
             if mapped:
@@ -449,10 +443,8 @@ class PageCache(CleanExtents):
                     run.causes = merged
             if changed:
                 self.tags.account_tags(end - index, merged, old)
-        if self._sub_dirtied:
-            self.bus.publish(
-                PageDirtied(self.env.now, stretch[0].inode_id, index, end, merged, old)
-            )
+        if self.on_buffers_dirty is not None:
+            self.on_buffers_dirty(stretch[0].inode_id, index, end, merged, old)
         # Splitting keeps each piece's block state, so the stretch
         # holds a page waiting for allocation iff it did before.
         if block_map is not None and delayed:
@@ -480,8 +472,8 @@ class PageCache(CleanExtents):
         accounting already left with it, and a newer run may now hold
         the same pages.  The rest turn clean: their tags are released,
         they join the MRU end as extents (the newest extent grows when
-        a run continues it in file and on disk), ``PageCleaned`` is
-        published for each in order, and the LRU front is evicted once.
+        a run continues it in file and on disk), and the LRU front is
+        evicted once.
 
         Cleaning moves a page from dirty to clean, so the cache's length
         never changes, and a cache that must evict held no clean page
@@ -491,7 +483,7 @@ class PageCache(CleanExtents):
         :meth:`insert_clean_run`).
         """
         append, release = self._append, self.tags.release_tags
-        cleaned = []
+        cleaned = False
         for run in runs:
             run.under_writeback = False
             run.batch = None
@@ -503,12 +495,8 @@ class PageCache(CleanExtents):
             run.causes = EMPTY_CAUSES
             run.dirtied_at = None
             append(run.inode_id, run.start, run.stop, run.disk_block)
-            cleaned.append(run)
+            cleaned = True
         if cleaned:
-            if self._sub_cleaned:
-                now = self.env.now
-                for run in cleaned:
-                    self.bus.publish(PageCleaned(now, run.inode_id, run.start, run.stop))
             self._maybe_evict()
 
     def free(self, key: PageKey) -> None:
@@ -536,7 +524,7 @@ class PageCache(CleanExtents):
     def free_file(self, inode_id: int) -> int:
         """Drop every cached page of a file; returns count freed.
 
-        Dirty runs are freed (and publish :class:`PageFreed`) oldest
+        Dirty runs are freed (each firing the buffer-free hook) oldest
         first.
         """
         clean = 0
@@ -583,8 +571,8 @@ class PageCache(CleanExtents):
         fire the buffer-free hook."""
         self._unlink(run)
         self.tags.release_tags(len(run), run.causes)
-        if self._sub_freed:
-            self.bus.publish(PageFreed(self.env.now, run.inode_id, run.start, run.stop))
+        if self.on_buffer_free is not None:
+            self.on_buffer_free(run.inode_id, run.start, run.stop)
 
     def _maybe_evict(self) -> None:
         """Evict clean pages from the LRU front while over capacity:

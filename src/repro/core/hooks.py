@@ -81,13 +81,14 @@ class SchedulerHooks:
         *old_causes* before the write (empty for pages just born dirty);
         each now carries *causes*.  One call per stretch, not per page:
         a policy that ignores overwrites returns at once for all of
-        them.  The OS subscribes a scheduler to this hook only if its
-        class overrides it.
+        them.  The page cache calls it directly, and only if the
+        scheduler's class overrides it (the OS hands the cache the
+        bound method when it assembles the stack).
         """
 
     def on_buffer_free(self, inode_id: int, first: int, stop: int) -> None:
         """Dirty buffers ``first..stop-1`` of a file were deleted before
-        writeback (subscribed only if overridden)."""
+        writeback (called by the page cache only if overridden)."""
 
     # -- block level --------------------------------------------------------------
 

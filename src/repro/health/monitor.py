@@ -132,9 +132,11 @@ class HealthMonitor:
 
     Subscribe with :meth:`attach` (or construct directly with a bus):
     every :class:`~repro.obs.bus.DeviceDone` published under the
-    watched device name feeds the EWMA detector.  Pure observer: the
-    monitor never perturbs the simulation, so attaching one leaves
-    results byte-identical.
+    watched device name feeds the EWMA detector.  The monitor never
+    perturbs the simulation itself, so attaching one leaves results
+    byte-identical unless something reads it: with ``hedge=True`` the
+    block queue takes its hedge deadline from :meth:`deadline`, so a
+    hedged stack's dispatch depends on what the monitor has observed.
     """
 
     def __init__(

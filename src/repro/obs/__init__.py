@@ -1,7 +1,7 @@
 """`repro.obs`: the cross-layer instrumentation bus and lifecycle spans.
 
 One :class:`StackBus` per simulated stack carries typed events from
-every layer (syscall, cache, journal, block, device, faults); a
+every layer (syscall, journal, block, device, faults); a
 :class:`SpanBuilder` correlates them — via cause tags and request ids —
 into per-I/O lifecycle spans, and :func:`latency_breakdown` aggregates
 spans into the syscall/cache/journal/queue/device stage statistics the
@@ -19,9 +19,6 @@ from repro.obs.bus import (
     HealthTransition,
     JournalCommitRecord,
     JournalTxnCommit,
-    PageCleaned,
-    PageDirtied,
-    PageFreed,
     StackBus,
     SyscallEnter,
     SyscallReturn,
@@ -49,9 +46,6 @@ __all__ = [
     "HealthTransition",
     "JournalCommitRecord",
     "JournalTxnCommit",
-    "PageCleaned",
-    "PageDirtied",
-    "PageFreed",
     "SpanBuilder",
     "SpanSchemaError",
     "StackBus",

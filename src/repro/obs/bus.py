@@ -1,19 +1,23 @@
 """The cross-layer stack event bus and its typed event vocabulary.
 
-Every layer of the simulated stack — syscall facade, page cache,
-journal, block queue, device models, fault injector — publishes its
-lifecycle transitions as *typed events* on one shared
-:class:`StackBus` per stack.  Consumers (split schedulers' memory
-hooks, :class:`~repro.obs.span.SpanBuilder`, tests) subscribe per event
-type.
+The layers of the simulated stack — syscall facade, journal, block
+queue, device models, fault injector — publish their lifecycle
+transitions as *typed events* on one shared :class:`StackBus` per
+stack.  Consumers (:class:`~repro.obs.span.SpanBuilder`, the health
+monitor, tests) subscribe per event type.  The split framework's hooks
+are not among them: a scheduler's syscall, memory and block hooks are
+direct calls at all three levels, so the bus only observes.
 
 Zero cost when disabled: publishers cache the live per-type subscriber
 list (:meth:`StackBus.listeners`) and construct an event object only
 when that list is non-empty, so an untraced stack pays one truthiness
 check per potential event — never an allocation.  With no subscribers
 the simulation is byte-identical to one with no bus at all, because
-event *publication* is pure observation; nothing in the simulation
-reads the bus.
+event *publication* is pure observation.  One consumer is read back:
+under hedged dispatch the block queue takes its hedge deadline from the
+:class:`~repro.health.HealthMonitor`, which learns service latencies
+from ``DeviceDone`` events, so a hedged stack's results depend on that
+subscription.  Nothing else in the simulation reads the bus.
 """
 
 from __future__ import annotations
@@ -37,46 +41,6 @@ class SyscallReturn(NamedTuple):
     task: Any
     call: str
     info: Dict[str, Any]
-
-
-class PageDirtied(NamedTuple):
-    """Page-cache buffers were dirtied (or dirty ones re-modified).
-
-    Pages ``first..stop-1`` of one file, dirtied by one write, all
-    carried the same cause set object before it: ``old_causes``, which
-    is empty for pages born clean->dirty; they now carry ``causes``.
-    That old set is the information the paper's memory-level
-    ``buffer-dirty`` hook exposes; one event per stretch gives each
-    page of the write the old causes it would have had alone, with a
-    single publish.
-    """
-
-    time: float
-    inode_id: int
-    first: int
-    stop: int
-    causes: Any  # repro.core.tags.CauseSet
-    old_causes: Any  # repro.core.tags.CauseSet
-
-
-class PageCleaned(NamedTuple):
-    """Writeback of dirty pages ``first..stop-1`` of one file completed
-    and they stayed clean."""
-
-    time: float
-    inode_id: int
-    first: int
-    stop: int
-
-
-class PageFreed(NamedTuple):
-    """Dirty pages ``first..stop-1`` of one file were deleted before
-    writeback (their work vanished)."""
-
-    time: float
-    inode_id: int
-    first: int
-    stop: int
 
 
 class JournalTxnCommit(NamedTuple):
@@ -180,9 +144,6 @@ class HealthTransition(NamedTuple):
 EVENT_TYPES = (
     SyscallEnter,
     SyscallReturn,
-    PageDirtied,
-    PageCleaned,
-    PageFreed,
     JournalTxnCommit,
     JournalCommitRecord,
     BlockAdd,
@@ -226,10 +187,6 @@ class StackBus:
             return self._listeners[event_type]
         except KeyError:
             raise ValueError(f"unknown event type {event_type!r}") from None
-
-    def active(self, event_type: Type) -> bool:
-        """True when *event_type* has at least one subscriber."""
-        return bool(self.listeners(event_type))
 
     def subscribe(self, event_type: Type, fn: Callable) -> Callable[[], None]:
         """Add *fn* as a subscriber; returns an unsubscribe callable."""

@@ -35,10 +35,11 @@ class Noop(BlockScheduler):
 
 
 class SplitNoop(SplitScheduler):
-    """Split-framework no-op: subscribes to every hook, does nothing.
+    """Split-framework no-op: overrides every hook, does nothing.
 
     Its purpose is to measure the framework's intrinsic overhead: the
-    hook invocations and tag bookkeeping happen, but no policy runs.
+    hook invocations (direct calls at the syscall, memory and block
+    levels) and tag bookkeeping happen, but no policy runs.
     """
 
     name = "split-noop"

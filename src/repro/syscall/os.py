@@ -27,7 +27,7 @@ from repro.core.tags import TagManager
 from repro.devices.hdd import HDD
 from repro.fs.ext4 import Ext4
 from repro.fs.inode import Inode
-from repro.obs.bus import PageDirtied, PageFreed, StackBus, SyscallEnter, SyscallReturn
+from repro.obs.bus import StackBus, SyscallEnter, SyscallReturn
 from repro.proc import ProcessTable, Task
 from repro.sim.events import Timeout
 from repro.syscall.cpu import CPU
@@ -111,7 +111,7 @@ class OS:
             env, self.device, elevator, self.process_table, bus=self.bus,
             queue_depth=queue_depth, hedge=hedge, health=monitor,
         )
-        self.cache = PageCache(env, self.tags, memory_bytes, bus=self.bus)
+        self.cache = PageCache(env, self.tags, memory_bytes)
         self.fs = fs_class(
             env, self.cache, self.block_queue, self.tags, self.process_table,
             **(fs_kwargs or {}),
@@ -128,12 +128,11 @@ class OS:
         self.memory_cost_model = MemoryCostModel()
         self.disk_cost_model = DiskCostModel(self.device)
 
-        # The split framework's hooks (Table 2), resolved once: a split
-        # scheduler observes page dirtying and freeing on the bus, each
-        # only if its class implements the hook, so a write on a stack
-        # whose scheduler ignores them publishes nothing; a syscall
-        # calls its scheduler's entry or return hook only if the class
-        # overrides it.  A block-only scheduler gets no hooks at all.
+        # The split framework's hooks (Table 2), resolved once and
+        # called directly: a syscall calls its scheduler's entry or
+        # return hook, and the cache its buffer-dirty or buffer-free
+        # hook, only if the scheduler's class overrides it.  A
+        # block-only scheduler gets no hooks at all.
         #: The scheduler's ``syscall_entry`` / ``syscall_return``, or
         #: None where its class keeps the base no-op.
         self._sched_entry = self._sched_return = None
@@ -145,16 +144,9 @@ class OS:
             if implements.syscall_return is not SchedulerHooks.syscall_return:
                 self._sched_return = sched.syscall_return
             if implements.on_buffers_dirty is not SchedulerHooks.on_buffers_dirty:
-                self.bus.subscribe(
-                    PageDirtied,
-                    lambda e: sched.on_buffers_dirty(
-                        e.inode_id, e.first, e.stop, e.causes, e.old_causes
-                    ),
-                )
+                self.cache.on_buffers_dirty = sched.on_buffers_dirty
             if implements.on_buffer_free is not SchedulerHooks.on_buffer_free:
-                self.bus.subscribe(
-                    PageFreed, lambda e: sched.on_buffer_free(e.inode_id, e.first, e.stop)
-                )
+                self.cache.on_buffer_free = sched.on_buffer_free
             sched.attach_stack(self)
         #: Whether the scheduler takes either syscall hook.
         self._sched_hooked = self._sched_entry is not None or self._sched_return is not None

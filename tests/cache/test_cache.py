@@ -5,11 +5,17 @@ import pytest
 from repro.cache import PageCache, PageKey
 from repro.core.tags import CauseSet, TagManager
 from repro.fs import BlockMap
-from repro.obs.bus import PageCleaned, PageDirtied, PageFreed
 from repro.proc import Task
 from repro.sim import Environment
 from repro.units import MB, PAGE_SIZE
-from tests.cache.test_cache_properties import assert_runs, clean_with_blocks, dirty_keys, event_keys
+from tests.cache.test_cache_properties import (
+    assert_runs,
+    clean_with_blocks,
+    dirty_keys,
+    event_keys,
+    record_dirtied,
+    record_freed,
+)
 
 
 def dirty_block(cache, inode_id, index):
@@ -62,9 +68,7 @@ def test_page_dirtied_reports_old_causes():
     env, tags, cache = make_cache()
     a, b = Task("a"), Task("b")
     calls = []
-    cache.bus.subscribe(
-        PageDirtied, lambda e: calls.extend((key, e.old_causes) for key in event_keys(e))
-    )
+    record_dirtied(cache, lambda e: calls.extend((key, e.old_causes) for key in event_keys(e)))
     key = PageKey(1, 5)
     cache.mark_dirty(key, a)
     cache.mark_dirty(key, b)
@@ -76,7 +80,7 @@ def test_page_freed_fires_for_dirty_page_only():
     env, tags, cache = make_cache()
     task = Task("t")
     freed = []
-    cache.bus.subscribe(PageFreed, lambda e: freed.extend(event_keys(e)))
+    record_freed(cache, lambda e: freed.extend(event_keys(e)))
     dirty_key, clean_key = PageKey(1, 0), PageKey(1, 1)
     cache.mark_dirty(dirty_key, task)
     cache.insert_clean_run(1, [(1, 500, 1)])
@@ -240,9 +244,8 @@ def test_range_dirty_takes_disk_blocks_after_the_hook():
     env, tags, cache = make_cache()
     task = Task("t")
     seen = []
-    cache.bus.subscribe(
-        PageDirtied,
-        lambda e: seen.extend((i, dirty_block(cache, 1, i)) for i in range(e.first, e.stop)),
+    record_dirtied(
+        cache, lambda e: seen.extend((i, dirty_block(cache, 1, i)) for i in range(e.first, e.stop))
     )
     cache.mark_dirty_range(1, 0, 3, BlockMap({0: 50, 2: 52}), task)
     assert seen == [(0, None), (1, None), (2, None)]
@@ -265,14 +268,14 @@ def mixed_run_cache(a, b):
 
 def record_runs(cache):
     runs = []
-    cache.bus.subscribe(PageDirtied, runs.append)
+    record_dirtied(cache, runs.append)
     return runs
 
 
 def test_range_dirty_publishes_one_event_per_run_in_file_order():
     """Born pages, dirty pages of two old sets, then a born page again
-    make four runs; expanded page by page, they are exactly the events
-    one-page writes would publish, and both leave the same state."""
+    make four runs; expanded page by page, they are exactly the hook
+    calls one-page writes would make, and both leave the same state."""
     block_map = BlockMap({i: 100 + i for i in range(6)})
     a, b, writer = Task("a"), Task("b"), Task("c")
     cache = mixed_run_cache(a, b)
@@ -326,12 +329,11 @@ BLOCKS = BlockMap({i: 100 + i for i in range(16)})
 
 def recording_cache():
     """A fresh cache and the ``(key, old cause pids)`` of every page of
-    every buffer-dirty event it will publish, in order."""
+    every buffer-dirty hook call it will make, in order."""
     env, tags, cache = make_cache()
     events = []
-    cache.bus.subscribe(
-        PageDirtied,
-        lambda e: events.extend((tuple(key), e.old_causes.pids) for key in event_keys(e)),
+    record_dirtied(
+        cache, lambda e: events.extend((tuple(key), e.old_causes.pids) for key in event_keys(e))
     )
     return cache, events
 
@@ -340,7 +342,8 @@ def run_steps(cache, tasks, steps, per_page=False):
     """Apply ``(op, first, stop, writer)`` steps to file 1 of *cache*,
     checking the dirty-run invariant after each.  With *per_page*, each
     ``dirty`` step is split into one-page writes: the reference a
-    run-at-a-time write must match event for event, once expanded."""
+    run-at-a-time write must match hook call for hook call, once
+    expanded."""
     for op, first, stop, writer in steps:
         if op == "dirty":
             pieces = [(i, i + 1) for i in range(first, stop)] if per_page else [(first, stop)]
@@ -415,7 +418,7 @@ def test_breaking_a_hint_keeps_the_next_overwrite_exact(breaker):
 
 def test_run_over_two_hints_of_one_set_publishes_one_event():
     """Two runs of one cause set object make one overwrite stretch: one
-    event, and one union they then both carry."""
+    hook call, and one union they then both carry."""
     a, b = Task("a"), Task("b")
     env, tags, cache = make_cache()
     cache.mark_dirty_range(1, 0, 4, BLOCKS, a)
@@ -641,12 +644,14 @@ def test_completion_evicting_its_own_cleaned_pages_matches_page_at_a_time():
     a write of eight pages (one dirtied again and one freed mid-flight,
     each splitting the run in flight) cleans six, and its one eviction
     pops the first three it cleaned, exactly as completing the pieces
-    one at a time does, event for event and state for state."""
+    one at a time does, state for state.  The same write on a cache
+    that does not evict shows the order it cleaned them in: its clean
+    LRU."""
 
     task = Task("w")
 
-    def complete(one_call):
-        env, tags, cache = make_cache(memory=4 * PAGE_SIZE)
+    def complete(one_call, memory):
+        env, tags, cache = make_cache(memory=memory)
         cache.mark_dirty_range(1, 0, 8, BlockMap({i: 100 + i for i in range(8)}), task)
         write = cache.dirty_pages_of(1)
         for run in write:
@@ -654,21 +659,21 @@ def test_completion_evicting_its_own_cleaned_pages_matches_page_at_a_time():
         cache.mark_dirty(PageKey(1, 1), task)  # dirtied again mid-flight
         cache.free(PageKey(1, 3))  # freed mid-flight
         assert [(run.start, run.stop) for run in write] == [(0, 1), (1, 2), (2, 3), (3, 4), (4, 8)]
-        events = []
-        cache.bus.subscribe(
-            PageCleaned, lambda e: events.extend((e.time, tuple(key)) for key in event_keys(e))
-        )
         if one_call:
             cache.write_completed(write)
         else:
             for run in list(write):
                 cache.write_completed([run])
-        return events, cache_state(cache), clean_with_blocks(cache), cache.evictions
+        return cache_state(cache), clean_with_blocks(cache), cache.evictions
 
-    batched = complete(one_call=True)
-    assert batched == complete(one_call=False)
-    events, state, clean, evictions = batched
-    assert [key for _, key in events] == [(1, 0), (1, 2), (1, 4), (1, 5), (1, 6), (1, 7)]
+    for memory in (4 * PAGE_SIZE, 16 * PAGE_SIZE):
+        assert complete(True, memory) == complete(False, memory)
+    _, cleaned, evictions = complete(True, 16 * PAGE_SIZE)
+    assert [(i, index) for i, index, _ in cleaned] == [
+        (1, 0), (1, 2), (1, 4), (1, 5), (1, 6), (1, 7)
+    ]
+    assert evictions == 0
+    state, clean, evictions = complete(True, 4 * PAGE_SIZE)
     assert clean == [(1, 5, 105), (1, 6, 106), (1, 7, 107)] and evictions == 3
     assert list(state[0]) == [(1, 1)]  # the re-dirtied page stays dirty
 
@@ -693,9 +698,8 @@ def test_birth_stretch_at_capacity_crossing_a_clean_extent_matches_page_at_a_tim
         cache.insert_clean_run(2, [(ahead, 200 + ahead, 4 - ahead)])
         assert len(cache) == cache.capacity_pages
         events = []
-        cache.bus.subscribe(
-            PageDirtied,
-            lambda e: events.extend((tuple(key), e.old_causes.pids) for key in event_keys(e)),
+        record_dirtied(
+            cache, lambda e: events.extend((tuple(key), e.old_causes.pids) for key in event_keys(e))
         )
         if one_call:
             cache.mark_dirty_range(1, 0, 10, None, task)
@@ -755,7 +759,7 @@ def test_free_range_cuts_extents_and_frees_dirty_pages_in_index_order():
     env, tags, cache = make_cache()
     task = Task("t")
     freed = []
-    cache.bus.subscribe(PageFreed, lambda e: freed.extend(range(e.first, e.stop)))
+    record_freed(cache, lambda e: freed.extend(range(e.first, e.stop)))
     cache.insert_clean_run(1, [(0, 100, 8)])
     cache.mark_dirty(PageKey(1, 5), task)
     cache.mark_dirty(PageKey(1, 3), task)

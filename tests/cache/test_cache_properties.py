@@ -1,14 +1,14 @@
 """Property-based tests on page-cache invariants and a reference model."""
 
 import random
+from typing import NamedTuple
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import PageCache, PageKey
-from repro.core.tags import TagManager
+from repro.core.tags import CauseSet, TagManager
 from repro.fs import BlockMap
-from repro.obs.bus import PageDirtied, PageFreed
 from repro.proc import Task
 from repro.sim import Environment
 from repro.units import PAGE_SIZE
@@ -55,9 +55,39 @@ def dirty_keys(cache):
     }
 
 
+class Dirtied(NamedTuple):
+    """One call of a cache's buffer-dirty hook, with its arguments."""
+
+    inode_id: int
+    first: int
+    stop: int
+    causes: CauseSet
+    old_causes: CauseSet
+
+
+class Freed(NamedTuple):
+    """One call of a cache's buffer-free hook, with its arguments."""
+
+    inode_id: int
+    first: int
+    stop: int
+
+
+def record_dirtied(cache, fn):
+    """Set *cache*'s buffer-dirty hook to pass each call to *fn* as a
+    :class:`Dirtied`."""
+    cache.on_buffers_dirty = lambda *args: fn(Dirtied(*args))
+
+
+def record_freed(cache, fn):
+    """Set *cache*'s buffer-free hook to pass each call to *fn* as a
+    :class:`Freed`."""
+    cache.on_buffer_free = lambda *args: fn(Freed(*args))
+
+
 def event_keys(event):
-    """The keys of the pages a buffer-dirty, -free or -cleaned event
-    names, in file order."""
+    """The keys of the pages a buffer-dirty or -free hook call names,
+    in file order."""
     return [PageKey(event.inode_id, index) for index in range(event.first, event.stop)]
 
 
@@ -143,7 +173,7 @@ class LruModel:
 
     def mark_dirty(self, key, pid):
         """Dirty one page; returns the ``(key, old causes)`` its
-        buffer-dirty event must carry."""
+        buffer-dirty hook call must carry."""
         if key in self.dirty:
             entry = self.dirty[key]
             old = entry["causes"]
@@ -215,17 +245,17 @@ class CacheMachine:
         #: the cache adds pieces to) and each page's model incarnation.
         self.in_flight = []
         #: ``(key, old cause pids)`` of each page of each buffer-dirty
-        #: event, in order, and the old cause set of each event.
+        #: hook call, in order, and the old cause set of each call.
         self.dirtied = []
         self.run_causes = []
-        self.cache.bus.subscribe(PageDirtied, self.on_dirtied)
-        #: Keys of each buffer-free event, in order.
+        record_dirtied(self.cache, self.on_dirtied)
+        #: Keys of each buffer-free hook call, in order.
         self.freed = []
-        self.cache.bus.subscribe(PageFreed, lambda e: self.freed.extend(map(tuple, event_keys(e))))
+        record_freed(self.cache, lambda e: self.freed.extend(map(tuple, event_keys(e))))
 
     def on_dirtied(self, event):
         keys = [tuple(key) for key in event_keys(event)]
-        assert keys  # an event names at least one page
+        assert keys  # a hook call names at least one page
         self.dirtied.extend((key, event.old_causes.pids) for key in keys)
         self.run_causes.append(event.old_causes)
 

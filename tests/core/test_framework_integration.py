@@ -4,8 +4,6 @@ import pytest
 
 from repro import Environment, OS, SSD, KB, MB
 from repro.core.tags import CauseSet
-from repro.obs.bus import PageDirtied, PageFreed
-from repro.obs.span import SpanBuilder
 from repro.schedulers import AFQ, CFQ, SCSToken, SplitDeadline, SplitNoop, SplitToken
 
 
@@ -22,7 +20,7 @@ def test_split_scheduler_is_both_hooks_and_elevator():
     split = SplitToken()
     machine = OS(env, device=SSD(), scheduler=split, memory_bytes=64 * MB)
     assert machine.elevator is split
-    assert len(machine.bus.listeners(PageDirtied)) == 1
+    assert machine.cache.on_buffers_dirty == split.on_buffers_dirty
 
 
 @pytest.mark.parametrize(
@@ -32,16 +30,22 @@ def test_split_scheduler_is_both_hooks_and_elevator():
 def test_memory_hooks_subscribed_only_where_the_scheduler_implements_them(
     scheduler, listeners
 ):
-    """A split scheduler that inherits the no-op memory hooks gets no
-    bus subscription, so writes on its stack publish no buffer events."""
-    machine = OS(Environment(), device=SSD(), scheduler=scheduler(), memory_bytes=64 * MB)
-    assert len(machine.bus.listeners(PageDirtied)) == listeners
-    assert len(machine.bus.listeners(PageFreed)) == listeners
+    """A split scheduler that inherits the no-op memory hooks leaves
+    the cache's hooks None, so writes on its stack make no hook call."""
+    sched = scheduler()
+    machine = OS(Environment(), device=SSD(), scheduler=sched, memory_bytes=64 * MB)
+    hooks = (machine.cache.on_buffers_dirty, machine.cache.on_buffer_free)
+    if listeners:
+        assert hooks == (sched.on_buffers_dirty, sched.on_buffer_free)
+    else:
+        assert hooks == (None, None)
 
 
 def make_spied_stack(scheduler):
-    """A stack whose scheduler records each memory hook it receives."""
-    machine = OS(Environment(), device=SSD(), scheduler=scheduler, memory_bytes=64 * MB)
+    """A stack whose scheduler records each memory hook it receives.
+
+    The OS binds the hooks when it is built, so the scheduler is
+    patched first."""
     calls = []
     scheduler.on_buffers_dirty = lambda inode_id, first, stop, causes, old: calls.append(
         ("dirty", (inode_id, first, stop), causes, old)
@@ -49,33 +53,35 @@ def make_spied_stack(scheduler):
     scheduler.on_buffer_free = lambda inode_id, first, stop: calls.append(
         ("free", (inode_id, first, stop))
     )
+    machine = OS(Environment(), device=SSD(), scheduler=scheduler, memory_bytes=64 * MB)
     return machine, calls
 
 
 def test_split_scheduler_owns_the_memory_hooks():
-    """Exactly one subscriber per memory hook, and it is the scheduler's."""
+    """The cache's memory hooks are the scheduler's own."""
     machine, calls = make_spied_stack(SplitToken())
-    dirtied = machine.bus.listeners(PageDirtied)
-    freed = machine.bus.listeners(PageFreed)
-    assert len(dirtied) == 1 and len(freed) == 1
     new, old = CauseSet([7, 8]), CauseSet([7])
-    dirtied[0](PageDirtied(0.0, 3, 0, 2, new, old))
-    freed[0](PageFreed(0.0, 3, 0, 2))
+    machine.cache.on_buffers_dirty(3, 0, 2, new, old)
+    machine.cache.on_buffer_free(3, 0, 2)
     assert calls == [("dirty", (3, 0, 2), new, old), ("free", (3, 0, 2))]
 
 
-def test_scheduler_hook_precedes_tracing_subscribers():
-    machine, calls = make_spied_stack(SplitNoop())
-    SpanBuilder.attach(machine)
-    assert len(machine.bus.listeners(PageDirtied)) == 1
-    machine.bus.subscribe(
-        PageDirtied, lambda e: calls.append(("traced", (e.inode_id, e.first, e.stop)))
-    )
+@pytest.mark.parametrize("scheduler", [SplitToken, SplitNoop])
+def test_cache_calls_the_scheduler_memory_hooks(scheduler):
+    """A write births its pages with one buffer-dirty call, and an
+    unlink before writeback frees them with one buffer-free call."""
+    machine, calls = make_spied_stack(scheduler())
     task = machine.spawn("t")
 
     def proc():
         handle = yield from machine.creat(task, "/f")
-        yield from handle.append(4 * KB)
+        yield from handle.append(8 * KB)
+        yield from machine.close(handle)
+        yield from machine.unlink(task, "/f")
+        return handle.inode.id
 
-    machine.env.run(until=machine.env.process(proc()))
-    assert [call[0] for call in calls] == ["dirty", "traced"]
+    inode_id = machine.env.run(until=machine.env.process(proc()))
+    assert calls == [
+        ("dirty", (inode_id, 0, 2), CauseSet([task.pid]), CauseSet()),
+        ("free", (inode_id, 0, 2)),
+    ]

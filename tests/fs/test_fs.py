@@ -5,7 +5,7 @@ import pytest
 from repro import Environment, OS, HDD, SSD, KB, MB
 from repro.cache.page import PageKey
 from repro.fs.xfs import XFS
-from repro.obs.bus import BlockComplete, PageFreed
+from repro.obs.bus import BlockComplete
 from repro.schedulers.noop import Noop
 from repro.units import PAGE_SIZE
 
@@ -201,8 +201,8 @@ def test_unlink_discards_dirty_buffers():
     env, machine = make_os()
     task = machine.spawn("t")
     freed = []
-    machine.bus.subscribe(
-        PageFreed, lambda e: freed.extend((e.inode_id, i) for i in range(e.first, e.stop))
+    machine.cache.on_buffer_free = lambda inode_id, first, stop: freed.extend(
+        (inode_id, i) for i in range(first, stop)
     )
 
     def proc():
@@ -384,7 +384,7 @@ def test_truncate_discards_dirty_tail_with_hook():
     env, machine = make_os()
     task = machine.spawn("t")
     freed = []
-    machine.bus.subscribe(PageFreed, lambda e: freed.extend(range(e.first, e.stop)))
+    machine.cache.on_buffer_free = lambda inode_id, first, stop: freed.extend(range(first, stop))
 
     def proc():
         handle = yield from machine.creat(task, "/f")

@@ -289,7 +289,7 @@ def test_commits_build_no_snapshots_without_a_durability_log(monkeypatch):
     task = machine.spawn("t")
     drive(env, fsync_appends(machine, task, rounds=20))
     assert machine.fs.journal.commits >= 20
-    assert not machine.bus.active(JournalCommitRecord)
+    assert not machine.bus.listeners(JournalCommitRecord)
     assert calls == []
 
 

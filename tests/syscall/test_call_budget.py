@@ -22,8 +22,11 @@ from repro.syscall.os import OS
 from repro.units import KB, MB
 
 #: Budgets per call on CPython 3.11: (noop, split-token).  Before this
-#: gate the paths cost overwrite 34 / 44 and hit 27 / 31 calls.
-OVERWRITE_BUDGET = {"noop": 20, "split-token": 25}
+#: gate the paths cost overwrite 34 / 44 and hit 27 / 31 calls.  A
+#: Split-Token overwrite fell from 25 to 22 once the cache called the
+#: scheduler's buffer-dirty hook directly, not through a bus event and
+#: an adapter.
+OVERWRITE_BUDGET = {"noop": 20, "split-token": 22}
 HIT_BUDGET = {"noop": 18, "split-token": 19}
 
 measured_interpreter = pytest.mark.skipif(

@@ -4,7 +4,6 @@ import pytest
 
 from repro import Environment, OS, SSD, KB, MB
 from repro.core.hooks import SchedulerHooks
-from repro.obs.bus import PageDirtied, PageFreed
 from repro.schedulers import CFQ, SplitNoop
 from repro.syscall.cpu import CPU
 
@@ -30,8 +29,8 @@ def test_block_scheduler_installs_as_elevator_without_hooks():
     assert machine.elevator is cfq
     assert machine.scheduler is None  # no syscall/memory hooks
     # The paper's information gap: a block scheduler never sees buffers.
-    assert not machine.bus.listeners(PageDirtied)
-    assert not machine.bus.listeners(PageFreed)
+    assert machine.cache.on_buffers_dirty is None
+    assert machine.cache.on_buffer_free is None
 
 
 def test_split_scheduler_wires_all_layers():
@@ -40,7 +39,7 @@ def test_split_scheduler_wires_all_layers():
     machine = OS(env, scheduler=split)
     assert machine.elevator is split
     assert machine.scheduler is split
-    assert len(machine.bus.listeners(PageDirtied)) == 1
+    assert machine.cache.on_buffers_dirty == split.on_buffers_dirty
     assert split.os is machine
 
 

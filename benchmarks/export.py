@@ -288,9 +288,7 @@ def bench_shard_sync(repeats: int) -> dict:
     stepped = [epochs]
 
     def run():
-        sharded = ShardedRun(
-            cluster, [], duration=epochs * link, shards=2, processes=False,
-        )
+        sharded = ShardedRun(cluster, [], duration=epochs * link, shards=2)
         sharded.run()
         stepped[0] = sharded.epochs_run  # ±1 of `epochs` (float boundary)
 

@@ -1,7 +1,7 @@
 """Runtime simulation sanitizer: invariants enforced while running.
 
 The repo's determinism guarantees ("byte-identical for any ``--jobs``,
-any ``--shards``, any queue depth") are normally verified *after the
+any shard count, any queue depth") are normally verified *after the
 fact* by hashing experiment output.  The sanitizer turns them into
 properties checked *while the simulation runs*, so a violation names
 the exact event that broke the contract instead of a diff two layers

@@ -75,7 +75,6 @@ def _cli_session(args):
         trace=args.trace is not None,
         queue_depth=args.queue_depth,
         hedge=args.hedge,
-        shards=args.shards,
         sanitize=args.sanitize or common.session().sanitize,
     )
 
@@ -186,16 +185,6 @@ def _add_hedge_arg(parser) -> None:
     )
 
 
-def _add_shards_arg(parser) -> None:
-    parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="partition cluster experiments (fig21, fig24) into N shard "
-             "Environments advancing in lockstep epochs, one worker "
-             "process per shard; results are byte-identical for any N "
-             "(single-stack experiments ignore this)",
-    )
-
-
 def _add_sanitize_arg(parser) -> None:
     parser.add_argument(
         "--sanitize", action="store_true",
@@ -264,7 +253,6 @@ def main(argv=None) -> int:
     )
     _add_queue_depth_arg(run_parser)
     _add_hedge_arg(run_parser)
-    _add_shards_arg(run_parser)
     _add_sanitize_arg(run_parser)
     _add_fault_args(run_parser)
     run_parser.set_defaults(func=cmd_run)
@@ -293,7 +281,6 @@ def main(argv=None) -> int:
     )
     _add_queue_depth_arg(all_parser)
     _add_hedge_arg(all_parser)
-    _add_shards_arg(all_parser)
     _add_sanitize_arg(all_parser)
     _add_fault_args(all_parser)
     all_parser.set_defaults(func=cmd_run_all)

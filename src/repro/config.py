@@ -275,13 +275,6 @@ class TenantContract:
     name: str
     rate_per_node: Optional[float] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "rate_per_node": self.rate_per_node}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "TenantContract":
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -298,9 +291,8 @@ class ClusterConfig:
     Split-Token contracts every node enforces locally.
 
     Like StackConfig it is pure description — :mod:`repro.sim.shard`
-    builds the actual per-shard environments from it, and
-    :meth:`to_dict` / :meth:`from_dict` round-trip it across process
-    boundaries so shard workers rebuild identical fleets.
+    builds the actual per-shard environments from it.  Every shard
+    lives in the coordinating process, so it is never serialized.
     """
 
     nodes: int = 7
@@ -350,35 +342,6 @@ class ClusterConfig:
             if tenant.name == name:
                 return tenant
         return None
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-friendly payload; :meth:`from_dict` round-trips it."""
-        return {
-            "nodes": self.nodes,
-            "node": self.node.to_dict(),
-            "node_overrides": [
-                [index, config.to_dict()] for index, config in self.node_overrides
-            ],
-            "replication": self.replication,
-            "block_size": self.block_size,
-            "chunk": self.chunk,
-            "link_latency": self.link_latency,
-            "tenants": [tenant.to_dict() for tenant in self.tenants],
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ClusterConfig":
-        payload = dict(payload)
-        payload["node"] = StackConfig.from_dict(payload["node"])
-        payload["node_overrides"] = tuple(
-            (index, StackConfig.from_dict(config))
-            for index, config in payload.get("node_overrides") or ()
-        )
-        payload["tenants"] = tuple(
-            TenantContract.from_dict(t) for t in payload.get("tenants") or ()
-        )
-        return cls(**payload)
 
     def replace(self, **changes) -> "ClusterConfig":
         """A copy with *changes* applied (frozen-dataclass update)."""

@@ -20,9 +20,8 @@ class Session(NamedTuple):
     :func:`make_environment` and the sharded-run core; a
     :class:`~repro.config.StackConfig` field that is not ``None`` always
     wins over it.  The CLI's ``run``/``run-all`` flags build one and
-    install it for the length of the command; the parallel runner and
-    the shard coordinator hand the current one to their worker
-    processes, which install it once.
+    install it for the length of the command; the parallel runner hands
+    the current one to its worker processes, which install it once.
     """
 
     #: ``(FaultPlan, seed)`` wrapping every device in a fault injector,
@@ -34,8 +33,6 @@ class Session(NamedTuple):
     queue_depth: int = 1
     #: Hedged dispatch for stacks that do not pin it.
     hedge: bool = False
-    #: Shard count for cluster runs that do not pin one.
-    shards: int = 1
     #: Runtime sanitizer for stacks that do not pin it.
     sanitize: bool = False
 
@@ -49,11 +46,6 @@ _fault_queues: List = []
 #: SpanBuilders attached under tracing, in stack-creation order (the
 #: order drain_spans concatenates).
 _span_builders: List = []
-#: Fault summaries forwarded from shard worker processes (already
-#: rendered to dicts — the queues live in other address spaces).
-_forwarded_fault_summaries: List[Dict] = []
-#: Span lists forwarded from shard worker processes, in node order.
-_forwarded_spans: List[Dict] = []
 
 
 def session() -> Session:
@@ -72,15 +64,11 @@ def install(new: Session) -> Session:
     global _current
     if new.queue_depth < 1:
         raise ValueError(f"queue depth must be >= 1, got {new.queue_depth}")
-    if new.shards < 1:
-        raise ValueError(f"shards must be >= 1, got {new.shards}")
     if new.fault is not None and new.fault[0].empty:
         new = new._replace(fault=None)
     previous, _current = _current, new
     _fault_queues.clear()
-    _forwarded_fault_summaries.clear()
     _span_builders.clear()
-    _forwarded_spans.clear()
     return previous
 
 
@@ -118,53 +106,22 @@ def drain_spans() -> List[Dict]:
     """Spans of every traced stack built so far, in creation order.
 
     Builders are detached and forgotten, so consecutive cells in one
-    process never report each other's spans.  Spans forwarded from
-    shard worker processes (see :func:`add_forwarded_spans`) follow the
-    locally-built stacks' spans, already merged in node order.
+    process never report each other's spans.
     """
     spans: List[Dict] = []
     for builder in _span_builders:
         spans.extend(builder.spans)
         builder.close()
     _span_builders.clear()
-    spans.extend(_forwarded_spans)
-    _forwarded_spans.clear()
     return spans
 
 
-def add_forwarded_spans(spans: List[Dict]) -> None:
-    """Register spans produced inside shard worker processes.
-
-    A sharded run's worker shards trace their node stacks locally and
-    ship the span dicts back at the end of the run; the coordinator
-    registers them here so :func:`drain_spans` reports them alongside
-    (after) any stacks built in this process — keeping the runner's
-    cell-order merge identical whether a cell sharded or not.
-    """
-    _forwarded_spans.extend(spans)
-
-
-def add_forwarded_fault_summaries(summaries: List[Dict]) -> None:
-    """Register fault summaries produced inside shard worker processes.
-
-    Like :func:`add_forwarded_spans`, but for the per-queue fault
-    summaries of faulty node stacks built in worker shards.
-    """
-    _forwarded_fault_summaries.extend(summaries)
-
-
 def drain_fault_summaries() -> List[Dict]:
-    """Fault statistics of every faulty stack built so far (and reset).
-
-    Summaries forwarded from shard worker processes follow the locally
-    tracked queues', already merged in node order.
-    """
+    """Fault statistics of every faulty stack built so far (and reset)."""
     from repro.metrics.recorders import fault_summary
 
     summaries = [fault_summary(queue) for queue in _fault_queues]
     _fault_queues.clear()
-    summaries.extend(_forwarded_fault_summaries)
-    _forwarded_fault_summaries.clear()
     return summaries
 
 

@@ -11,14 +11,15 @@ This figure runs on the shard-aware simulation core
 (:mod:`repro.sim.shard`): the seven workers are a
 :class:`~repro.config.ClusterConfig` fleet, the writer groups are
 tenant contracts, and each writer is a :class:`StreamSpec` driven
-through a gateway node.  Under ``--shards 1`` the whole fleet shares
-one event loop (the classic semantics); any higher shard count
-partitions it across processes with bit-identical results.
+through a gateway node.  At the default ``shards=1`` the whole fleet
+shares one event loop; ``--set shards=K`` partitions it into K shards
+stepped in lockstep epochs in the same process, with bit-identical
+results (the ``shard-equivalence`` CI job checks the golden hash).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import ClusterConfig, TenantContract
 from repro.sim.shard import StreamSpec, run_cluster
@@ -32,7 +33,7 @@ def run_cell(
     workers: int = 7,
     writers_per_group: int = 4,
     seed: int = 0,
-    shards: Optional[int] = None,
+    shards: int = 1,
 ) -> Dict:
     """One (rate cap, block size) point of the figure."""
     cluster = ClusterConfig(

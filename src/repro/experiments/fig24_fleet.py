@@ -23,7 +23,7 @@ sweep with the same shape.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import ClusterConfig, TenantContract
 from repro.sim.shard import StreamSpec, run_cluster
@@ -40,7 +40,7 @@ def run_cell(
     duration: float = 2.0,
     block_size: int = 16 * MB,
     seed: int = 0,
-    shards: Optional[int] = None,
+    shards: int = 1,
 ) -> Dict:
     """One fleet-size point: a full sharded cluster run, summarized."""
     contracts = tuple(

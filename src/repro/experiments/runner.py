@@ -30,7 +30,7 @@ Determinism rules:
   order, so ``--jobs 1`` and ``--jobs N`` emit identical JSON;
 - every cell runs under the caller's
   :class:`~repro.experiments.common.Session` (fault plan, trace, queue
-  depth, hedge, shards, sanitize): inline cells read it as it is, and
+  depth, hedge, sanitize): inline cells read it as it is, and
   each pool worker installs a copy once, so the ``--fault-*``-style
   flags apply under fan-out.  The runner reads the session and never
   writes it in the caller's process;
@@ -153,8 +153,6 @@ def execute_cells(
             out.append(_execute_cell(cell.module, cell.func, cell.kwargs))
         return out
 
-    # Sharded cells inside pool workers step their shards inline (a
-    # daemonic worker may not spawn children) — same results either way.
     with ProcessPoolExecutor(
         max_workers=jobs, initializer=common.install, initargs=(common.session(),),
     ) as pool:

@@ -18,15 +18,13 @@ the channel with the same latency and the same canonical per-epoch
 delivery order ``(arrival, src_node, seq)``, and each node's stack is
 built with node-local id namespaces and seeds.  A node's event
 sequence therefore depends only on the cluster config and the message
-schedule, never on which shard (or process) hosts it: running the same
-:class:`~repro.config.ClusterConfig` with 1 shard or K shards, inline
-or across worker processes, produces identical tenant metrics.  The
-serial-vs-sharded equivalence test in CI holds this property.
+schedule, never on which shard hosts it: running the same
+:class:`~repro.config.ClusterConfig` with 1 shard or K shards produces
+identical tenant metrics.  The ``shard-equivalence`` CI job and the
+tier-1 shard tests hold this property.
 
 :class:`~repro.sim.shard.run.ShardedRun` coordinates the epoch loop,
-either inline (one process hosting every shard — the reference
-semantics) or with one worker process per shard, reusing the runner's
-serialize-config-and-rebuild machinery to build worker fleets.
+stepping every shard in turn inside one process.
 """
 
 from repro.sim.shard.channel import InterShardChannel, ShardRouter

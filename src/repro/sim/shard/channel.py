@@ -9,8 +9,8 @@ Two halves:
   the epoch barrier the coordinator drains every outbox.
 
 - :class:`InterShardChannel` is the coordinator-side store.  It pools
-  the drained messages (in any order — shard completion order is
-  scheduling noise) and, per epoch, hands each shard the batch of
+  the drained messages (in any order — which shard pushed first must
+  not matter) and, per epoch, hands each shard the batch of
   messages arriving inside that epoch, sorted canonically by
   ``(arrival, src_node, seq)``.  Because the sort key never mentions a
   shard, delivery order is a pure function of the message set — the

@@ -40,7 +40,7 @@ from repro.sim.shard.message import ShardMessage
 
 
 class StreamSpec(NamedTuple):
-    """One declarative tenant stream (picklable, shard-shippable)."""
+    """One declarative tenant stream, handed to its gateway's shard."""
 
     stream_id: int  # cluster-wide stream index
     tenant: str  # billing account / contract name

@@ -4,9 +4,9 @@ A :class:`ShardEnvironment` owns a contiguous slice of the cluster's
 node indices.  Each node is a full simulated machine (built via
 :func:`repro.experiments.common.build_node` into the shard's single
 event loop) and the shard also hosts the client stream drivers whose
-gateway node lives here.  The coordinator talks to a shard in exactly
-four verbs, all timestep-shaped so the same class serves the inline
-reference executor and the per-process workers:
+gateway node lives here.  The coordinator talks to a shard in four
+verbs, and asks after each epoch whether it is still busy (drain mode
+stops once no shard is):
 
 ``inject(messages)``
     Schedule this epoch's inbound messages for delivery at their
@@ -16,7 +16,7 @@ reference executor and the per-process workers:
 ``drain_outbox()``
     Hand back every message sent during the epoch.
 ``finish()``
-    Render per-stream and per-node metrics as picklable dicts.
+    Render per-stream and per-node metrics as plain dicts.
 """
 
 from __future__ import annotations
@@ -129,9 +129,8 @@ class ShardEnvironment:
     # -- reporting ----------------------------------------------------------
 
     def finish(self) -> Dict:
-        """Picklable per-shard results, in canonical node/stream order."""
+        """Per-shard results, in canonical node/stream order."""
         return {
-            "shard": self.shard_index,
             "now": self.env.now,
             "streams": [client.report() for client in self.clients],
             "nodes": {

@@ -6,9 +6,8 @@ in a sharded run.  Its identity triple ``(arrival, src_node, seq)`` is
 node's own send counter don't change when the fleet is re-partitioned
 — so sorting any batch of messages by :func:`canonical_order` yields
 the same delivery sequence whether the batch was collected from one
-shard or sixteen, in whatever order the shard processes happened to
-finish their epoch.  That sort key is the heart of the determinism
-guarantee.
+shard or sixteen, in whatever order the shards pushed their outboxes.
+That sort key is the heart of the determinism guarantee.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ from typing import Any, Dict, NamedTuple, Tuple
 
 
 class ShardMessage(NamedTuple):
-    """One timestamped message between two cluster nodes.
-
-    Plain picklable data: messages cross process boundaries between
-    shard workers and the coordinator every epoch.
-    """
+    """One timestamped message between two cluster nodes."""
 
     arrival: float  # simulated delivery time (send time + link latency)
     src_node: int  # sending node index (cluster-wide)

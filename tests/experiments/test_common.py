@@ -86,8 +86,6 @@ def test_install_validates_and_returns_previous_session():
     assert common.session() == before
     with pytest.raises(ValueError):
         common.install(before._replace(queue_depth=0))
-    with pytest.raises(ValueError):
-        common.install(before._replace(shards=0))
     assert common.session() == before
 
 
@@ -96,7 +94,7 @@ def test_using_restores_the_session_on_error():
 
     before = common.session()
     with pytest.raises(RuntimeError):
-        with common.using(shards=3, trace=True) as inside:
-            assert inside == common.session() == before._replace(shards=3, trace=True)
+        with common.using(hedge=True, trace=True) as inside:
+            assert inside == common.session() == before._replace(hedge=True, trace=True)
             raise RuntimeError("boom")
     assert common.session() == before

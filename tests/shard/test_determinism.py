@@ -1,8 +1,7 @@
 """Serial-vs-sharded equivalence: the determinism guarantee.
 
 The same ClusterConfig + streams must produce identical tenant
-metrics no matter how the fleet is partitioned (1 shard vs K) or which
-vehicle executes the shards (inline stepping vs worker processes).
+metrics no matter how the fleet is partitioned (1 shard vs K).
 """
 
 import json
@@ -48,7 +47,7 @@ def _comparable(result):
 
 def test_one_vs_many_shards_identical_inline():
     results = [
-        run_cluster(_cluster(), _streams(), duration=0.1, shards=shards, processes=False)
+        run_cluster(_cluster(), _streams(), duration=0.1, shards=shards)
         for shards in (1, 2, 5)
     ]
     assert results[0]["tenants"]["free"]["bytes"] > 0
@@ -57,17 +56,9 @@ def test_one_vs_many_shards_identical_inline():
         assert _comparable(result) == reference
 
 
-def test_worker_processes_match_inline():
-    inline = run_cluster(_cluster(), _streams(), duration=0.1, shards=3, processes=False)
-    procs = run_cluster(_cluster(), _streams(), duration=0.1, shards=3, processes=True)
-    assert procs["meta"]["processes"] is True
-    assert _comparable(procs) == _comparable(inline)
-
-
 def test_drain_mode_is_also_layout_independent():
     one = run_cluster(_cluster(), _streams(), duration=0.05, shards=1, drain=True)
-    many = run_cluster(_cluster(), _streams(), duration=0.05, shards=4,
-                       processes=False, drain=True)
+    many = run_cluster(_cluster(), _streams(), duration=0.05, shards=4, drain=True)
     assert _comparable(one) == _comparable(many)
     conservation = one["conservation"]
     assert conservation["submitted"] == conservation["completed"] + conservation["failed"]
@@ -99,7 +90,7 @@ def test_single_node_shards_match_at_fleet_scale_config():
         for j in range(4)
     ]
     one = run_cluster(cluster, specs, duration=0.5, shards=1)
-    four = run_cluster(cluster, specs, duration=0.5, shards=4, processes=False)
+    four = run_cluster(cluster, specs, duration=0.5, shards=4)
     assert _comparable(one) == _comparable(four)
 
 
@@ -120,9 +111,51 @@ def test_sharded_run_validates_inputs():
         ShardedRun(_cluster(), _streams(), duration=0.0)
 
 
-def test_session_default_shards_apply():
+def test_shard_count_below_one_is_rejected():
+    """A count below one is an error, not a silent single shard."""
+    for shards in (0, -2):
+        with pytest.raises(ValueError, match="shards must be >= 1"):
+            run_cluster(_cluster(), _streams(), duration=0.1, shards=shards)
+    # Above the fleet size the count clamps to one node per shard.
+    assert ShardedRun(_cluster(), _streams(), duration=0.1, shards=9).shards == 5
+
+
+#: Reduced figure overrides for the 1-vs-K check through the runner.
+FIG21_CELL = {"rate_caps": [8 * MB], "block_sizes": [16 * MB], "duration": 1.0}
+FIG24_SWEEP = {"fleet_sizes": [4, 8], "tenants_count": 4, "duration": 0.5}
+
+
+def _figure(key, overrides, shards):
+    from repro.cli import _jsonable
+    from repro.experiments import runner
+
+    outcome = runner.run_experiment(key, dict(overrides, shards=shards))
+    return _jsonable(outcome.result)
+
+
+def test_fig21_cell_same_at_one_and_three_shards():
+    one = _figure("fig21", FIG21_CELL, shards=1)
+    three = _figure("fig21", FIG21_CELL, shards=3)
+    assert one["block_16mb"][0]["throttled_mbps"] > 0
+    assert json.dumps(one, sort_keys=True) == json.dumps(three, sort_keys=True)
+
+
+@pytest.mark.parametrize("sanitize", [False, True], ids=["plain", "sanitized"])
+def test_fig24_sweep_same_at_one_and_three_shards(sanitize):
+    """Equal output but for the per-point shard count; the sanitized run
+    also checks the channel's causality guards across shard barriers."""
+    from contextlib import nullcontext
+
     from repro.experiments import common
 
-    with common.using(shards=2):
-        run = ShardedRun(_cluster(), _streams(), duration=0.1)
-        assert run.shards == 2
+    def points(shards):
+        with common.using(sanitize=True) if sanitize else nullcontext():
+            result = _figure("fig24", FIG24_SWEEP, shards)
+        assert all(point["total_mbps"] > 0 for point in result["points"])
+        counts = [point.pop("shards") for point in result["points"]]
+        return json.dumps(result, sort_keys=True), counts
+
+    one, one_counts = points(1)
+    three, three_counts = points(3)
+    assert one_counts == [1, 1] and three_counts == [3, 3]
+    assert one == three

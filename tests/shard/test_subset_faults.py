@@ -46,8 +46,7 @@ def _streams():
 
 def _run(shards, drain=True):
     return run_cluster(
-        _cluster(), _streams(), duration=0.1, shards=shards,
-        processes=False, drain=drain,
+        _cluster(), _streams(), duration=0.1, shards=shards, drain=drain,
     )
 
 
@@ -84,9 +83,7 @@ def test_subset_faults_layout_independent():
 
 def test_isolation_bound_survives_faulty_minority():
     duration = 1.0
-    result = run_cluster(
-        _cluster(), _streams(), duration=duration, shards=2, processes=False,
-    )
+    result = run_cluster(_cluster(), _streams(), duration=duration, shards=2)
     cluster = _cluster()
     bound_mbps = (8 * MB / cluster.replication) * cluster.nodes / MB
     # Token enforcement is local and unaffected by the faulty nodes'
